@@ -9,11 +9,16 @@ the plain form byte for byte.
 Exit codes for ``check`` and ``realize``: 0 when every record is graphic,
 1 when any is not graphic, 2 when any is inconclusive (and none is
 non-graphic), 3 on input error.  Malformed records report the offending
-line number and poison the exit code with 3, but processing continues.
+line number and poison the exit code with 3, but processing continues;
+so does a record ``realize`` fails to build (an internal error).
 A well-formed record whose in- and out-degrees sum differently is not an
 input error: unequal sums already disprove graphicality, so ``check`` and
 ``realize`` emit ``NOT_GRAPHIC sum-mismatch`` for it and count it like
 any other non-graphic record.
+
+When the reader of stdout goes away (``bidegree realize | head``), the
+command stops without a traceback and exits with 141, the code a shell
+gives a process ended by SIGPIPE.
 
 The default seed for ``generate``/``bench`` comes from the
 ``BIDEGREE_SEED`` environment variable when set.
@@ -244,10 +249,15 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
                 print(f"line {lineno}: {exc}", file=stderr)
                 sev.error = True
                 continue
+            try:
+                result = realize(seq, allow_loops=args.loops)
+            except RuntimeError as exc:
+                print(f"line {lineno}: {exc}", file=stderr)
+                sev.error = True
+                continue
             if not first:
                 print(file=stdout)  # blank separator between records
             first = False
-            result = realize(seq, allow_loops=args.loops)
             if isinstance(result, CheckOutcome):
                 sev.record(result)
                 print(f"NOT_GRAPHIC j={result.witness}", file=stdout)
@@ -296,6 +306,9 @@ def _percentile99(samples) -> int:
 
 
 def _cmd_bench(args, stdin, stdout, stderr) -> int:
+    if args.repeat < 1:
+        print(f"error: --repeat must be at least 1, got {args.repeat}", file=stderr)
+        return 3
     if args.corpus is not None:
         stream, close = _open_input(args.corpus, stdin)
         try:
@@ -555,7 +568,16 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`); point stdout at devnull
+        # so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)  # 128 + SIGPIPE, as a shell reports a process it ended
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
 import bidegree as bd
+from bidegree import cli
 from bidegree.cli import format_record, main, parse_record
 from bidegree.generate import SplitMix64
 from conftest import sequence_pairs
@@ -223,6 +227,18 @@ class TestRealize:
         assert code == 1
         assert out == "NOT_GRAPHIC sum-mismatch\n"
 
+    def test_internal_error_reports_line_and_continues(self, monkeypatch):
+        def failing_on_pairs(seq, allow_loops=True):
+            if seq.n == 2:
+                raise RuntimeError("greedy wiring failed")
+            return bd.realize(seq, allow_loops)
+
+        monkeypatch.setattr(cli, "realize", failing_on_pairs)
+        code, out, err = run_cli(["realize"], "1,1;1,1\n1;1\n")
+        assert err == "line 1: greedy wiring failed\n"
+        assert out == "1\n"  # no separator before the first printed record
+        assert code == 3
+
 
 class TestGenerate:
     def test_counterexample_record(self):
@@ -327,3 +343,41 @@ class TestBench:
         code, _, err = run_cli(["bench"])
         assert code == 3
         assert "need --corpus or --kind" in err
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_repeat_below_one_exit_3(self, repeat):
+        code, out, err = run_cli(
+            ["bench", "--kind", "uniform", "--n", "10", "--total", "20",
+             "--min", "1", "--max", "4", f"--repeat={repeat}"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: --repeat must be at least 1, got {repeat}\n"
+
+
+class TestBrokenPipe:
+    """A reader that stops early (``| head -1``) ends the run quietly."""
+
+    @pytest.mark.parametrize("command", ["realize", "check"])
+    def test_closed_stdout_is_quiet(self, tmp_path, command):
+        if command == "realize":  # one dense 2000 x 2000 matrix, 4 MB
+            seq = bd.gen_uniform(2000, 14_000, 1, 2000, seed=1)
+            corpus = format_record(seq) + "\n"
+        else:  # 50k verdict lines, 1 MB
+            corpus = TEN_NODE_RECORD + "\n" + "1,1;1,1\n" * 50_000
+        path = tmp_path / "corpus.txt"
+        path.write_text(corpus)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bidegree.cli", command, str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""

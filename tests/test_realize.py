@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +12,45 @@ from conftest import equal_sum_vector_pairs, sequence_pairs
 def matrix_of(real):
     return [
         [real.entry(i, j) for j in range(real.n)] for i in range(real.n)
+    ]
+
+
+def reference_realize(seq, allow_loops):
+    """The greedy by definition: re-sort every target after each source.
+
+    Quadratic, so kept for tests only; ``realize`` must return the very
+    same matrix.
+    """
+    check = bd.check_with_loops if allow_loops else bd.check_no_loops
+    outcome = check(seq)
+    if not outcome.is_graphic:
+        return outcome
+    n = seq.n
+    resid_in = list(seq.in_degrees)
+    resid_out = list(seq.out_degrees)
+    rows = [0] * n
+    for s in sorted(range(n), key=lambda i: (-resid_out[i], i)):
+        order = sorted(range(n), key=lambda i: (-resid_in[i], -resid_out[i], i))
+        usable = [t for t in order if resid_in[t] and (allow_loops or t != s)]
+        targets = usable[: resid_out[s]]
+        assert len(targets) == resid_out[s]
+        for t in targets:
+            resid_in[t] -= 1
+            rows[t] |= 1 << s
+        resid_out[s] = 0
+    return bd.AdjacencyRealization(n, tuple(rows), allow_loops)
+
+
+def naive_row_string(real, i):
+    return "".join(str(real.entry(i, j)) for j in range(real.n))
+
+
+def naive_edges(real):
+    return [
+        (src, dst)
+        for src in range(real.n)
+        for dst in range(real.n)
+        if real.entry(dst, src)
     ]
 
 
@@ -26,6 +67,18 @@ class TestRealizeExamples:
         real = bd.realize(ten_node_vector, allow_loops=True)
         assert isinstance(real, bd.AdjacencyRealization)
         assert bd.verify_realization(real, ten_node_vector)
+
+    def test_three_cycle_without_loops(self):
+        # the tie-break case of the module docstring: an index tie-break
+        # would strand the last stub on node 2's own diagonal
+        real = bd.realize(bd.new_sequence((1, 1, 1), (1, 1, 1)), False)
+        assert matrix_of(real) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        assert list(real.edges()) == [(0, 1), (1, 2), (2, 0)]
+
+    def test_bits_past_last_column_are_not_entries(self):
+        real = bd.AdjacencyRealization(2, (0b110, 0b1001), True)
+        assert [real.row_string(i) for i in range(2)] == ["01", "10"]
+        assert list(real.edges()) == naive_edges(real) == [(0, 1), (1, 0)]
 
     def test_not_graphic_returns_outcome(self):
         out = bd.realize(bd.new_sequence((2, 2, 2, 0), (4, 2, 0, 0)), True)
@@ -79,6 +132,7 @@ class TestRealizeAgreement:
                 bd.check_with_loops(seq) if loops else bd.check_no_loops(seq)
             ).is_graphic
             result = bd.realize(seq, loops)
+            assert result == reference_realize(seq, loops)
             assert isinstance(result, bd.AdjacencyRealization) == expect
             if expect:
                 assert bd.verify_realization(result, seq)
@@ -94,10 +148,15 @@ class TestRealizeAgreement:
             return
         for loops in (True, False):
             result = bd.realize(seq, loops)
+            assert result == reference_realize(seq, loops)
             check = bd.check_with_loops if loops else bd.check_no_loops
             assert isinstance(result, bd.AdjacencyRealization) == check(seq).is_graphic
             if isinstance(result, bd.AdjacencyRealization):
                 assert bd.verify_realization(result, seq)
+                assert [result.row_string(i) for i in range(seq.n)] == [
+                    naive_row_string(result, i) for i in range(seq.n)
+                ]
+                assert list(result.edges()) == naive_edges(result)
 
     def test_fuzz_medium_sizes(self):
         rng = SplitMix64(7)
@@ -117,9 +176,23 @@ class TestRealizeAgreement:
             seq = bd.gen_uniform(n, S, m, M, seed=rng.next_u64())
             loops = rng.randint(0, 1) == 1
             result = bd.realize(seq, loops)
+            assert result == reference_realize(seq, loops)
             if isinstance(result, bd.CheckOutcome):
                 continue
             assert bd.verify_realization(result, seq)
             if not loops:
                 assert all(result.entry(i, i) == 0 for i in range(seq.n))
             done += 1
+
+
+@pytest.mark.parametrize("loops", [True, False])
+def test_realize_scales_near_linearly(loops):
+    """n = 10^4 with S = 7n in well under a second; a quadratic greedy
+    (re-sorting all targets after each source) takes tens of seconds."""
+    seq = bd.gen_uniform(10_000, 70_000, 1, 10_000, seed=0)
+    t0 = time.perf_counter()
+    real = bd.realize(seq, loops)
+    elapsed = time.perf_counter() - t0
+    assert isinstance(real, bd.AdjacencyRealization)
+    assert bd.verify_realization(real, seq)
+    assert elapsed < 10
