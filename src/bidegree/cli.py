@@ -3,8 +3,8 @@
 Records are one bidegree sequence per line, in either the plain form
 ``a1,a2,...,an;b1,b2,...,bn`` or a JSON object ``{"in": [...], "out":
 [...]}`` — auto-detected from the first non-whitespace byte.  Blank lines
-are skipped.  Parsing round-trips: printing a parsed record reproduces
-the plain form byte for byte.
+are skipped.  Plain entries are ASCII ``[0-9]+``, so parsing round-trips:
+printing a parsed record reproduces the plain form byte for byte.
 
 Exit codes for ``check`` and ``realize``: 0 when every record is graphic,
 1 when any is not graphic, 2 when any is inconclusive (and none is
@@ -14,14 +14,16 @@ so does a record ``realize`` fails to build (an internal error).
 A well-formed record whose in- and out-degrees sum differently is not an
 input error: unequal sums already disprove graphicality, so ``check`` and
 ``realize`` emit ``NOT_GRAPHIC sum-mismatch`` for it and count it like
-any other non-graphic record.
+any other non-graphic record.  ``bench --corpus`` leaves such records
+out of the timed set and counts them as ``sum_mismatch=K``.
 
 When the reader of stdout goes away (``bidegree realize | head``), the
 command stops without a traceback and exits with 141, the code a shell
 gives a process ended by SIGPIPE.
 
 The default seed for ``generate``/``bench`` comes from the
-``BIDEGREE_SEED`` environment variable when set.
+``BIDEGREE_SEED`` environment variable when set; only those two commands
+read it, and a value that is not an integer is an input error (exit 3).
 """
 
 from __future__ import annotations
@@ -44,46 +46,14 @@ from .exact import (
 )
 from .generate import GeneratorSpec, generate_sequence
 from .realize import realize
-from .sufficient import (
-    Condition,
-    Prepared,
-    bound_table,
-    certify,
-    check_cor2,
-    check_cor3,
-    check_cor5,
-    check_thm2,
-    check_thm3,
-    check_thm4,
-    check_thm5,
-    check_thm6,
-)
+from .sufficient import Condition, Prepared, bound_table, certify
 
 __all__ = ["main", "entry", "parse_record", "format_record"]
 
-_CHECKS = {
-    Condition.ZZ: check_thm2,
-    Condition.MAX_PRODUCT_LOOPS: check_thm3,
-    Condition.MAX_PRODUCT_NO_LOOPS: check_thm4,
-    Condition.MEAN_MIN_LOOPS: check_thm5,
-    Condition.MEAN_MIN_NO_LOOPS: check_thm6,
-    Condition.MULTIPLICITY_LOOPS: check_cor2,
-    Condition.MULTIPLICITY_NO_LOOPS: check_cor3,
-    Condition.HEAVY_TAIL: check_cor5,
-}
-_BY_CODE = {cond.value: cond for cond in Condition}
-
-# certificate parameters echoed on GRAPHIC output lines, per condition
-_PARAM_ORDER = {
-    Condition.ZZ: ("m", "M"),
-    Condition.MAX_PRODUCT_LOOPS: ("Ma", "Mb"),
-    Condition.MAX_PRODUCT_NO_LOOPS: ("Ma", "Mb"),
-    Condition.MEAN_MIN_LOOPS: ("k", "Mmax"),
-    Condition.MEAN_MIN_NO_LOOPS: ("k", "Mmax"),
-    Condition.MULTIPLICITY_LOOPS: ("k", "M"),
-    Condition.MULTIPLICITY_NO_LOOPS: ("k", "M"),
-    Condition.HEAVY_TAIL: ("R", "P", "k", "Mmax"),
-}
+# what a plain record may hold once its ends are stripped; int() also
+# takes '+', '_', inner spaces and non-ASCII digits, which would not print
+# back as they were read
+_PLAIN_CHARS = str.maketrans("", "", "0123456789,;")
 
 
 def _int_entries(values):
@@ -107,6 +77,11 @@ def parse_record(line: str) -> BidegreeSequence:
         return new_sequence(_int_entries(obj["in"]), _int_entries(obj["out"]))
     if ";" not in text:
         raise BidegreeError("plain record needs ';' between in- and out-degrees")
+    stray = text.translate(_PLAIN_CHARS)
+    if stray:
+        raise BidegreeError(
+            f"plain entries must be ASCII digits, got {stray[0]!r}"
+        )
     left, right = text.split(";", 1)
     return new_sequence(
         [int(x) for x in left.split(",")], [int(x) for x in right.split(",")]
@@ -122,12 +97,6 @@ def format_record(seq: BidegreeSequence) -> str:
     )
 
 
-def _iter_records(stream):
-    for lineno, line in enumerate(stream, start=1):
-        if line.strip():
-            yield lineno, line
-
-
 def _outcome_line(outcome: CheckOutcome, method_label: str) -> str:
     if outcome.verdict is Verdict.GRAPHIC:
         cert = outcome.certificate
@@ -135,7 +104,7 @@ def _outcome_line(outcome: CheckOutcome, method_label: str) -> str:
             return "GRAPHIC exact"
         params = " ".join(
             f"{key}={cert.parameters[key]}"
-            for key in _PARAM_ORDER[cert.condition]
+            for key in cert.condition.echo
         )
         return f"GRAPHIC {cert.condition.value} {params}"
     if outcome.verdict is Verdict.NOT_GRAPHIC:
@@ -168,46 +137,53 @@ class _Severity:
         return 0
 
 
-def _open_input(path, stdin):
-    if path == "-":
-        return stdin, False
-    return open(path, "r", encoding="utf-8"), True
-
-
-def _cmd_check(args, stdin, stdout, stderr) -> int:
-    stream, close = _open_input(args.input, stdin)
-    sev = _Severity()
+def _records(path, stdin, stderr, sev: _Severity):
+    """Yield ``(lineno, seq)`` for each non-blank record of ``path`` (``-``
+    for stdin); ``seq`` is None for a sum-mismatch record.  A malformed
+    record is reported as ``line N: ...`` and poisons the exit code."""
+    stream = stdin if path == "-" else open(path, "r", encoding="utf-8")
     try:
-        for lineno, line in _iter_records(stream):
+        for lineno, line in enumerate(stream, start=1):
+            if not line.strip():
+                continue
             try:
                 seq = parse_record(line)
             except SumMismatch:
                 sev.not_graphic = True
-                print("NOT_GRAPHIC sum-mismatch", file=stdout)
-                continue
-            except (BidegreeError, ValueError, json.JSONDecodeError) as exc:
+                seq = None
+            except (BidegreeError, ValueError) as exc:
                 print(f"line {lineno}: {exc}", file=stderr)
                 sev.error = True
                 continue
-            if args.method == "exact":
-                outcome = (
-                    check_with_loops(seq) if args.loops else check_no_loops(seq)
-                )
-            elif args.method == "auto":
-                outcome = certify(
-                    seq, allow_loops=args.loops, fallback_exact=args.fallback_exact
-                )
-            else:
-                cond = _BY_CODE[args.method]
-                if not args.loops and not cond.certifies_no_loops:
-                    outcome = CheckOutcome(Verdict.INCONCLUSIVE)
-                else:
-                    outcome = _CHECKS[cond](seq)
-            sev.record(outcome)
-            print(_outcome_line(outcome, args.method), file=stdout)
+            yield lineno, seq
     finally:
-        if close:
+        if stream is not stdin:
             stream.close()
+
+
+_SUM_MISMATCH = "NOT_GRAPHIC sum-mismatch"
+
+
+def _cmd_check(args, stdin, stdout, stderr) -> int:
+    sev = _Severity()
+    for _, seq in _records(args.input, stdin, stderr, sev):
+        if seq is None:
+            print(_SUM_MISMATCH, file=stdout)
+            continue
+        if args.method == "exact":
+            outcome = check_with_loops(seq) if args.loops else check_no_loops(seq)
+        elif args.method == "auto":
+            outcome = certify(
+                seq, allow_loops=args.loops, fallback_exact=args.fallback_exact
+            )
+        else:
+            cond = Condition(args.method)
+            if not args.loops and not cond.certifies_no_loops:
+                outcome = CheckOutcome(Verdict.INCONCLUSIVE)
+            else:
+                outcome = cond.check(seq)
+        sev.record(outcome)
+        print(_outcome_line(outcome, args.method), file=stdout)
     return sev.code
 
 
@@ -231,46 +207,30 @@ def _cmd_bound(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_realize(args, stdin, stdout, stderr) -> int:
-    stream, close = _open_input(args.input, stdin)
     sev = _Severity()
     first = True
-    try:
-        for lineno, line in _iter_records(stream):
-            try:
-                seq = parse_record(line)
-            except SumMismatch:
-                if not first:
-                    print(file=stdout)
-                first = False
-                sev.not_graphic = True
-                print("NOT_GRAPHIC sum-mismatch", file=stdout)
-                continue
-            except (BidegreeError, ValueError, json.JSONDecodeError) as exc:
-                print(f"line {lineno}: {exc}", file=stderr)
-                sev.error = True
-                continue
+    for lineno, seq in _records(args.input, stdin, stderr, sev):
+        if seq is not None:
             try:
                 result = realize(seq, allow_loops=args.loops)
             except RuntimeError as exc:
                 print(f"line {lineno}: {exc}", file=stderr)
                 sev.error = True
                 continue
-            if not first:
-                print(file=stdout)  # blank separator between records
-            first = False
-            if isinstance(result, CheckOutcome):
-                sev.record(result)
-                print(f"NOT_GRAPHIC j={result.witness}", file=stdout)
-                continue
-            if args.format == "dense":
-                for i in range(result.n):
-                    print(result.row_string(i), file=stdout)
-            else:
-                for src, dst in result.edges():
-                    print(f"{src} {dst}", file=stdout)
-    finally:
-        if close:
-            stream.close()
+        if not first:
+            print(file=stdout)  # blank separator between records
+        first = False
+        if seq is None:
+            print(_SUM_MISMATCH, file=stdout)
+        elif isinstance(result, CheckOutcome):
+            sev.record(result)
+            print(f"NOT_GRAPHIC j={result.witness}", file=stdout)
+        elif args.format == "dense":
+            for i in range(result.n):
+                print(result.row_string(i), file=stdout)
+        else:
+            for src, dst in result.edges():
+                print(f"{src} {dst}", file=stdout)
     return sev.code
 
 
@@ -288,10 +248,23 @@ def _spec_from_args(args, seed: int) -> GeneratorSpec:
     )
 
 
+def _base_seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("BIDEGREE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise BidegreeError(
+            f"BIDEGREE_SEED must be an integer, got {text!r}"
+        ) from None
+
+
 def _cmd_generate(args, stdin, stdout, stderr) -> int:
     try:
+        seed = _base_seed(args)
         for i in range(args.count):
-            seq = generate_sequence(_spec_from_args(args, args.seed + i))
+            seq = generate_sequence(_spec_from_args(args, seed + i))
             print(format_record(seq), file=stdout)
     except BidegreeError as exc:
         print(f"error: {exc}", file=stderr)
@@ -299,31 +272,29 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
     return 0
 
 
-def _percentile99(samples) -> int:
+def _median_p99(samples) -> tuple[int, int]:
     ordered = sorted(samples)
     idx = max(0, -(-99 * len(ordered) // 100) - 1)  # ceil(0.99*len) - 1
-    return ordered[idx]
+    return int(statistics.median(ordered)), ordered[idx]
 
 
 def _cmd_bench(args, stdin, stdout, stderr) -> int:
     if args.repeat < 1:
         print(f"error: --repeat must be at least 1, got {args.repeat}", file=stderr)
         return 3
+    mismatched = 0
     if args.corpus is not None:
-        stream, close = _open_input(args.corpus, stdin)
-        try:
-            try:
-                seqs = [parse_record(line) for _, line in _iter_records(stream)]
-            except (BidegreeError, ValueError, json.JSONDecodeError) as exc:
-                print(f"error: {exc}", file=stderr)
-                return 3
-        finally:
-            if close:
-                stream.close()
+        sev = _Severity()
+        seqs = [seq for _, seq in _records(args.corpus, stdin, stderr, sev)]
+        if sev.error:
+            return 3
+        mismatched = seqs.count(None)
+        seqs = [seq for seq in seqs if seq is not None]
     elif args.kind is not None:
         try:
+            seed = _base_seed(args)
             seqs = [
-                generate_sequence(_spec_from_args(args, args.seed + i))
+                generate_sequence(_spec_from_args(args, seed + i))
                 for i in range(args.count)
             ]
         except BidegreeError as exc:
@@ -346,13 +317,10 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
 
     times: dict = {"prepare": [], "exact": []}
     certified: dict = {}
-    inconclusive: dict = {}
     for cond in conditions:
         times[cond.value] = []
         certified[cond.value] = 0
-        inconclusive[cond.value] = 0
     exact_graphic = 0
-    exact_not_graphic = 0
     witness_hist: dict = {}
 
     clock = time.perf_counter_ns
@@ -365,15 +333,12 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
             times["prepare"].append(clock() - t0)
 
             for cond in conditions:
-                check = _CHECKS[cond]
+                check = cond.check
                 t0 = clock()
                 outcome = check(seq, prep)
                 times[cond.value].append(clock() - t0)
-                if rep == 0:
-                    if outcome.verdict is Verdict.GRAPHIC:
-                        certified[cond.value] += 1
-                    else:
-                        inconclusive[cond.value] += 1
+                if rep == 0 and outcome.verdict is Verdict.GRAPHIC:
+                    certified[cond.value] += 1
 
             t0 = clock()
             exact_outcome = exact_check(seq)
@@ -382,49 +347,25 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
                 if exact_outcome.is_graphic:
                     exact_graphic += 1
                 else:
-                    exact_not_graphic += 1
                     for j in violated_indices(seq, args.loops):
                         witness_hist[j] = witness_hist.get(j, 0) + 1
 
+    # every record is certified or inconclusive by each check, and graphic
+    # or not by the exact one, so the counts of the other column follow
+    records = len(seqs)
     rows = []
     for cond in conditions:
-        code = cond.value
-        coverage = (
-            f"{certified[code] / exact_graphic:.4f}" if exact_graphic else "n/a"
-        )
+        code, hits = cond.value, certified[cond.value]
+        coverage = f"{hits / exact_graphic:.4f}" if exact_graphic else "n/a"
         rows.append(
-            (
-                code,
-                certified[code],
-                inconclusive[code],
-                0,
-                coverage,
-                int(statistics.median(times[code])),
-                _percentile99(times[code]),
-            )
+            (code, hits, records - hits, 0, coverage) + _median_p99(times[code])
         )
+    exact_coverage = "1.0000" if exact_graphic else "n/a"
     rows.append(
-        (
-            "exact",
-            exact_graphic,
-            0,
-            exact_not_graphic,
-            "1.0000" if exact_graphic else "n/a",
-            int(statistics.median(times["exact"])),
-            _percentile99(times["exact"]),
-        )
+        ("exact", exact_graphic, 0, records - exact_graphic, exact_coverage)
+        + _median_p99(times["exact"])
     )
-    rows.append(
-        (
-            "prepare",
-            0,
-            0,
-            0,
-            "n/a",
-            int(statistics.median(times["prepare"])),
-            _percentile99(times["prepare"]),
-        )
-    )
+    rows.append(("prepare", 0, 0, 0, "n/a") + _median_p99(times["prepare"]))
 
     header = (
         "check",
@@ -436,7 +377,7 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
         "p99_ns",
     )
     print(
-        f"records={len(seqs)} repeat={args.repeat} "
+        f"records={records} sum_mismatch={mismatched} repeat={args.repeat} "
         f"policy={'loops' if args.loops else 'no-loops'}",
         file=stdout,
     )
@@ -500,8 +441,7 @@ def _add_generator_flags(parser, kind_required):
     parser.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("BIDEGREE_SEED", "0")),
-        help="base seed (record i uses seed+i); default from BIDEGREE_SEED",
+        help="base seed (record i uses seed+i); default from BIDEGREE_SEED, else 0",
     )
 
 
@@ -518,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loop_flags(p_check)
     p_check.add_argument(
         "--method",
-        choices=["exact", "auto"] + sorted(_BY_CODE),
+        choices=["exact", "auto"] + sorted(cond.value for cond in Condition),
         default="auto",
         help="exact check, one certificate, or the auto ladder",
     )

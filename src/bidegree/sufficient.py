@@ -29,8 +29,12 @@ computed as ``m + isqrt(D)`` plus one unless ``D`` is a perfect square,
 so boundary cases never depend on floating point.
 
 A certificate that applies without loops also applies with loops (a
-zero-diagonal realization is a realization), which is how the dispatch in
-:func:`certify` mixes the two families.
+zero-diagonal realization is a realization).  :func:`certify` tries only
+the rungs that can fire first: thm3, thm5, cor5, thm2 with loops and
+thm4, thm6 without.  Every other condition implies a rung tried before
+it (cor2 and cor3 imply thm3 and thm4, thm4 implies thm3, thm6 implies
+thm5, and cor5 at ``R = 0`` implies thm5); the proofs are at the ladder
+tuples.
 """
 
 from __future__ import annotations
@@ -74,28 +78,6 @@ __all__ = [
     "bound_table",
     "certify",
 ]
-
-
-class Condition(enum.Enum):
-    """Certifying conditions; values are the CLI method codes."""
-
-    ZZ = "thm2"
-    MAX_PRODUCT_LOOPS = "thm3"
-    MAX_PRODUCT_NO_LOOPS = "thm4"
-    MEAN_MIN_LOOPS = "thm5"
-    MEAN_MIN_NO_LOOPS = "thm6"
-    MULTIPLICITY_LOOPS = "cor2"
-    MULTIPLICITY_NO_LOOPS = "cor3"
-    HEAVY_TAIL = "cor5"
-
-    @property
-    def certifies_no_loops(self) -> bool:
-        """True when the certificate guarantees a zero-diagonal realization."""
-        return self in (
-            Condition.MAX_PRODUCT_NO_LOOPS,
-            Condition.MEAN_MIN_NO_LOOPS,
-            Condition.MULTIPLICITY_NO_LOOPS,
-        )
 
 
 @dataclass(frozen=True)
@@ -160,7 +142,7 @@ class Prepared:
 
     @cached_property
     def suffix_pair_max(self) -> tuple:
-        """``suffix_pair_max[r]`` = largest degree among positions > r."""
+        """``suffix_pair_max[r]`` = largest degree among positions >= r."""
         rev = list(
             accumulate((max(p) for p in reversed(self.sorted_pairs)), max)
         )
@@ -188,6 +170,16 @@ def _stats_of(seq, prep: Optional[Prepared]) -> SequenceStats:
     return prep.stats if prep is not None else stats(seq)
 
 
+def _kstar(n: int, S: int, m: int, offset: int) -> tuple[int, bool]:
+    """``(ceil(c + sqrt(c^2 + S - 2*m*n)), True)`` with ``c = m + offset``,
+    or ``(1, False)`` when the discriminant is negative."""
+    c = m + offset
+    disc = c * c + S - 2 * m * n
+    if disc < 0:
+        return 1, False
+    return c + _ceil_isqrt(disc), True
+
+
 def kstar_with_loops(n: int, S: int, m: int) -> tuple[int, bool]:
     """Smallest prefix count whose mean/min inequality binds, with loops.
 
@@ -202,10 +194,7 @@ def kstar_with_loops(n: int, S: int, m: int) -> tuple[int, bool]:
     """
     if m < 1 or m > n or S < n * m:
         raise InvalidStats(f"need 1 <= m <= n and n*m <= S, got n={n} S={S} m={m}")
-    disc = m * m + S - 2 * m * n
-    if disc < 0:
-        return 1, False
-    return m + _ceil_isqrt(disc), True
+    return _kstar(n, S, m, 0)
 
 
 def kstar_no_loops(n: int, S: int, m: int) -> tuple[int, bool]:
@@ -214,10 +203,14 @@ def kstar_no_loops(n: int, S: int, m: int) -> tuple[int, bool]:
         raise InvalidStats(
             f"need 1 <= m <= n-1 and n*m <= S, got n={n} S={S} m={m}"
         )
-    disc = (m + 1) ** 2 + S - 2 * m * n
-    if disc < 0:
-        return 1, False
-    return m + 1 + _ceil_isqrt(disc), True
+    return _kstar(n, S, m, 1)
+
+
+def _mean_min_bound(n: int, S: int, m: int, offset: int) -> tuple[int, int]:
+    """``(k, Mmax)`` of the mean/min bound: offset 0 and cap ``n`` with
+    loops (thm5), offset 1 and cap ``n - 1`` without (thm6)."""
+    k, _ = _kstar(n, S, m, offset)
+    return k, min((S - n * m) // k + m, n - offset)
 
 
 def check_thm2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
@@ -270,23 +263,25 @@ def thm3_special_max(S: int) -> int:
 
 
 def thm4_special_max(S: int) -> int:
-    """Largest M with ``M * (M + 1) <= S``, by exact integer search."""
-    M = (isqrt(4 * S + 1) - 1) // 2
-    while (M + 1) * (M + 2) <= S:
-        M += 1
-    while M > 0 and M * (M + 1) > S:
-        M -= 1
-    return M
+    """Largest M with ``M * (M + 1) <= S``, in exact integers.
+
+    ``M*(M+1) <= S`` iff ``(2M+1)^2 <= 4S+1`` iff ``2M+1 <= isqrt(4S+1)``.
+    """
+    return (isqrt(4 * S + 1) - 1) // 2
 
 
-def _thm5_bound(n: int, S: int, m: int) -> tuple[int, int]:
-    k, _ = kstar_with_loops(n, S, m)
-    return k, min((S - n * m) // k + m, n)
-
-
-def _thm6_bound(n: int, S: int, m: int) -> tuple[int, int]:
-    k, _ = kstar_no_loops(n, S, m)
-    return k, min((S - n * m) // k + m, n - 1)
+def _mean_min(seq, prep, condition, offset) -> CheckOutcome:
+    """thm5 (offset 0) or thm6 (offset 1, which also needs ``m < n``)."""
+    st = _stats_of(seq, prep)
+    n, S, m = st.n, st.total, st.min_degree
+    if m < 1 or m + offset > n:
+        return INCONCLUSIVE
+    k, m_max = _mean_min_bound(n, S, m, offset)
+    if st.max_degree <= m_max:
+        return _graphic(
+            condition, k=k, Mmax=m_max, M=st.max_degree, m=m, n=n, S=S
+        )
+    return INCONCLUSIVE
 
 
 def check_thm5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
@@ -295,39 +290,24 @@ def check_thm5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     Requires a positive minimum degree; certifies when the maximum degree
     is at most ``min(floor((S - n*m)/k) + m, n)``.
     """
-    st = _stats_of(seq, prep)
-    if st.min_degree < 1:
-        return INCONCLUSIVE
-    k, m_max = _thm5_bound(st.n, st.total, st.min_degree)
-    if st.max_degree <= m_max:
-        return _graphic(
-            Condition.MEAN_MIN_LOOPS,
-            k=k,
-            Mmax=m_max,
-            M=st.max_degree,
-            m=st.min_degree,
-            n=st.n,
-            S=st.total,
-        )
-    return INCONCLUSIVE
+    return _mean_min(seq, prep, Condition.MEAN_MIN_LOOPS, 0)
 
 
 def check_thm6(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
     """Mean/min certificate, loop-free variant (cap ``n - 1``)."""
+    return _mean_min(seq, prep, Condition.MEAN_MIN_NO_LOOPS, 1)
+
+
+def _multiplicity(seq, prep, condition, strict) -> CheckOutcome:
+    """cor2 (``M <= k``) or, when ``strict``, cor3 (``M < k``) for
+    ``k = floor(S / M)``, or ``k = n`` when ``M = 0``."""
     st = _stats_of(seq, prep)
-    if st.min_degree < 1 or st.min_degree > st.n - 1:
+    M, S = st.max_degree, st.total
+    if M >= st.n:
         return INCONCLUSIVE
-    k, m_max = _thm6_bound(st.n, st.total, st.min_degree)
-    if st.max_degree <= m_max:
-        return _graphic(
-            Condition.MEAN_MIN_NO_LOOPS,
-            k=k,
-            Mmax=m_max,
-            M=st.max_degree,
-            m=st.min_degree,
-            n=st.n,
-            S=st.total,
-        )
+    k = S // M if M else st.n
+    if (M < k) if strict else (M <= k):
+        return _graphic(condition, k=k, M=M, S=S)
     return INCONCLUSIVE
 
 
@@ -338,32 +318,12 @@ def check_cor2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     the best candidate is ``k = floor(S / M)``, so the test reduces to
     ``M**2 <= S``.  Requires ``M < n``.
     """
-    st = _stats_of(seq, prep)
-    M = st.max_degree
-    if M >= st.n:
-        return INCONCLUSIVE
-    if M == 0:
-        return _graphic(Condition.MULTIPLICITY_LOOPS, k=st.n, M=0, S=st.total)
-    k = st.total // M
-    if M <= k:
-        return _graphic(Condition.MULTIPLICITY_LOOPS, k=k, M=M, S=st.total)
-    return INCONCLUSIVE
+    return _multiplicity(seq, prep, Condition.MULTIPLICITY_LOOPS, False)
 
 
 def check_cor3(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
     """Strict multiplicity certificate (graphic, no loops): ``M < k``."""
-    st = _stats_of(seq, prep)
-    M = st.max_degree
-    if M >= st.n:
-        return INCONCLUSIVE
-    if M == 0:
-        return _graphic(
-            Condition.MULTIPLICITY_NO_LOOPS, k=st.n, M=0, S=st.total
-        )
-    k = st.total // M
-    if M < k:
-        return _graphic(Condition.MULTIPLICITY_NO_LOOPS, k=k, M=M, S=st.total)
-    return INCONCLUSIVE
+    return _multiplicity(seq, prep, Condition.MULTIPLICITY_NO_LOOPS, True)
 
 
 def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
@@ -393,8 +353,7 @@ def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
         if prefix_out[R] > P:
             continue
         M_rest = suffix_max[R]
-        disc = m * m + S - 2 * m * n + R * m
-        k = 1 if disc < 0 else m + _ceil_isqrt(disc)
+        k, _ = _kstar(n, S + R * m, m, 0)
         m_max = min((S - n * m - P + R * m) // k + m, n)
         if M_rest <= m_max and (k <= M_rest or k * m <= m * (n - R) - P):
             return _graphic(
@@ -454,33 +413,58 @@ def bound_table(n: int, m: int, S: int) -> BoundTable:
         raise InvalidStats(f"inconsistent stats n={n} m={m} S={S}")
     h: dict = {}
 
-    M = max(isqrt(4 * m * n + 3) - m, 0)
-    while (m + M + 1) ** 2 // 4 <= m * n:
-        M += 1
-    while M > 0 and (m + M) ** 2 // 4 > m * n:
-        M -= 1
-    h[2] = min(M, n)
-
+    # floor((m+M)^2 / 4) <= m*n  iff  (m+M)^2 <= 4mn + 3, and m <= n keeps
+    # isqrt(4mn + 3) >= m, so this is the exact threshold
+    h[2] = min(isqrt(4 * m * n + 3) - m, n)
     h[3] = min(thm3_special_max(S), n)
     h[4] = min(thm4_special_max(S), n)
     if m >= 1:
-        h[5] = _thm5_bound(n, S, m)[1]
+        h[5] = _mean_min_bound(n, S, m, 0)[1]
         if m <= n - 1:
-            h[6] = _thm6_bound(n, S, m)[1]
+            h[6] = _mean_min_bound(n, S, m, 1)[1]
     return BoundTable(n=n, m=m, total=S, h=h)
 
 
-_LOOPS_LADDER = (
-    check_thm3,
-    check_thm4,
-    check_cor2,
-    check_cor3,
-    check_thm5,
-    check_thm6,
-    check_cor5,
-    check_thm2,
-)
-_NO_LOOPS_LADDER = (check_thm4, check_cor3, check_thm6)
+class Condition(enum.Enum):
+    """Certifying conditions, one entry each.
+
+    ``value`` is the CLI method code, ``check`` the check function,
+    ``certifies_no_loops`` whether the certificate guarantees a
+    zero-diagonal realization, and ``echo`` the certificate parameters a
+    GRAPHIC output line shows.  Defined after the checks it holds.
+    """
+
+    ZZ = "thm2", check_thm2, False, ("m", "M")
+    MAX_PRODUCT_LOOPS = "thm3", check_thm3, False, ("Ma", "Mb")
+    MAX_PRODUCT_NO_LOOPS = "thm4", check_thm4, True, ("Ma", "Mb")
+    MEAN_MIN_LOOPS = "thm5", check_thm5, False, ("k", "Mmax")
+    MEAN_MIN_NO_LOOPS = "thm6", check_thm6, True, ("k", "Mmax")
+    MULTIPLICITY_LOOPS = "cor2", check_cor2, False, ("k", "M")
+    MULTIPLICITY_NO_LOOPS = "cor3", check_cor3, True, ("k", "M")
+    HEAVY_TAIL = "cor5", check_cor5, False, ("R", "P", "k", "Mmax")
+
+    def __new__(cls, code, check, certifies_no_loops, echo):
+        member = object.__new__(cls)
+        member._value_ = code
+        member.check = check
+        member.certifies_no_loops = certifies_no_loops
+        member.echo = echo
+        return member
+
+
+# The ladders hold only rungs that can fire first: each dropped condition
+# implies a kept rung tried before it.  With M = max(Ma, Mb):
+#   cor2 => thm3: cor2 needs M = 0 or M*M <= S, and Ma*Mb <= M*M.
+#   cor3 => thm4: cor3 needs M = 0 or M*(M+1) <= S, and (Ma+1)*Mb <= (M+1)*M.
+#   thm4 => thm3: Ma*Mb <= (Ma+1)*Mb <= S.
+#   thm6 => thm5: thm6's discriminant is thm5's plus 2m+1, so k6 >= k5
+#     (k5 = 1 when its discriminant is negative); then
+#     floor((S-nm)/k6) <= floor((S-nm)/k5) and the cap n-1 <= n.
+#   cor5 at R = 0 is thm5 (same k, same bound) plus a side condition, so
+#     cor5 fires first only at some R >= 1.
+# thm2 stays: at mean = 3*min its bound can exceed thm5's.
+_LOOPS_LADDER = (check_thm3, check_thm5, check_cor5, check_thm2)
+_NO_LOOPS_LADDER = (check_thm4, check_thm6)
 
 
 def certify(
@@ -488,7 +472,7 @@ def certify(
     allow_loops: bool = True,
     fallback_exact: bool = False,
 ) -> CheckOutcome:
-    """Run the applicable certificates cheapest-first.
+    """Run the certificates that can fire first, cheapest first.
 
     Returns the first GRAPHIC outcome with its certificate.  When every
     certificate is inconclusive, falls back to the exact check if

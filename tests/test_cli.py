@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,34 @@ from conftest import sequence_pairs
 
 TEN_NODE_RECORD = "6,6,6,6,6,4,2,2,1,1;6,6,6,6,6,4,2,2,1,1"
 COUNTEREXAMPLE_RECORD = "2,2,2,0;4,2,0,0"
+
+
+@cache
+def golden_corpus():
+    """Seeded records on which ``check --method auto`` reaches every rung
+    of both ladders, the exact fallback, a blank line and a sum mismatch."""
+    rng = SplitMix64(1018)
+    lines = []
+    for _ in range(1500):
+        n = rng.randint(1, 25)
+        m = rng.randint(0, min(3, n))
+        M = rng.randint(m, n)
+        S = rng.randint(n * m, n * M)
+        lines.append(format_record(bd.gen_uniform(n, S, m, M, seed=rng.next_u64())))
+    lines += [format_record(bd.gen_powerlaw(200, 2.5, seed=s)) for s in range(30)]
+    # symmetric heavy tails: some satisfy both cor5 and thm2
+    for s in range(100):
+        a = bd.gen_powerlaw(30, 2.5, seed=s).in_degrees
+        lines.append(format_record(bd.new_sequence(a, a)))
+    thm2_first = [1] + [9] * 6 + [3] + [1] * 17
+    lines += [
+        "",
+        "2,1;1,1",
+        format_record(bd.new_sequence(thm2_first, thm2_first)),
+        TEN_NODE_RECORD,
+        COUNTEREXAMPLE_RECORD,
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def run_cli(argv, stdin_text=""):
@@ -44,6 +74,27 @@ class TestRecords:
         for text in ["", "1,1", "1,x;1,1", '{"in": [1]}', "1;1,0"]:
             with pytest.raises((bd.BidegreeError, ValueError)):
                 parse_record(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1_0,0,0,0,0,0,0,0,0,0;1,1,1,1,1,1,1,1,1,1",  # int() reads 10
+            "\u0661,1;1,1",  # ARABIC-INDIC DIGIT ONE
+            "\uff11,1;1,1",  # FULLWIDTH DIGIT ONE
+            "+1,1;1,1",
+            "1, 1;1,1",
+            "1,1 ;1,1",
+            "1,1;1,\t1",
+            "-1,1;1,1",
+        ],
+    )
+    def test_plain_entries_are_ascii_digits_only(self, text):
+        with pytest.raises(bd.BidegreeError, match="ASCII digits"):
+            parse_record(text)
+        code, out, err = run_cli(["check"], text + "\n1,1;1,1\n")
+        assert code == 3
+        assert err.startswith("line 1: ")
+        assert out == "GRAPHIC thm3 Ma=1 Mb=1\n"
 
     @given(sequence_pairs(max_n=8))
     @settings(max_examples=100)
@@ -155,6 +206,62 @@ class TestCheck:
             auto_verdicts = [line.split()[0] for line in auto_out.splitlines()]
             exact_verdicts = [line.split()[0] for line in exact_out.splitlines()]
             assert auto_verdicts == exact_verdicts
+
+
+# (check arguments, exit code, SHA-256 of stdout) over golden_corpus(),
+# computed before the certify ladders were pruned to the rungs that can fire
+# first; the output of every method must stay byte-identical.
+GOLDEN_CHECK_OUTPUT = [
+    ("--loops --method auto", 1,
+     "a19442e778218ff55cd320bb68107c187f5d92168103ba9b1078db2d6b85df12"),
+    ("--loops --method auto --fallback-exact", 1,
+     "0fa0007d65ed028c7cef35366b0f17ccbaa56e236790516d0405129eafc7839e"),
+    ("--loops --method thm2", 1,
+     "5587460643b3d97a55a0098f7645933d04d0fc687411b348344b5e5845724a83"),
+    ("--loops --method thm3", 1,
+     "00d19f11933267fb98cd9e9427fd583404a4c8ec0814cb705608123cce620a26"),
+    ("--loops --method thm4", 1,
+     "f2723240f85719154f301d1b3c4386e658b2c057d29c56a3f876e01b553b38c7"),
+    ("--loops --method thm5", 1,
+     "1e7a013468c5c051b2aab8ddcc7d6d1d2019bd553b2f8cb1e5587e64553ecc94"),
+    ("--loops --method thm6", 1,
+     "33531c0fa8469735b8684ae3494f31ba1005069679be16281d4d0af488c45f60"),
+    ("--loops --method cor2", 1,
+     "3983dc95158031ed757a779ed8190d60a23245811c164cb4fc6a5785b9ea9cf6"),
+    ("--loops --method cor3", 1,
+     "73637619bc40456f46cec16063dc3950a3d8ccbe8e97f73faf49356c95b13ba3"),
+    ("--loops --method cor5", 1,
+     "00c58c377e3ac28aec38aa08e38df50b027f1a9099eba5bc2ce4ca19c0b95ef0"),
+    ("--no-loops --method auto", 1,
+     "3d8cce71c1d15fd8595299c0374d42bda566913b34c4465d94746e3e8da71ca4"),
+    ("--no-loops --method auto --fallback-exact", 1,
+     "e15b9116b66a6756adb04331b8595ae21a6056174aad0b72bc9407c773742762"),
+    ("--no-loops --method thm2", 1,
+     "a85e997dfcb2947753f210d53fffb88b9f65f85f1b17f5f0a7aa0cfbedaac813"),
+    ("--no-loops --method thm3", 1,
+     "3c5ecd02f0f71d969af65fe619bde1fe7b664453b58b38333e2899167855e42e"),
+    ("--no-loops --method thm4", 1,
+     "f2723240f85719154f301d1b3c4386e658b2c057d29c56a3f876e01b553b38c7"),
+    ("--no-loops --method thm5", 1,
+     "e4ea95a9c98d50ce603259e71336b58bc431958a6a4a6835199c1c529759d980"),
+    ("--no-loops --method thm6", 1,
+     "33531c0fa8469735b8684ae3494f31ba1005069679be16281d4d0af488c45f60"),
+    ("--no-loops --method cor2", 1,
+     "4398f8a906e8a74f105aa6b8751c44ecd59a45de3b831e88704da265ee048f17"),
+    ("--no-loops --method cor3", 1,
+     "73637619bc40456f46cec16063dc3950a3d8ccbe8e97f73faf49356c95b13ba3"),
+    ("--no-loops --method cor5", 1,
+     "f049f28223ae368569dcf79a7fe75d9561b65ace4d006d6edb945e02ac70a199"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("args,code,digest", GOLDEN_CHECK_OUTPUT)
+    def test_check_output_is_byte_identical(self, args, code, digest):
+        got_code, out, err = run_cli(["check", *args.split()], golden_corpus())
+        assert err == ""
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBound:
@@ -291,6 +398,21 @@ class TestGenerate:
         assert from_env == explicit
         assert from_env != default  # seed 77 differs from the 0 default
 
+    def test_bad_env_seed_is_an_input_error(self, monkeypatch):
+        monkeypatch.setenv("BIDEGREE_SEED", "abc")
+        code, out, err = run_cli(["generate", "--kind", "uniform", "--n", "4",
+                                  "--total", "4", "--min", "1", "--max", "1"])
+        assert (code, out) == (3, "")
+        assert err == "error: BIDEGREE_SEED must be an integer, got 'abc'\n"
+        code, _, err = run_cli(["bench", "--kind", "uniform", "--n", "4",
+                                "--total", "4", "--min", "1", "--max", "1"])
+        assert code == 3 and "BIDEGREE_SEED" in err
+        # an explicit --seed does not read it, and check never does
+        assert run_cli(["generate", "--kind", "counterexample1", "--Ma", "2",
+                        "--Mb", "4", "--seed", "1"])[0] == 0
+        assert run_cli(["check"], TEN_NODE_RECORD) == (
+            0, "GRAPHIC thm3 Ma=6 Mb=6\n", "")
+
 
 class TestBench:
     def test_generated_corpus_report(self, tmp_path):
@@ -331,6 +453,22 @@ class TestBench:
         assert "records=2" in out
         # the non-graphic record's violated index shows in the failure summary
         assert "violated indices over non-graphic records: j=3:1" in out
+
+    def test_sum_mismatch_records_are_counted_not_timed(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        lines = [TEN_NODE_RECORD, "2,1;1,1", "", COUNTEREXAMPLE_RECORD]
+        corpus.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["bench", "--corpus", str(corpus)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == (
+            "records=2 sum_mismatch=1 repeat=1 policy=loops")
+
+    def test_malformed_record_reports_line_and_exit_3(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(TEN_NODE_RECORD + "\n1,x;1,1\n")
+        code, out, err = run_cli(["bench", "--corpus", str(corpus)])
+        assert (code, out) == (3, "")
+        assert err.startswith("line 2: ")
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty.txt"

@@ -1,14 +1,17 @@
+from collections import Counter
 from decimal import Decimal, getcontext
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
+from bidegree.core import SequenceStats
 from bidegree.exact import Verdict
 from bidegree.generate import SplitMix64
 from bidegree.sufficient import Condition, Prepared
-from conftest import conjugate_sum_direct, sequence_pairs
+from conftest import conjugate_sum_direct, equal_sum_vector_pairs, sequence_pairs
 
 
 def verify_certificate(outcome):
@@ -400,6 +403,8 @@ class TestBoundTable:
         assert h[4] * (h[4] + 1) <= S
         if h[4] < n:
             assert (h[4] + 1) * (h[4] + 2) > S
+        M4 = bd.thm4_special_max(S)
+        assert M4 * (M4 + 1) <= S < (M4 + 1) * (M4 + 2)
 
 
 class TestCertify:
@@ -435,6 +440,121 @@ class TestCertify:
             for loops in (True, False):
                 out = bd.certify(seq, allow_loops=loops, fallback_exact=False)
                 assert out.verdict is not Verdict.NOT_GRAPHIC
+
+
+# The certify ladders as they were before pruning to the rungs that can
+# fire first: every condition, cheapest first.  Test-only reference.
+REFERENCE_LOOPS_LADDER = (
+    bd.check_thm3,
+    bd.check_thm4,
+    bd.check_cor2,
+    bd.check_cor3,
+    bd.check_thm5,
+    bd.check_thm6,
+    bd.check_cor5,
+    bd.check_thm2,
+)
+REFERENCE_NO_LOOPS_LADDER = (bd.check_thm4, bd.check_cor3, bd.check_thm6)
+
+
+def reference_certificate(seq, allow_loops):
+    """Certificate of the first rung of the full ladder that fires, or None."""
+    prep = Prepared(seq)
+    ladder = REFERENCE_LOOPS_LADDER if allow_loops else REFERENCE_NO_LOOPS_LADDER
+    for check in ladder:
+        outcome = check(seq, prep)
+        if outcome.is_graphic:
+            return outcome.certificate
+    return None
+
+
+class TestPrunedLadder:
+    """``certify`` picks the same condition with the same parameters as the
+    full ladders, so the dropped rungs never fired first."""
+
+    @staticmethod
+    def first_fired(seqs):
+        fired = {True: Counter(), False: Counter()}
+        for seq in seqs:
+            for loops in (True, False):
+                cert = bd.certify(seq, allow_loops=loops).certificate
+                assert cert == reference_certificate(seq, loops), (seq, loops)
+                fired[loops][cert.condition.value if cert else None] += 1
+        return fired
+
+    def test_exhaustive_small(self):
+        seqs = [
+            bd.new_sequence(a, b)
+            for n in range(1, 5)
+            for a, b in equal_sum_vector_pairs(n, n)
+        ]
+        fired = self.first_fired(seqs)
+        assert {"thm3", "thm5"} <= set(fired[True])
+        assert "thm4" in fired[False]
+
+    def test_fuzz(self):
+        rng = SplitMix64(4242)
+        seqs = []
+        while len(seqs) < 20_000:
+            n = rng.randint(1, 30)
+            m = rng.randint(0, min(3, n))
+            M = rng.randint(m, n)
+            S = rng.randint(n * m, n * M)
+            seqs.append(bd.gen_uniform(n, S, m, M, seed=rng.next_u64()))
+        fired = self.first_fired(seqs)
+        assert set(fired[True]) - {None} <= {"thm3", "thm5", "cor5", "thm2"}
+        assert set(fired[False]) - {None} == {"thm4", "thm6"}
+
+    def test_power_law_reaches_cor5(self):
+        """Heavy tails reach cor5; made symmetric (a = b), some records
+        satisfy both cor5 and thm2, so the order of those rungs counts."""
+        seqs = [bd.gen_powerlaw(200, 2.5, seed=seed) for seed in range(100)]
+        small = [bd.gen_powerlaw(30, 2.5, seed=seed) for seed in range(100)]
+        seqs += [bd.new_sequence(s.in_degrees, s.in_degrees) for s in small]
+        fired = self.first_fired(seqs)
+        assert fired[True]["cor5"] > 0
+        assert any(
+            bd.certify(seq).certificate.condition is Condition.HEAVY_TAIL
+            and bd.check_thm2(seq).is_graphic
+            for seq in seqs
+            if bd.certify(seq).is_graphic
+        )
+
+    def test_implications_on_stats_grid(self):
+        """cor2 => thm3, cor3 => thm4, thm4 => thm3 and thm6 => thm5 at every
+        feasible (n, m, M, S) with n <= 30 and m <= M <= n: S is any sum of
+        one entry m, one entry M and n - 2 entries between.  thm3 and thm4
+        get Ma = Mb = M, their hardest case, since cor2 and cor3 read only
+        M.  Neither side of the first three reads m, so they run once over
+        the union of those S ranges, which is [M, n*M]."""
+
+        def fires(check, n, S, m, M):
+            prep = SimpleNamespace(stats=SequenceStats(n, S, m, M, M, M))
+            return check(None, prep).is_graphic
+
+        implications = (
+            (bd.check_cor2, bd.check_thm3),
+            (bd.check_cor3, bd.check_thm4),
+            (bd.check_thm4, bd.check_thm3),
+        )
+        checked = 0
+        for n in range(1, 31):
+            for M in range(n + 1):
+                for S in range(M, n * M + 1):
+                    for weak, strong in implications:
+                        if fires(weak, n, S, 0, M):
+                            assert fires(strong, n, S, 0, M), (weak, n, S, M)
+                    checked += 1
+                for m in range(1, min(M, n - 1) + 1):  # thm6 needs 1 <= m < n
+                    if M == m:
+                        totals = [n * m]
+                    else:
+                        totals = range((n - 1) * m + M, m + (n - 1) * M + 1)
+                    for S in totals:
+                        if fires(bd.check_thm6, n, S, m, M):
+                            assert fires(bd.check_thm5, n, S, m, M), (n, S, m, M)
+                        checked += 1
+        assert checked > 700_000
 
 
 class TestSoundness:
