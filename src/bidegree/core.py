@@ -5,12 +5,16 @@ vector ``b`` for the ``n`` nodes of a directed graph.  Everything in this
 module is exact integer arithmetic on immutable values; no floats appear
 anywhere, so comparisons at bound boundaries (where a difference of one
 decides graphicality) are never subject to rounding.
+
+Validation reads each vector once with the C-level ``min``/``max``/``sum``
+builtins and keeps what it found as ``seq.stats``, so no later layer
+rescans a record for its summary integers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import (
@@ -34,49 +38,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BidegreeSequence:
-    """Paired in-degree and out-degree vectors of equal length and equal sum.
-
-    Entries may equal ``n`` (legal when loops are allowed); the loop-free
-    checks treat an entry equal to ``n`` as immediately non-graphic rather
-    than rejecting it at construction.
-    """
-
-    in_degrees: tuple[int, ...]
-    out_degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        a, b = self.in_degrees, self.out_degrees
-        if len(a) == 0 or len(b) == 0:
-            raise LengthMismatch("degree vectors must be nonempty")
-        if len(a) != len(b):
-            raise LengthMismatch(
-                f"in-degree length {len(a)} != out-degree length {len(b)}"
-            )
-        n = len(a)
-        for vec, name in ((a, "in"), (b, "out")):
-            for x in vec:
-                if x < 0:
-                    raise NegativeDegree(f"{name}-degree entry {x} is negative")
-                if x > n:
-                    raise DegreeExceedsN(
-                        f"{name}-degree entry {x} exceeds node count {n}"
-                    )
-        if sum(a) != sum(b):
-            raise SumMismatch(
-                f"sum of in-degrees {sum(a)} != sum of out-degrees {sum(b)}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.in_degrees)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """Per-node (in-degree, out-degree) pairs in input order."""
-        return list(zip(self.in_degrees, self.out_degrees))
-
-
-@dataclass(frozen=True)
 class SequenceStats:
     """Exact integer summary of a sequence.
 
@@ -91,6 +52,63 @@ class SequenceStats:
     max_in: int
     max_out: int
     max_degree: int
+
+
+@dataclass(frozen=True)
+class BidegreeSequence:
+    """Paired in-degree and out-degree vectors of equal length and equal sum.
+
+    Entries may equal ``n`` (legal when loops are allowed); the loop-free
+    checks treat an entry equal to ``n`` as immediately non-graphic rather
+    than rejecting it at construction.  ``stats`` is the summary that
+    validation computes on the way; equality and hashing ignore it.
+    """
+
+    in_degrees: tuple[int, ...]
+    out_degrees: tuple[int, ...]
+    stats: SequenceStats = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b = self.in_degrees, self.out_degrees
+        if len(a) == 0 or len(b) == 0:
+            raise LengthMismatch("degree vectors must be nonempty")
+        if len(a) != len(b):
+            raise LengthMismatch(
+                f"in-degree length {len(a)} != out-degree length {len(b)}"
+            )
+        n = len(a)
+        min_in, max_in, min_out, max_out = min(a), max(a), min(b), max(b)
+        if min(min_in, min_out) < 0 or max(max_in, max_out) > n:
+            _raise_first_out_of_range(a, b, n)
+        total = sum(a)
+        if total != sum(b):
+            raise SumMismatch(
+                f"sum of in-degrees {total} != sum of out-degrees {sum(b)}"
+            )
+        st = SequenceStats(
+            n, total, min(min_in, min_out), max_in, max_out, max(max_in, max_out)
+        )
+        object.__setattr__(self, "stats", st)
+
+    @property
+    def n(self) -> int:
+        return len(self.in_degrees)
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Per-node (in-degree, out-degree) pairs in input order."""
+        return list(zip(self.in_degrees, self.out_degrees))
+
+
+def _raise_first_out_of_range(a, b, n: int):
+    """Raise for the first entry, in-degrees first, outside ``[0..n]``."""
+    for vec, name in ((a, "in"), (b, "out")):
+        for x in vec:
+            if x < 0:
+                raise NegativeDegree(f"{name}-degree entry {x} is negative")
+            if x > n:
+                raise DegreeExceedsN(
+                    f"{name}-degree entry {x} exceeds node count {n}"
+                )
 
 
 @dataclass(frozen=True)
@@ -120,18 +138,8 @@ def new_sequence(in_degrees, out_degrees) -> BidegreeSequence:
 
 
 def stats(seq: BidegreeSequence) -> SequenceStats:
-    """Compute node count, degree sum, and min/max degrees of a sequence."""
-    a, b = seq.in_degrees, seq.out_degrees
-    max_in = max(a)
-    max_out = max(b)
-    return SequenceStats(
-        n=seq.n,
-        total=sum(a),
-        min_degree=min(min(a), min(b)),
-        max_in=max_in,
-        max_out=max_out,
-        max_degree=max(max_in, max_out),
-    )
+    """Node count, degree sum, and min/max degrees, as validation found them."""
+    return seq.stats
 
 
 def sort_canonical(seq: BidegreeSequence) -> BidegreeSequence:
@@ -141,10 +149,8 @@ def sort_canonical(seq: BidegreeSequence) -> BidegreeSequence:
     deterministic; the pairing of ``a_i`` with ``b_i`` is preserved.
     Idempotent.
     """
-    pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
-    return BidegreeSequence(
-        tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
-    )
+    a, b = zip(*_canonical_pairs(seq))
+    return BidegreeSequence(a, b)
 
 
 def conjugate_profile(out_degrees, n: int) -> ConjugateProfile:
@@ -197,6 +203,15 @@ def pad_bipartite(row_sums, col_sums) -> BidegreeSequence:
     return new_sequence(
         rows + (0,) * (n - len(rows)), cols + (0,) * (n - len(cols))
     )
+
+
+def _canonical_pairs(seq: BidegreeSequence) -> list[tuple[int, int]]:
+    """(in, out) pairs, in-degree descending, ties by out-degree descending.
+
+    The one canonical order: :func:`sort_canonical`, the loop-free exact
+    check and the heavy-tail certificate all read it.
+    """
+    return sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
 
 
 # -- internal fast-path helpers -------------------------------------------

@@ -32,10 +32,12 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from operator import sub
 from typing import Optional
 
 from .core import (
     BidegreeSequence,
+    _canonical_pairs,
     _conjugate_cumulative,
     _prefix_sorted_desc,
 )
@@ -85,14 +87,19 @@ GRAPHIC = CheckOutcome(Verdict.GRAPHIC)
 INCONCLUSIVE = CheckOutcome(Verdict.INCONCLUSIVE)
 
 
-def _loops_margins(seq: BidegreeSequence):
-    """Conjugate sums and sorted prefixes, truncated to the useful range."""
-    n = seq.n
-    hist_b = Counter(seq.out_degrees)
-    limit = min(max(hist_b), n - 1)
-    return _conjugate_cumulative(hist_b, limit), _prefix_sorted_desc(
-        seq.in_degrees, limit
-    )
+def _outcome(slack: list) -> CheckOutcome:
+    """GRAPHIC, or NOT_GRAPHIC at the first index of negative slack."""
+    witness = next((j for j, s in enumerate(slack) if s < 0), None)
+    if witness is None:
+        return GRAPHIC
+    return CheckOutcome(Verdict.NOT_GRAPHIC, witness=witness)
+
+
+def _loops_slack(seq: BidegreeSequence) -> list:
+    """Conjugate sum minus sorted prefix, for ``j`` in ``[0..limit]``."""
+    limit = min(seq.stats.max_out, seq.n - 1)
+    conj = _conjugate_cumulative(Counter(seq.out_degrees), limit)
+    return list(map(sub, conj, _prefix_sorted_desc(seq.in_degrees, limit)))
 
 
 def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
@@ -101,24 +108,18 @@ def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
     Returns GRAPHIC, or NOT_GRAPHIC with the first violated index as
     witness.
     """
-    conj, prefix = _loops_margins(seq)
-    if all(f >= s for f, s in zip(conj, prefix)):
-        return GRAPHIC
-    witness = next(j for j, (f, s) in enumerate(zip(conj, prefix)) if f < s)
-    return CheckOutcome(Verdict.NOT_GRAPHIC, witness=witness)
+    return _outcome(_loops_slack(seq))
 
 
-def _no_loops_slack(seq: BidegreeSequence):
+def _no_loops_slack(seq: BidegreeSequence) -> list:
     """Per-index slack of the loop-free system, for ``j`` in ``[0..limit]``.
 
     Entry ``j`` is (capacity minus demand) of the ``j``-th inequality;
     the sequence is loop-free graphic iff no entry is negative.
     """
-    n = seq.n
-    pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
-    hist_b = Counter(seq.out_degrees)
-    limit = max(hist_b)  # <= n; j = n reachable only when some b_i = n
-    conj = _conjugate_cumulative(hist_b, limit)
+    pairs = _canonical_pairs(seq)
+    limit = seq.stats.max_out  # <= n; j = n reachable only when some b_i = n
+    conj = _conjugate_cumulative(Counter(seq.out_degrees), limit)
     # diagonal correction: c[j] = #(i <= j with b_i >= j), via interval
     # stabbing (pair i covers j in [i..b_i])
     diff = [0] * (limit + 2)
@@ -144,11 +145,7 @@ def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:
     to ``n`` fails at ``j = n``; no other sequence can produce a witness
     of ``n``.
     """
-    slack = _no_loops_slack(seq)
-    if min(slack) >= 0:
-        return GRAPHIC
-    witness = next(j for j, s in enumerate(slack) if s < 0)
-    return CheckOutcome(Verdict.NOT_GRAPHIC, witness=witness)
+    return _outcome(_no_loops_slack(seq))
 
 
 def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[int]:
@@ -160,10 +157,7 @@ def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[in
     truncated there.
     """
     assert sum(seq.in_degrees) == sum(seq.out_degrees)
-    if allow_loops:
-        conj, prefix = _loops_margins(seq)
-        return [j for j, (f, s) in enumerate(zip(conj, prefix)) if f < s]
-    slack = _no_loops_slack(seq)
+    slack = _loops_slack(seq) if allow_loops else _no_loops_slack(seq)
     return [j for j, s in enumerate(slack) if s < 0]
 
 

@@ -1,12 +1,12 @@
 """Constant-time sufficient certificates for graphicality.
 
 Each check either certifies graphicality or reports INCONCLUSIVE, never
-NOT_GRAPHIC.  Most consume only the summary statistics of a sequence
-(node count ``n``, degree sum ``S``, minimum ``m``, maxima
-``Ma``/``Mb``/``M``); the equal-vector check also needs a pairing flag
-and the heavy-tail check a sorted prefix profile, both available
-precomputed through :class:`Prepared`.  The conditions, by the CLI code
-used to select them:
+NOT_GRAPHIC.  Most read only ``seq.stats``, the summary that validation
+computed (node count ``n``, degree sum ``S``, minimum ``m``, maxima
+``Ma``/``Mb``/``M``); the equal-vector check also compares the two
+vectors, and the heavy-tail check walks the canonical pair order, which
+:class:`Prepared` holds for it.  The conditions, by the CLI code used to
+select them:
 
 ======  ========================  =======================================
 code    certifies                 condition
@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from math import isqrt
 from typing import Optional
 
-from .core import BidegreeSequence, SequenceStats, stats
+from .core import BidegreeSequence, _canonical_pairs
 from .errors import Infeasible, InvalidStats
 from .exact import (
     INCONCLUSIVE,
@@ -105,49 +104,21 @@ class BoundTable:
 
 
 class Prepared:
-    """Shared precomputation for running many checks on one sequence.
+    """The heavy-tail check's sorted profile of one sequence.
 
-    Statistics are computed eagerly; the sorted-pair machinery used by
-    the heavy-tail check is built lazily on first use.
+    ``sorted_pairs`` is the canonical pair order and
+    ``suffix_pair_max[r]`` the largest degree among positions ``>= r``.
+    Built once, it makes :func:`check_cor5` cost only the prefix it
+    scans; every other check reads ``seq.stats`` and ignores it.
     """
 
     def __init__(self, seq: BidegreeSequence):
-        self.seq = seq
-        self.stats = stats(seq)
-
-    @cached_property
-    def pairs_equal(self) -> bool:
-        """Whether every node has equal in- and out-degree."""
-        return all(
-            x == y for x, y in zip(self.seq.in_degrees, self.seq.out_degrees)
-        )
-
-    @cached_property
-    def sorted_pairs(self) -> list:
-        return sorted(
-            zip(self.seq.in_degrees, self.seq.out_degrees), reverse=True
-        )
-
-    @cached_property
-    def prefix_in(self) -> tuple:
-        out = [0]
-        out.extend(accumulate(p[0] for p in self.sorted_pairs))
-        return tuple(out)
-
-    @cached_property
-    def prefix_out(self) -> tuple:
-        out = [0]
-        out.extend(accumulate(p[1] for p in self.sorted_pairs))
-        return tuple(out)
-
-    @cached_property
-    def suffix_pair_max(self) -> tuple:
-        """``suffix_pair_max[r]`` = largest degree among positions >= r."""
-        rev = list(
+        self.sorted_pairs = _canonical_pairs(seq)
+        suffix_max = list(
             accumulate((max(p) for p in reversed(self.sorted_pairs)), max)
         )
-        rev.reverse()
-        return tuple(rev)
+        suffix_max.reverse()
+        self.suffix_pair_max = suffix_max
 
 
 def prepare(seq: BidegreeSequence) -> Prepared:
@@ -164,10 +135,6 @@ def _graphic(condition: Condition, **parameters) -> CheckOutcome:
     return CheckOutcome(
         Verdict.GRAPHIC, certificate=Certificate(condition, parameters)
     )
-
-
-def _stats_of(seq, prep: Optional[Prepared]) -> SequenceStats:
-    return prep.stats if prep is not None else stats(seq)
 
 
 def _kstar(n: int, S: int, m: int, offset: int) -> tuple[int, bool]:
@@ -220,14 +187,9 @@ def check_thm2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     elementwise test; it is equivalent whether made before or after
     canonical sorting).  Certifies when ``floor((m+M)^2/4) <= m*n``.
     """
-    st = _stats_of(seq, prep)
-    equal = (
-        prep.pairs_equal
-        if prep is not None
-        else all(x == y for x, y in zip(seq.in_degrees, seq.out_degrees))
-    )
-    if not equal:
+    if seq.in_degrees != seq.out_degrees:
         return INCONCLUSIVE
+    st = seq.stats
     m, M = st.min_degree, st.max_degree
     if (m + M) ** 2 // 4 <= m * st.n:
         return _graphic(Condition.ZZ, m=m, M=M, n=st.n)
@@ -236,7 +198,7 @@ def check_thm2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
 
 def check_thm3(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
     """Max-product certificate: ``Ma * Mb <= S + 1`` (graphic with loops)."""
-    st = _stats_of(seq, prep)
+    st = seq.stats
     if st.max_in * st.max_out <= st.total + 1:
         return _graphic(
             Condition.MAX_PRODUCT_LOOPS, Ma=st.max_in, Mb=st.max_out, S=st.total
@@ -246,7 +208,7 @@ def check_thm3(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
 
 def check_thm4(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
     """Max-product certificate ``(Ma + 1) * Mb <= S`` (graphic, no loops)."""
-    st = _stats_of(seq, prep)
+    st = seq.stats
     if (st.max_in + 1) * st.max_out <= st.total:
         return _graphic(
             Condition.MAX_PRODUCT_NO_LOOPS,
@@ -270,9 +232,9 @@ def thm4_special_max(S: int) -> int:
     return (isqrt(4 * S + 1) - 1) // 2
 
 
-def _mean_min(seq, prep, condition, offset) -> CheckOutcome:
+def _mean_min(seq, condition, offset) -> CheckOutcome:
     """thm5 (offset 0) or thm6 (offset 1, which also needs ``m < n``)."""
-    st = _stats_of(seq, prep)
+    st = seq.stats
     n, S, m = st.n, st.total, st.min_degree
     if m < 1 or m + offset > n:
         return INCONCLUSIVE
@@ -290,18 +252,18 @@ def check_thm5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     Requires a positive minimum degree; certifies when the maximum degree
     is at most ``min(floor((S - n*m)/k) + m, n)``.
     """
-    return _mean_min(seq, prep, Condition.MEAN_MIN_LOOPS, 0)
+    return _mean_min(seq, Condition.MEAN_MIN_LOOPS, 0)
 
 
 def check_thm6(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
     """Mean/min certificate, loop-free variant (cap ``n - 1``)."""
-    return _mean_min(seq, prep, Condition.MEAN_MIN_NO_LOOPS, 1)
+    return _mean_min(seq, Condition.MEAN_MIN_NO_LOOPS, 1)
 
 
-def _multiplicity(seq, prep, condition, strict) -> CheckOutcome:
+def _multiplicity(seq, condition, strict) -> CheckOutcome:
     """cor2 (``M <= k``) or, when ``strict``, cor3 (``M < k``) for
     ``k = floor(S / M)``, or ``k = n`` when ``M = 0``."""
-    st = _stats_of(seq, prep)
+    st = seq.stats
     M, S = st.max_degree, st.total
     if M >= st.n:
         return INCONCLUSIVE
@@ -318,12 +280,12 @@ def check_cor2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     the best candidate is ``k = floor(S / M)``, so the test reduces to
     ``M**2 <= S``.  Requires ``M < n``.
     """
-    return _multiplicity(seq, prep, Condition.MULTIPLICITY_LOOPS, False)
+    return _multiplicity(seq, Condition.MULTIPLICITY_LOOPS, False)
 
 
 def check_cor3(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
     """Strict multiplicity certificate (graphic, no loops): ``M < k``."""
-    return _multiplicity(seq, prep, Condition.MULTIPLICITY_NO_LOOPS, True)
+    return _multiplicity(seq, Condition.MULTIPLICITY_NO_LOOPS, True)
 
 
 def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
@@ -337,36 +299,35 @@ def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     ``k <= M`` or ``k*m <= m*(n - R) - P``.  ``R = 0`` coincides with the
     thm5 test.
     """
-    if prep is None:
-        prep = Prepared(seq)
-    st = prep.stats
+    st = seq.stats
     n, S, m = st.n, st.total, st.min_degree
     if m < 1:
         return INCONCLUSIVE
-    prefix_in = prep.prefix_in
-    prefix_out = prep.prefix_out
+    if prep is None:
+        prep = Prepared(seq)
     suffix_max = prep.suffix_pair_max
-    for R in range(n):
-        P = prefix_in[R]
+    P = Q = 0  # in- and out-degree mass of the first R pairs
+    for R, (x, y) in enumerate(prep.sorted_pairs):
         if P >= n * m or m * (n - R - 1) < P:
             break
-        if prefix_out[R] > P:
-            continue
-        M_rest = suffix_max[R]
-        k, _ = _kstar(n, S + R * m, m, 0)
-        m_max = min((S - n * m - P + R * m) // k + m, n)
-        if M_rest <= m_max and (k <= M_rest or k * m <= m * (n - R) - P):
-            return _graphic(
-                Condition.HEAVY_TAIL,
-                R=R,
-                P=P,
-                k=k,
-                Mmax=m_max,
-                M=M_rest,
-                m=m,
-                n=n,
-                S=S,
-            )
+        if Q <= P:
+            M_rest = suffix_max[R]
+            k, _ = _kstar(n, S + R * m, m, 0)
+            m_max = min((S - n * m - P + R * m) // k + m, n)
+            if M_rest <= m_max and (k <= M_rest or k * m <= m * (n - R) - P):
+                return _graphic(
+                    Condition.HEAVY_TAIL,
+                    R=R,
+                    P=P,
+                    k=k,
+                    Mmax=m_max,
+                    M=M_rest,
+                    m=m,
+                    n=n,
+                    S=S,
+                )
+        P += x
+        Q += y
     return INCONCLUSIVE
 
 
@@ -479,10 +440,9 @@ def certify(
     requested (the only way this function can return NOT_GRAPHIC);
     otherwise returns INCONCLUSIVE.
     """
-    prep = Prepared(seq)
     ladder = _LOOPS_LADDER if allow_loops else _NO_LOOPS_LADDER
     for check in ladder:
-        outcome = check(seq, prep)
+        outcome = check(seq)
         if outcome.verdict is Verdict.GRAPHIC:
             return outcome
     if fallback_exact:

@@ -96,6 +96,27 @@ class TestRecords:
         assert err.startswith("line 1: ")
         assert out == "GRAPHIC thm3 Ma=1 Mb=1\n"
 
+    @pytest.mark.parametrize(
+        "text", ["01,1;1,1", "1,1;1,01", "00,0;0,0", "1,0;0,001", "0,010;5,5"]
+    )
+    def test_plain_entries_have_no_leading_zeros(self, text):
+        with pytest.raises(bd.BidegreeError, match="leading zeros"):
+            parse_record(text)
+        code, out, err = run_cli(["check"], text + "\n0,0;0,0\n1,1;1,1\n")
+        assert code == 3
+        assert err.startswith("line 1: ")
+        assert out == "GRAPHIC thm3 Ma=0 Mb=0\nGRAPHIC thm3 Ma=1 Mb=1\n"
+
+    def test_golden_corpus_round_trips(self):
+        # every line but the blank one and the sum mismatch is a sequence
+        lines = [
+            line for line in golden_corpus().splitlines()
+            if line not in ("", "2,1;1,1")
+        ]
+        assert len(lines) == 1633
+        for line in lines:
+            assert format_record(parse_record(line)) == line
+
     @given(sequence_pairs(max_n=8))
     @settings(max_examples=100)
     def test_round_trip_property(self, seq):

@@ -13,6 +13,11 @@ class TestNewSequence:
         seq = bd.new_sequence((1, 1), (1, 1))
         assert seq.n == 2
         assert bd.stats(seq).total == 2
+        # the stored stats take no part in equality or hashing
+        twin = bd.new_sequence([1, 1], iter([1, 1]))
+        assert twin == seq
+        assert hash(twin) == hash(seq)
+        assert repr(seq) == "BidegreeSequence(in_degrees=(1, 1), out_degrees=(1, 1))"
 
     def test_sum_mismatch(self):
         with pytest.raises(bd.SumMismatch):
@@ -34,10 +39,23 @@ class TestNewSequence:
     def test_negative_degree(self):
         with pytest.raises(bd.NegativeDegree):
             bd.new_sequence((-1, 1), (0, 0))
+        # the first offending entry decides, in-degrees before out-degrees
+        with pytest.raises(bd.NegativeDegree, match=r"^in-degree entry -1 is negative$"):
+            bd.new_sequence((-1, 3), (1, 1))
+        with pytest.raises(bd.NegativeDegree, match=r"^out-degree entry -1 is negative$"):
+            bd.new_sequence((1, 1), (-1, 3))
 
     def test_degree_exceeds_n(self):
         with pytest.raises(bd.DegreeExceedsN):
             bd.new_sequence((3, 0), (2, 1))
+        with pytest.raises(
+            bd.DegreeExceedsN, match=r"^in-degree entry 3 exceeds node count 2$"
+        ):
+            bd.new_sequence((3, -1), (1, 1))
+        with pytest.raises(
+            bd.DegreeExceedsN, match=r"^out-degree entry 3 exceeds node count 2$"
+        ):
+            bd.new_sequence((1, 1), (3, -1))
 
     def test_entries_equal_n_allowed(self):
         seq = bd.new_sequence((2, 2), (2, 2))
@@ -67,6 +85,16 @@ class TestStats:
         st_ = bd.stats(seq)
         assert 0 <= st_.min_degree <= st_.max_degree <= st_.n
         assert st_.min_degree * st_.n <= st_.total <= st_.max_degree * st_.n
+        a, b = seq.in_degrees, seq.out_degrees
+        assert st_ is seq.stats
+        assert st_ == bd.SequenceStats(
+            n=len(a),
+            total=sum(a),
+            min_degree=min(a + b),
+            max_in=max(a),
+            max_out=max(b),
+            max_degree=max(a + b),
+        )
 
 
 class TestSortCanonical:

@@ -529,8 +529,8 @@ class TestPrunedLadder:
         the union of those S ranges, which is [M, n*M]."""
 
         def fires(check, n, S, m, M):
-            prep = SimpleNamespace(stats=SequenceStats(n, S, m, M, M, M))
-            return check(None, prep).is_graphic
+            seq = SimpleNamespace(stats=SequenceStats(n, S, m, M, M, M))
+            return check(seq).is_graphic
 
         implications = (
             (bd.check_cor2, bd.check_thm3),
