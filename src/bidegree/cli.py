@@ -10,7 +10,10 @@ Exit codes for ``check`` and ``realize``: 0 when every record is graphic,
 1 when any is not graphic, 2 when any is inconclusive (and none is
 non-graphic), 3 on input error.  Malformed records report the offending
 line number and poison the exit code with 3, but processing continues;
-so does a record ``realize`` fails to build (an internal error).
+so does a record ``realize`` fails to build (an internal error).  An
+input file that cannot be read or is not UTF-8, and a ``bench --csv``
+path that cannot be written, are input errors too: one ``error: ...``
+line on stderr and exit 3, never a traceback.
 A well-formed record whose in- and out-degrees sum differently is not an
 input error: unequal sums already disprove graphicality, so ``check`` and
 ``realize`` emit ``NOT_GRAPHIC sum-mismatch`` for it and count it like
@@ -35,6 +38,7 @@ import re
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 
 from .core import BidegreeSequence, new_sequence
 from .errors import BidegreeError, SumMismatch
@@ -77,7 +81,9 @@ def parse_record(line: str) -> BidegreeSequence:
         raise BidegreeError("empty record")
     if text.startswith("{"):
         obj = json.loads(text)
-        if not isinstance(obj, dict) or "in" not in obj or "out" not in obj:
+        if not isinstance(obj, dict) or not all(
+            isinstance(obj.get(key), list) for key in ("in", "out")
+        ):
             raise BidegreeError('JSON record needs "in" and "out" arrays')
         return new_sequence(_int_entries(obj["in"]), _int_entries(obj["out"]))
     if ";" not in text:
@@ -148,25 +154,33 @@ class _Severity:
 def _records(path, stdin, stderr, sev: _Severity):
     """Yield ``(lineno, seq)`` for each non-blank record of ``path`` (``-``
     for stdin); ``seq`` is None for a sum-mismatch record.  A malformed
-    record is reported as ``line N: ...`` and poisons the exit code."""
-    stream = stdin if path == "-" else open(path, "r", encoding="utf-8")
+    record is reported as ``line N: ...`` and poisons the exit code.  An
+    input that cannot be opened or is not UTF-8 is reported on one line,
+    poisons the exit code and ends the stream."""
     try:
-        for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            try:
-                seq = parse_record(line)
-            except SumMismatch:
-                sev.not_graphic = True
-                seq = None
-            except (BidegreeError, ValueError) as exc:
-                print(f"line {lineno}: {exc}", file=stderr)
-                sev.error = True
-                continue
-            yield lineno, seq
-    finally:
-        if stream is not stdin:
-            stream.close()
+        with (
+            nullcontext(stdin) if path == "-" else open(path, encoding="utf-8")
+        ) as stream:
+            for lineno, line in enumerate(stream, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    seq = parse_record(line)
+                except SumMismatch:
+                    sev.not_graphic = True
+                    seq = None
+                except (BidegreeError, ValueError) as exc:
+                    print(f"line {lineno}: {exc}", file=stderr)
+                    sev.error = True
+                    continue
+                yield lineno, seq
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror or exc}", file=stderr)
+        sev.error = True
+    except UnicodeDecodeError:
+        source = "stdin" if path == "-" else path
+        print(f"error: {source} is not UTF-8 text", file=stderr)
+        sev.error = True
 
 
 _SUM_MISMATCH = "NOT_GRAPHIC sum-mismatch"
@@ -405,10 +419,14 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
         summary = " ".join(f"j={j}:{c}" for j, c in top)
         print(f"violated indices over non-graphic records: {summary}", file=stdout)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(c) for c in row) + "\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(str(c) for c in row) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.csv}: {exc.strerror or exc}", file=stderr)
+            return 3
     return 0
 
 

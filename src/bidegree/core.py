@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import sub
 
 from .errors import (
     DegreeExceedsN,
@@ -156,24 +157,23 @@ def sort_canonical(seq: BidegreeSequence) -> BidegreeSequence:
 def conjugate_profile(out_degrees, n: int) -> ConjugateProfile:
     """Build the conjugate profile of ``out_degrees`` over ``n`` slots.
 
-    ``counts`` comes from a histogram plus suffix sums and ``cumulative``
-    from a prefix sum, so the whole table costs O(n).  ``cumulative[j]``
-    equals the direct evaluation of ``sum_i min(b_i, j)`` for every ``j``.
+    ``cumulative`` is the conjugate-sum pipeline the exact checks use, run
+    to ``n``, and ``counts`` are its successive differences, so the whole
+    table costs O(len + n).  ``cumulative[j]`` equals the direct evaluation
+    of ``sum_i min(b_i, j)`` for every ``j``.  Any iterable of any length
+    is accepted; ``n`` only sets the range and the number of slots.
 
     Raises
     ------
     EntryOutOfRange
         If an entry falls outside ``[0..n]``.
     """
-    hist = Counter(out_degrees)
-    if hist:
-        if min(hist) < 0:
-            raise EntryOutOfRange(f"entry {min(hist)} outside [0..{n}]")
-        if max(hist) > n:
-            raise EntryOutOfRange(f"entry {max(hist)} outside [0..{n}]")
-    counts = _ge_counts(hist, n)
-    cumulative = [0]
-    cumulative.extend(accumulate(counts))
+    vec = tuple(out_degrees)
+    if vec and not 0 <= min(vec) <= max(vec) <= n:
+        bad = min(vec) if min(vec) < 0 else max(vec)
+        raise EntryOutOfRange(f"entry {bad} outside [0..{n}]")
+    cumulative = _conjugate_sums(vec, n)
+    counts = map(sub, cumulative[1:], cumulative)
     return ConjugateProfile(tuple(cumulative), tuple(counts))
 
 
@@ -218,45 +218,26 @@ def _canonical_pairs(seq: BidegreeSequence) -> list[tuple[int, int]]:
 #
 # The exact checks only ever need conjugate sums and sorted prefix sums up
 # to the maximum out-degree: beyond it the conjugate side saturates at the
-# degree sum, which every prefix is bounded by.  These helpers build just
-# that much, from value histograms, so the checks cost O(distinct values +
-# max degree) after the C-level counting pass.
+# degree sum, which every prefix is bounded by.  Both helpers take the
+# degree vector itself, count it once with a C-level ``Counter``, and build
+# only that much: an ``accumulate`` pipeline over ``range(limit)`` for the
+# conjugate sums, and the descending value groups cut at ``limit`` for the
+# prefix.  After the count each costs O(limit), plus a sort of the
+# distinct values for the prefix.
 
 
-def _ge_counts(hist: Counter, limit: int) -> list[int]:
-    """``out[i - 1] = #(entries >= i)`` for ``i`` in ``[1..limit]``."""
-    counts = [0] * limit
-    ge = 0
-    items = sorted(hist.items(), reverse=True)
-    for idx, (v, c) in enumerate(items):
-        ge += c
-        lo = items[idx + 1][0] + 1 if idx + 1 < len(items) else 1
-        hi = min(v, limit)
-        if hi >= lo:
-            counts[lo - 1 : hi] = [ge] * (hi - lo + 1)
-    return counts
+def _conjugate_sums(vec, limit: int) -> list[int]:
+    """``F(j) = sum_i min(v_i, j)`` for ``j`` in ``[0..limit]``.
+
+    Step ``j`` adds ``#(v_i >= j) = len(vec) - #(v_i < j)``.
+    """
+    hist = Counter(vec)
+    below = accumulate(map(hist.get, range(limit), repeat(0)))
+    return list(accumulate(map(sub, repeat(len(vec)), below), initial=0))
 
 
-def _prefix_sorted_desc(vec, limit: int) -> list[int]:
+def _sorted_prefix(vec, limit: int) -> list[int]:
     """First ``limit`` prefix sums of ``vec`` sorted descending, led by 0."""
-    prefix = [0]
-    last = 0
-    need = limit
-    for v, c in sorted(Counter(vec).items(), reverse=True):
-        if need <= 0:
-            break
-        c = min(c, need)
-        if v:
-            prefix.extend(range(last + v, last + v * c + 1, v))
-            last += v * c
-        else:
-            prefix.extend([last] * c)
-        need -= c
-    return prefix
-
-
-def _conjugate_cumulative(hist: Counter, limit: int) -> list[int]:
-    """Conjugate cumulative sums ``F(0..limit)`` from a value histogram."""
-    out = [0]
-    out.extend(accumulate(_ge_counts(hist, limit)))
-    return out
+    groups = sorted(Counter(vec).items(), reverse=True)
+    desc = chain.from_iterable(starmap(repeat, groups))
+    return list(accumulate(islice(desc, limit), initial=0))

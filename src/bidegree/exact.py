@@ -17,9 +17,12 @@ co-indexed with the ``j`` largest in-degrees.  Here the scan extends to
 an out-degree equal to ``n`` (impossible without a loop) is rejected, and
 it is the only case where a witness of ``n`` can occur.
 
-Both checks cost O(n log n) for the sort and O(max out-degree) after it:
-no inequality with ``j`` beyond the maximum out-degree can fail, because
-the conjugate side has already saturated at the full degree sum.
+Both checks count each vector once in O(n) and evaluate only the indices
+up to the maximum out-degree: no inequality with ``j`` beyond it can
+fail, because the conjugate side has already saturated at the full
+degree sum.  The with-loops check sorts only the distinct in-degree
+values, O(n + d log d) for ``d`` distinct values; the loop-free check
+sorts the ``n`` pairs, O(n log n).
 
 ``brute_force_exists`` is an independent ground-truth oracle for tiny
 instances: it exhaustively enumerates 0-1 matrices (as a pruned row-wise
@@ -29,7 +32,6 @@ search) and reports whether any matches the margins.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import sub
@@ -38,8 +40,8 @@ from typing import Optional
 from .core import (
     BidegreeSequence,
     _canonical_pairs,
-    _conjugate_cumulative,
-    _prefix_sorted_desc,
+    _conjugate_sums,
+    _sorted_prefix,
 )
 from .errors import InstanceTooLarge
 
@@ -98,8 +100,8 @@ def _outcome(slack: list) -> CheckOutcome:
 def _loops_slack(seq: BidegreeSequence) -> list:
     """Conjugate sum minus sorted prefix, for ``j`` in ``[0..limit]``."""
     limit = min(seq.stats.max_out, seq.n - 1)
-    conj = _conjugate_cumulative(Counter(seq.out_degrees), limit)
-    return list(map(sub, conj, _prefix_sorted_desc(seq.in_degrees, limit)))
+    conj = _conjugate_sums(seq.out_degrees, limit)
+    return list(map(sub, conj, _sorted_prefix(seq.in_degrees, limit)))
 
 
 def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
@@ -119,7 +121,7 @@ def _no_loops_slack(seq: BidegreeSequence) -> list:
     """
     pairs = _canonical_pairs(seq)
     limit = seq.stats.max_out  # <= n; j = n reachable only when some b_i = n
-    conj = _conjugate_cumulative(Counter(seq.out_degrees), limit)
+    conj = _conjugate_sums(seq.out_degrees, limit)
     # diagonal correction: c[j] = #(i <= j with b_i >= j), via interval
     # stabbing (pair i covers j in [i..b_i])
     diff = [0] * (limit + 2)
@@ -128,14 +130,9 @@ def _no_loops_slack(seq: BidegreeSequence) -> list:
         if b_i >= i:
             diff[i] += 1
             diff[b_i + 1] -= 1
-    correction = accumulate(diff[1 : limit + 1])
-    prefix_a = accumulate(p[0] for p in pairs[:limit])
-    slack = [0]
-    slack.extend(
-        f - c - s
-        for f, c, s in zip(conj[1:], correction, prefix_a)
-    )
-    return slack
+    correction = accumulate(diff[: limit + 1])
+    prefix_a = accumulate((p[0] for p in pairs[:limit]), initial=0)
+    return [f - c - s for f, c, s in zip(conj, correction, prefix_a)]
 
 
 def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:

@@ -116,11 +116,11 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
     Raises
     ------
     BadExponent
-        If ``exponent <= 2`` (the mean must be finite).
+        Unless ``exponent > 2`` (the mean must be finite); NaN fails too.
     InvalidParameters
         If ``n < 2``.
     """
-    if exponent <= 2:
+    if not exponent > 2:
         raise BadExponent(f"exponent must exceed 2, got {exponent}")
     if n < 2:
         raise InvalidParameters("power-law generation needs n >= 2")

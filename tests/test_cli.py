@@ -514,6 +514,68 @@ class TestBench:
         assert err == f"error: --repeat must be at least 1, got {repeat}\n"
 
 
+class TestInputErrors:
+    """An input the CLI cannot read gives one line on stderr and exit 3,
+    never a traceback and never exit 1, the code for a non-graphic record."""
+
+    COMMANDS = [["check"], ["realize"], ["bench", "--corpus"]]
+
+    @staticmethod
+    def assert_one_line_error(err):
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_input_path(self, tmp_path, command):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run_cli(command + [str(missing)])
+        assert (code, out) == (3, "")
+        self.assert_one_line_error(err)
+        assert str(missing) in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_directory_as_input(self, tmp_path, command):
+        code, out, err = run_cli(command + [str(tmp_path)])
+        assert (code, out) == (3, "")
+        self.assert_one_line_error(err)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_input_not_utf8(self, tmp_path, command):
+        corpus = tmp_path / "latin1.txt"
+        corpus.write_bytes(b"1,1;1,1\n\xff\xfe;1\n")
+        code, _, err = run_cli(command + [str(corpus)])
+        assert code == 3
+        self.assert_one_line_error(err)
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("value", ["5", "null", '{"a": 1}', '"11"', "true"])
+    @pytest.mark.parametrize("key", ["in", "out"])
+    def test_json_entries_not_an_array(self, key, value):
+        fields = {"in": "[1]", "out": "[1]", key: value}
+        line = '{"in": %s, "out": %s}' % (fields["in"], fields["out"])
+        with pytest.raises(bd.BidegreeError, match='"in" and "out" arrays'):
+            parse_record(line)
+        code, out, err = run_cli(["check"], line + "\n1;1\n")
+        assert (code, out) == (3, "GRAPHIC thm3 Ma=1 Mb=1\n")
+        assert err == 'line 1: JSON record needs "in" and "out" arrays\n'
+
+    @pytest.mark.parametrize("target", ["missing/report.csv", "."])
+    def test_unwritable_csv_path(self, tmp_path, target):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(TEN_NODE_RECORD + "\n")
+        csv_path = tmp_path / target
+        code, _, err = run_cli(
+            ["bench", "--corpus", str(corpus), "--csv", str(csv_path)])
+        assert code == 3
+        self.assert_one_line_error(err)
+        assert str(csv_path) in err
+
+    def test_nan_exponent(self):
+        code, out, err = run_cli(
+            ["generate", "--kind", "powerlaw", "--n", "6", "--exponent", "nan"])
+        assert (code, out) == (3, "")
+        assert err == "error: exponent must exceed 2, got nan\n"
+
+
 class TestBrokenPipe:
     """A reader that stops early (``| head -1``) ends the run quietly."""
 

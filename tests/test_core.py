@@ -136,6 +136,23 @@ class TestConjugateProfile:
         prof = bd.conjugate_profile((4, 4, 2, 0, 0), 5)
         assert prof.cumulative == (0, 3, 6, 8, 10, 10)
 
+    def test_length_other_than_n(self):
+        prof = bd.conjugate_profile((2, 1), 4)
+        assert prof.cumulative == (0, 2, 3, 3, 3)
+        assert prof.counts == (2, 1, 0, 0)
+        prof = bd.conjugate_profile((1, 1, 1, 1, 1), 2)
+        assert prof.cumulative == (0, 5, 5)
+        assert prof.counts == (5, 0)
+
+    def test_iterator_input(self):
+        prof = bd.conjugate_profile(iter((4, 2, 0, 0)), 4)
+        assert prof == bd.conjugate_profile((4, 2, 0, 0), 4)
+
+    def test_empty_vector(self):
+        prof = bd.conjugate_profile((), 3)
+        assert prof.cumulative == (0, 0, 0, 0)
+        assert prof.counts == (0, 0, 0)
+
     def test_entry_out_of_range(self):
         with pytest.raises(bd.EntryOutOfRange):
             bd.conjugate_profile((5, 0), 4)
@@ -146,10 +163,14 @@ class TestConjugateProfile:
     @settings(max_examples=300)
     def test_matches_direct_summation(self, data):
         n = data.draw(st.integers(1, 12))
-        b = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        size = data.draw(st.sampled_from([n, 0, 1, n - 1, n + 1, 2 * n + 3]))
+        b = data.draw(st.lists(st.integers(0, n), min_size=size, max_size=size))
         prof = bd.conjugate_profile(b, n)
+        assert len(prof.cumulative) == n + 1 and len(prof.counts) == n
         for j in range(n + 1):
             assert prof.cumulative[j] == conjugate_sum_direct(b, j)
+        for j in range(1, n + 1):
+            assert prof.counts[j - 1] == sum(x >= j for x in b)
 
     @given(st.data())
     @settings(max_examples=300)

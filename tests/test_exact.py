@@ -8,6 +8,7 @@ from conftest import (
     anstee_lhs_direct,
     equal_sum_vector_pairs,
     loops_inequality_holds_direct,
+    no_loops_inequality_holds_direct,
     sequence_pairs,
 )
 
@@ -58,6 +59,48 @@ class TestViolatedIndices:
     def test_complete_loopless_k4(self):
         seq = bd.new_sequence((3, 3, 3, 3), (3, 3, 3, 3))
         assert bd.violated_indices(seq, allow_loops=False) == []
+
+    def test_all_zero(self):
+        seq = bd.new_sequence((0, 0, 0), (0, 0, 0))
+        assert bd.violated_indices(seq, allow_loops=True) == []
+        assert bd.violated_indices(seq, allow_loops=False) == []
+
+    def test_out_degree_equal_n(self):
+        seq = bd.new_sequence((1, 1, 1), (3, 0, 0))
+        assert bd.violated_indices(seq, allow_loops=True) == []
+        assert bd.violated_indices(seq, allow_loops=False) == [1, 2, 3]
+        assert direct_violations(seq, allow_loops=False) == [1, 2, 3]
+
+    def test_in_and_out_degree_equal_n(self):
+        seq = bd.new_sequence((2, 0), (2, 0))
+        assert bd.violated_indices(seq, allow_loops=True) == [1]
+        assert bd.violated_indices(seq, allow_loops=False) == [1, 2]
+        assert direct_violations(seq, allow_loops=True) == [1]
+        assert direct_violations(seq, allow_loops=False) == [1, 2]
+
+    @given(sequence_pairs(max_n=12))
+    @settings(max_examples=300)
+    def test_every_index_matches_the_definition(self, seq):
+        if seq is None:
+            return
+        for loops in (True, False):
+            assert bd.violated_indices(seq, loops) == direct_violations(
+                seq, loops
+            ), loops
+
+
+def direct_violations(seq, allow_loops):
+    """Indices whose inequality fails, each evaluated from its definition:
+    ``j`` in ``[1..n-1]`` with loops, ``j`` in ``[1..n]`` without."""
+    a, b, n = seq.in_degrees, seq.out_degrees, seq.n
+    if allow_loops:
+        return [
+            j for j in range(1, n) if not loops_inequality_holds_direct(a, b, j)
+        ]
+    pairs = sorted(seq.pairs(), reverse=True)
+    return [
+        j for j in range(1, n + 1) if not no_loops_inequality_holds_direct(pairs, j)
+    ]
 
 
 class TestBruteForce:

@@ -76,8 +76,9 @@ class TestGenPowerlaw:
         assert ones >= 0.8 * 200
 
     def test_bad_exponent(self):
-        with pytest.raises(bd.BadExponent):
-            bd.gen_powerlaw(100, 2.0, seed=0)
+        for exponent in (2.0, float("nan")):
+            with pytest.raises(bd.BadExponent):
+                bd.gen_powerlaw(100, exponent, seed=0)
 
     def test_tiny_n_rejected(self):
         with pytest.raises(bd.InvalidParameters):
