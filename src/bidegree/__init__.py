@@ -5,130 +5,28 @@ adjacency matrix (with or without self-loops), either exactly or through
 constant-time sufficient certificates; realize certified sequences as
 explicit matrices; and generate random or adversarial sequences at the
 sharpness frontier of the bounds.
+
+Each public name is listed once, in its own module's ``__all__``; the
+package re-exports them all.
 """
 
-from .core import (
-    BidegreeSequence,
-    ConjugateProfile,
-    SequenceStats,
-    conjugate_profile,
-    new_sequence,
-    pad_bipartite,
-    sort_canonical,
-    stats,
+from . import core, errors, exact, generate, realize, sufficient
+
+# joined before the star imports, after which ``realize`` is the function
+__all__ = (
+    core.__all__
+    + errors.__all__
+    + exact.__all__
+    + generate.__all__
+    + realize.__all__
+    + sufficient.__all__
 )
-from .errors import (
-    BadExponent,
-    BidegreeError,
-    DegreeExceedsN,
-    DimensionMismatch,
-    EntryOutOfRange,
-    Infeasible,
-    InstanceTooLarge,
-    InvalidParameters,
-    InvalidStats,
-    LengthMismatch,
-    NegativeDegree,
-    SumMismatch,
-)
-from .exact import (
-    CheckOutcome,
-    Verdict,
-    brute_force_exists,
-    check_no_loops,
-    check_with_loops,
-    violated_indices,
-)
-from .generate import (
-    GeneratorSpec,
-    SplitMix64,
-    gen_counterexample1,
-    gen_extremal,
-    gen_powerlaw,
-    gen_uniform,
-    generate_sequence,
-)
-from .realize import AdjacencyRealization, realize, verify_realization
-from .sufficient import (
-    BoundTable,
-    Certificate,
-    Condition,
-    Prepared,
-    bound_table,
-    certify,
-    check_cor2,
-    check_cor3,
-    check_cor5,
-    check_thm2,
-    check_thm3,
-    check_thm4,
-    check_thm5,
-    check_thm6,
-    kstar_no_loops,
-    kstar_with_loops,
-    minimizer_b_star,
-    prepare,
-    thm3_special_max,
-    thm4_special_max,
-)
+
+from .core import *  # noqa: E402,F403
+from .errors import *  # noqa: E402,F403
+from .exact import *  # noqa: E402,F403
+from .generate import *  # noqa: E402,F403
+from .realize import *  # noqa: E402,F403
+from .sufficient import *  # noqa: E402,F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdjacencyRealization",
-    "BadExponent",
-    "BidegreeError",
-    "BidegreeSequence",
-    "BoundTable",
-    "Certificate",
-    "CheckOutcome",
-    "Condition",
-    "ConjugateProfile",
-    "DegreeExceedsN",
-    "DimensionMismatch",
-    "EntryOutOfRange",
-    "GeneratorSpec",
-    "Infeasible",
-    "InstanceTooLarge",
-    "InvalidParameters",
-    "InvalidStats",
-    "LengthMismatch",
-    "NegativeDegree",
-    "Prepared",
-    "SequenceStats",
-    "SplitMix64",
-    "SumMismatch",
-    "Verdict",
-    "bound_table",
-    "brute_force_exists",
-    "certify",
-    "check_cor2",
-    "check_cor3",
-    "check_cor5",
-    "check_no_loops",
-    "check_thm2",
-    "check_thm3",
-    "check_thm4",
-    "check_thm5",
-    "check_thm6",
-    "check_with_loops",
-    "conjugate_profile",
-    "gen_counterexample1",
-    "gen_extremal",
-    "gen_powerlaw",
-    "gen_uniform",
-    "generate_sequence",
-    "kstar_no_loops",
-    "kstar_with_loops",
-    "minimizer_b_star",
-    "new_sequence",
-    "pad_bipartite",
-    "prepare",
-    "realize",
-    "sort_canonical",
-    "stats",
-    "thm3_special_max",
-    "thm4_special_max",
-    "verify_realization",
-    "violated_indices",
-]

@@ -10,10 +10,11 @@ Exit codes for ``check`` and ``realize``: 0 when every record is graphic,
 1 when any is not graphic, 2 when any is inconclusive (and none is
 non-graphic), 3 on input error.  Malformed records report the offending
 line number and poison the exit code with 3, but processing continues;
-so does a record ``realize`` fails to build (an internal error).  An
-input file that cannot be read or is not UTF-8, and a ``bench --csv``
-path that cannot be written, are input errors too: one ``error: ...``
-line on stderr and exit 3, never a traceback.
+so does a line that is not UTF-8 text and a record ``realize`` fails to
+build (an internal error).  An input file that cannot be read, and a
+``bench --csv`` path that cannot be written (opened before any timing),
+are input errors too: one ``error: ...`` line on stderr and exit 3,
+never a traceback.
 A well-formed record whose in- and out-degrees sum differently is not an
 input error: unequal sums already disprove graphicality, so ``check`` and
 ``realize`` emit ``NOT_GRAPHIC sum-mismatch`` for it and count it like
@@ -35,10 +36,12 @@ import argparse
 import json
 import os
 import re
-import statistics
 import sys
 import time
+from collections import Counter
 from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import BidegreeSequence, new_sequence
 from .errors import BidegreeError, SumMismatch
@@ -126,69 +129,60 @@ def _outcome_line(outcome: CheckOutcome, method_label: str) -> str:
     return f"INCONCLUSIVE {method_label}"
 
 
-class _Severity:
-    """Exit-code aggregation: 3 (input error) > 1 (not graphic) > 2 > 0."""
-
-    def __init__(self):
-        self.error = False
-        self.not_graphic = False
-        self.inconclusive = False
-
-    def record(self, outcome: CheckOutcome):
-        if outcome.verdict is Verdict.NOT_GRAPHIC:
-            self.not_graphic = True
-        elif outcome.verdict is Verdict.INCONCLUSIVE:
-            self.inconclusive = True
-
-    @property
-    def code(self) -> int:
-        if self.error:
-            return 3
-        if self.not_graphic:
-            return 1
-        if self.inconclusive:
-            return 2
-        return 0
+# the exit code a record's verdict asks for; a run exits with the first of
+# 3 (input error), 1 and 2 that any record asked for, else 0
+_EXIT_CODE = {Verdict.GRAPHIC: 0, Verdict.NOT_GRAPHIC: 1, Verdict.INCONCLUSIVE: 2}
 
 
-def _records(path, stdin, stderr, sev: _Severity):
+def _exit_code(seen: set) -> int:
+    return next((code for code in (3, 1, 2) if code in seen), 0)
+
+
+def _records(path, stdin, stderr, seen: set):
     """Yield ``(lineno, seq)`` for each non-blank record of ``path`` (``-``
-    for stdin); ``seq`` is None for a sum-mismatch record.  A malformed
-    record is reported as ``line N: ...`` and poisons the exit code.  An
-    input that cannot be opened or is not UTF-8 is reported on one line,
-    poisons the exit code and ends the stream."""
+    for stdin); ``seq`` is None for a sum-mismatch record, which adds 1 to
+    ``seen``.  A malformed record, one that is not UTF-8 among them, is
+    reported as ``line N: ...`` and adds 3; the records after it are still
+    read.  An input that cannot be opened is reported on one line, adds 3
+    and yields nothing."""
+    if path == "-" and hasattr(stdin, "reconfigure"):
+        stdin.reconfigure(errors="surrogateescape")
     try:
         with (
-            nullcontext(stdin) if path == "-" else open(path, encoding="utf-8")
+            nullcontext(stdin)
+            if path == "-"
+            else open(path, encoding="utf-8", errors="surrogateescape")
         ) as stream:
             for lineno, line in enumerate(stream, start=1):
                 if not line.strip():
                     continue
                 try:
+                    # the stream keeps a byte that is not UTF-8 as a lone
+                    # surrogate, which does not encode
+                    if not line.isascii():
+                        line.encode("utf-8")
                     seq = parse_record(line)
                 except SumMismatch:
-                    sev.not_graphic = True
+                    seen.add(1)
                     seq = None
                 except (BidegreeError, ValueError) as exc:
+                    if isinstance(exc, UnicodeEncodeError):
+                        exc = "not UTF-8 text"
                     print(f"line {lineno}: {exc}", file=stderr)
-                    sev.error = True
+                    seen.add(3)
                     continue
                 yield lineno, seq
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror or exc}", file=stderr)
-        sev.error = True
-    except UnicodeDecodeError:
-        source = "stdin" if path == "-" else path
-        print(f"error: {source} is not UTF-8 text", file=stderr)
-        sev.error = True
+        seen.add(3)
 
 
 _SUM_MISMATCH = "NOT_GRAPHIC sum-mismatch"
 
 
 def _cmd_check(args, stdin, stdout, stderr) -> int:
-    sev = _Severity()
-    for _, seq in _records(args.input, stdin, stderr, sev):
+    seen: set = set()
+    for _, seq in _records(args.input, stdin, stderr, seen):
         if seq is None:
             print(_SUM_MISMATCH, file=stdout)
             continue
@@ -204,9 +198,9 @@ def _cmd_check(args, stdin, stdout, stderr) -> int:
                 outcome = CheckOutcome(Verdict.INCONCLUSIVE)
             else:
                 outcome = cond.check(seq)
-        sev.record(outcome)
+        seen.add(_EXIT_CODE[outcome.verdict])
         print(_outcome_line(outcome, args.method), file=stdout)
-    return sev.code
+    return _exit_code(seen)
 
 
 def _cmd_bound(args, stdin, stdout, stderr) -> int:
@@ -229,15 +223,15 @@ def _cmd_bound(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_realize(args, stdin, stdout, stderr) -> int:
-    sev = _Severity()
+    seen: set = set()
     first = True
-    for lineno, seq in _records(args.input, stdin, stderr, sev):
+    for lineno, seq in _records(args.input, stdin, stderr, seen):
         if seq is not None:
             try:
                 result = realize(seq, allow_loops=args.loops)
             except RuntimeError as exc:
                 print(f"line {lineno}: {exc}", file=stderr)
-                sev.error = True
+                seen.add(3)
                 continue
         if not first:
             print(file=stdout)  # blank separator between records
@@ -245,7 +239,7 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
         if seq is None:
             print(_SUM_MISMATCH, file=stdout)
         elif isinstance(result, CheckOutcome):
-            sev.record(result)
+            seen.add(_EXIT_CODE[result.verdict])
             print(f"NOT_GRAPHIC j={result.witness}", file=stdout)
         elif args.format == "dense":
             for i in range(result.n):
@@ -253,7 +247,7 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
         else:
             for src, dst in result.edges():
                 print(f"{src} {dst}", file=stdout)
-    return sev.code
+    return _exit_code(seen)
 
 
 def _spec_from_args(args, seed: int) -> GeneratorSpec:
@@ -295,9 +289,23 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
 
 
 def _median_p99(samples) -> tuple[int, int]:
+    """The median, as the truncated mean of the middle two samples, and
+    the nearest-rank p99."""
     ordered = sorted(samples)
-    idx = max(0, -(-99 * len(ordered) // 100) - 1)  # ceil(0.99*len) - 1
-    return int(statistics.median(ordered)), ordered[idx]
+    size = len(ordered)
+    median = (ordered[(size - 1) // 2] + ordered[size // 2]) // 2
+    return median, ordered[max(0, -(-99 * size // 100) - 1)]  # ceil(.99 size)
+
+
+@dataclass
+class _BenchRow:
+    """One line of the ``bench`` report: the call it times, the records it
+    found graphic and its time per call in ns."""
+
+    label: str
+    call: Callable
+    certified: int = 0
+    samples: list = field(default_factory=list)
 
 
 def _cmd_bench(args, stdin, stdout, stderr) -> int:
@@ -306,9 +314,9 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
         return 3
     mismatched = 0
     if args.corpus is not None:
-        sev = _Severity()
-        seqs = [seq for _, seq in _records(args.corpus, stdin, stderr, sev)]
-        if sev.error:
+        seen: set = set()
+        seqs = [seq for _, seq in _records(args.corpus, stdin, stderr, seen)]
+        if 3 in seen:
             return 3
         mismatched = seqs.count(None)
         seqs = [seq for seq in seqs if seq is not None]
@@ -330,74 +338,20 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
         print("empty corpus", file=stdout)
         return 0
 
-    conditions = [
-        cond
-        for cond in Condition
-        if args.loops or cond.certifies_no_loops
-    ]
-    exact_check = check_with_loops if args.loops else check_no_loops
+    try:
+        with (
+            open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext()
+        ) as csv_file:
+            table = _bench_table(seqs, args.loops, args.repeat)
+            if csv_file is not None:
+                for row in table:
+                    print(*row, sep=",", file=csv_file)
+    except OSError as exc:
+        print(f"error: cannot write {args.csv}: {exc.strerror or exc}", file=stderr)
+        return 3
 
-    times: dict = {"prepare": [], "exact": []}
-    certified: dict = {}
-    for cond in conditions:
-        times[cond.value] = []
-        certified[cond.value] = 0
-    exact_graphic = 0
-    witness_hist: dict = {}
-
-    clock = time.perf_counter_ns
-    for seq in seqs:
-        for rep in range(args.repeat):
-            t0 = clock()
-            prep = Prepared(seq)
-            times["prepare"].append(clock() - t0)
-
-            for cond in conditions:
-                check = cond.check
-                t0 = clock()
-                outcome = check(seq, prep)
-                times[cond.value].append(clock() - t0)
-                if rep == 0 and outcome.verdict is Verdict.GRAPHIC:
-                    certified[cond.value] += 1
-
-            t0 = clock()
-            exact_outcome = exact_check(seq)
-            times["exact"].append(clock() - t0)
-            if rep == 0:
-                if exact_outcome.is_graphic:
-                    exact_graphic += 1
-                else:
-                    for j in violated_indices(seq, args.loops):
-                        witness_hist[j] = witness_hist.get(j, 0) + 1
-
-    # every record is certified or inconclusive by each check, and graphic
-    # or not by the exact one, so the counts of the other column follow
-    records = len(seqs)
-    rows = []
-    for cond in conditions:
-        code, hits = cond.value, certified[cond.value]
-        coverage = f"{hits / exact_graphic:.4f}" if exact_graphic else "n/a"
-        rows.append(
-            (code, hits, records - hits, 0, coverage) + _median_p99(times[code])
-        )
-    exact_coverage = "1.0000" if exact_graphic else "n/a"
-    rows.append(
-        ("exact", exact_graphic, 0, records - exact_graphic, exact_coverage)
-        + _median_p99(times["exact"])
-    )
-    rows.append(("prepare", 0, 0, 0, "n/a") + _median_p99(times["prepare"]))
-
-    header = (
-        "check",
-        "certified",
-        "inconclusive",
-        "not_graphic",
-        "coverage",
-        "median_ns",
-        "p99_ns",
-    )
     print(
-        f"records={records} sum_mismatch={mismatched} repeat={args.repeat} "
+        f"records={len(seqs)} sum_mismatch={mismatched} repeat={args.repeat} "
         f"policy={'loops' if args.loops else 'no-loops'}",
         file=stdout,
     )
@@ -407,27 +361,58 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
         file=stdout,
     )
     widths = [12, 9, 12, 11, 8, 10, 10]
-    print(
-        " ".join(str(h).ljust(w) for h, w in zip(header, widths)), file=stdout
+    for row in table:
+        print(" ".join(str(c).ljust(w) for c, w in zip(row, widths)), file=stdout)
+    witness_hist = Counter(
+        j for seq in seqs for j in violated_indices(seq, args.loops)
     )
-    for row in rows:
-        print(
-            " ".join(str(c).ljust(w) for c, w in zip(row, widths)), file=stdout
-        )
     if witness_hist:
         top = sorted(witness_hist.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         summary = " ".join(f"j={j}:{c}" for j, c in top)
         print(f"violated indices over non-graphic records: {summary}", file=stdout)
-    if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(str(c) for c in row) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc.strerror or exc}", file=stderr)
-            return 3
     return 0
+
+
+def _bench_table(seqs, loops: bool, repeat: int) -> list:
+    """Time every check the policy allows, the exact check and cor5's
+    precomputation on each record; return the report, header first."""
+    exact_check = check_with_loops if loops else check_no_loops
+    exact = _BenchRow("exact", lambda seq, prep: exact_check(seq))
+    checks = [
+        _BenchRow(cond.value, cond.check)
+        for cond in Condition
+        if loops or cond.certifies_no_loops
+    ] + [exact]
+    prepare = _BenchRow("prepare", Prepared)
+
+    clock = time.perf_counter_ns
+    for seq in seqs:
+        for rep in range(repeat):
+            t0 = clock()
+            prep = prepare.call(seq)
+            prepare.samples.append(clock() - t0)
+            for row in checks:
+                call = row.call
+                t0 = clock()
+                outcome = call(seq, prep)
+                row.samples.append(clock() - t0)
+                if rep == 0 and outcome.verdict is Verdict.GRAPHIC:
+                    row.certified += 1
+
+    # a check leaves each record it does not certify inconclusive, the
+    # exact check finds it not graphic
+    records, graphic = len(seqs), exact.certified
+    header = "check certified inconclusive not_graphic coverage median_ns p99_ns"
+    table = [header.split()]
+    for row in checks:
+        missed = records - row.certified
+        counts = (0, missed) if row is exact else (missed, 0)
+        coverage = f"{row.certified / graphic:.4f}" if graphic else "n/a"
+        table.append(
+            (row.label, row.certified, *counts, coverage, *_median_p99(row.samples))
+        )
+    table.append(("prepare", 0, 0, 0, "n/a", *_median_p99(prepare.samples)))
+    return table
 
 
 def _add_loop_flags(parser):

@@ -5,6 +5,21 @@ catch one type at API boundaries (the CLI maps them to exit code 3, except
 where noted in :mod:`bidegree.cli`).
 """
 
+__all__ = [
+    "BidegreeError",
+    "LengthMismatch",
+    "NegativeDegree",
+    "DegreeExceedsN",
+    "SumMismatch",
+    "EntryOutOfRange",
+    "InstanceTooLarge",
+    "Infeasible",
+    "InvalidStats",
+    "InvalidParameters",
+    "BadExponent",
+    "DimensionMismatch",
+]
+
 
 class BidegreeError(ValueError):
     """Base class for all validation and feasibility errors."""

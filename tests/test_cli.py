@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 from functools import cache
@@ -513,6 +514,17 @@ class TestBench:
         assert out == ""
         assert err == f"error: --repeat must be at least 1, got {repeat}\n"
 
+    def test_median_p99_matches_statistics_and_nearest_rank(self):
+        rng = SplitMix64(7)
+        for size in range(1, 51):
+            for top in (20, 10**9):  # with and without repeated values
+                samples = [rng.randint(0, top) for _ in range(size)]
+                # nearest rank: the least sample with 99% of them at or below
+                p99 = min(x for x in samples
+                          if 100 * sum(y <= x for y in samples) >= 99 * size)
+                assert cli._median_p99(samples) == (
+                    int(statistics.median(samples)), p99)
+
 
 class TestInputErrors:
     """An input the CLI cannot read gives one line on stderr and exit 3,
@@ -540,12 +552,26 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_input_not_utf8(self, tmp_path, command):
+        """A line that is not UTF-8 is one malformed record: it is reported
+        by number and exits 3, and the lines around it are still read."""
         corpus = tmp_path / "latin1.txt"
         corpus.write_bytes(b"1,1;1,1\n\xff\xfe;1\n")
-        code, _, err = run_cli(command + [str(corpus)])
+        code, out, err = run_cli(command + [str(corpus)])
         assert code == 3
-        self.assert_one_line_error(err)
-        assert "UTF-8" in err
+        assert err == "line 2: not UTF-8 text\n"
+        assert out == {"check": "GRAPHIC thm3 Ma=1 Mb=1\n",
+                       "realize": "10\n01\n",
+                       "bench": ""}[command[0]]
+
+    def test_stdin_not_utf8_past_the_first_chunk(self):
+        # the bad byte sits well past the first 8 KiB the stream decodes
+        data = b"1;1\n" * 5000 + b"2,\xe9;1,1\n1;1\n"
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["check"], stdin=stdin, stdout=out, stderr=err)
+        assert code == 3
+        assert err.getvalue() == "line 5001: not UTF-8 text\n"
+        assert out.getvalue() == "GRAPHIC thm3 Ma=1 Mb=1\n" * 5001
 
     @pytest.mark.parametrize("value", ["5", "null", '{"a": 1}', '"11"', "true"])
     @pytest.mark.parametrize("key", ["in", "out"])
@@ -563,9 +589,9 @@ class TestInputErrors:
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(TEN_NODE_RECORD + "\n")
         csv_path = tmp_path / target
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["bench", "--corpus", str(corpus), "--csv", str(csv_path)])
-        assert code == 3
+        assert (code, out) == (3, "")  # the path is tried before any timing
         self.assert_one_line_error(err)
         assert str(csv_path) in err
 
