@@ -5,29 +5,33 @@ Records are one bidegree sequence per line, in either the plain form
 [...]}`` — auto-detected from the first non-whitespace byte.  Blank lines
 are skipped.  Plain entries are ASCII ``[0-9]+``, so parsing round-trips:
 printing a parsed record reproduces the plain form byte for byte.
+``check``, ``realize`` and ``bench`` read records from a positional input
+(a file, or ``-`` for stdin, the default); every command writes only to
+stdout and stderr.
 
 Exit codes for ``check`` and ``realize``: 0 when every record is graphic,
 1 when any is not graphic, 2 when any is inconclusive (and none is
 non-graphic), 3 on input error.  Malformed records report the offending
 line number and poison the exit code with 3, but processing continues;
 so does a line that is not UTF-8 text and a record ``realize`` fails to
-build (an internal error).  An input file that cannot be read, and a
-``bench --csv`` path that cannot be written (opened before any timing),
-are input errors too: one ``error: ...`` line on stderr and exit 3,
-never a traceback.
+build (an internal error).  An input file that cannot be read is an
+input error too: one ``error: ...`` line on stderr and exit 3, never a
+traceback.
 A well-formed record whose in- and out-degrees sum differently is not an
 input error: unequal sums already disprove graphicality, so ``check`` and
 ``realize`` emit ``NOT_GRAPHIC sum-mismatch`` for it and count it like
-any other non-graphic record.  ``bench --corpus`` leaves such records
-out of the timed set and counts them as ``sum_mismatch=K``.
+any other non-graphic record.  ``bench`` leaves such records out of the
+timed set and counts them as ``sum_mismatch=K``; it prints its report,
+as text or with ``--format csv`` as the table's rows, only when every
+record parsed.
 
 When the reader of stdout goes away (``bidegree realize | head``), the
 command stops without a traceback and exits with 141, the code a shell
 gives a process ended by SIGPIPE.
 
-The default seed for ``generate``/``bench`` comes from the
-``BIDEGREE_SEED`` environment variable when set; only those two commands
-read it, and a value that is not an integer is an input error (exit 3).
+The default seed for ``generate`` comes from the ``BIDEGREE_SEED``
+environment variable when set; no other command reads it, and a value
+that is not an integer is an input error (exit 3).
 """
 
 from __future__ import annotations
@@ -83,7 +87,10 @@ def parse_record(line: str) -> BidegreeSequence:
     if not text:
         raise BidegreeError("empty record")
     if text.startswith("{"):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise BidegreeError("JSON record nested too deeply") from None
         if not isinstance(obj, dict) or not all(
             isinstance(obj.get(key), list) for key in ("in", "out")
         ):
@@ -250,38 +257,33 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
     return _exit_code(seen)
 
 
-def _spec_from_args(args, seed: int) -> GeneratorSpec:
-    return GeneratorSpec(
-        kind=args.kind,
-        n=args.n,
-        seed=seed,
-        total=args.total,
-        min_degree=args.min,
-        max_degree=args.max,
-        exponent=args.exponent,
-        max_in=args.Ma,
-        max_out=args.Mb,
-    )
-
-
-def _base_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get("BIDEGREE_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise BidegreeError(
-            f"BIDEGREE_SEED must be an integer, got {text!r}"
-        ) from None
-
-
 def _cmd_generate(args, stdin, stdout, stderr) -> int:
+    if args.count < 0:
+        print(f"error: --count must be at least 0, got {args.count}", file=stderr)
+        return 3
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("BIDEGREE_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            print(f"error: BIDEGREE_SEED must be an integer, got {text!r}",
+                  file=stderr)
+            return 3
     try:
-        seed = _base_seed(args)
         for i in range(args.count):
-            seq = generate_sequence(_spec_from_args(args, seed + i))
-            print(format_record(seq), file=stdout)
+            spec = GeneratorSpec(
+                kind=args.kind,
+                n=args.n,
+                seed=seed + i,
+                total=args.total,
+                min_degree=args.min,
+                max_degree=args.max,
+                exponent=args.exponent,
+                max_in=args.Ma,
+                max_out=args.Mb,
+            )
+            print(format_record(generate_sequence(spec)), file=stdout)
     except BidegreeError as exc:
         print(f"error: {exc}", file=stderr)
         return 3
@@ -295,6 +297,11 @@ def _median_p99(samples) -> tuple[int, int]:
     size = len(ordered)
     median = (ordered[(size - 1) // 2] + ordered[size // 2]) // 2
     return median, ordered[max(0, -(-99 * size // 100) - 1)]  # ceil(.99 size)
+
+
+_BENCH_COLUMNS = (
+    "check certified inconclusive not_graphic coverage median_ns p99_ns".split()
+)
 
 
 @dataclass
@@ -312,43 +319,22 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
     if args.repeat < 1:
         print(f"error: --repeat must be at least 1, got {args.repeat}", file=stderr)
         return 3
-    mismatched = 0
-    if args.corpus is not None:
-        seen: set = set()
-        seqs = [seq for _, seq in _records(args.corpus, stdin, stderr, seen)]
-        if 3 in seen:
-            return 3
-        mismatched = seqs.count(None)
-        seqs = [seq for seq in seqs if seq is not None]
-    elif args.kind is not None:
-        try:
-            seed = _base_seed(args)
-            seqs = [
-                generate_sequence(_spec_from_args(args, seed + i))
-                for i in range(args.count)
-            ]
-        except BidegreeError as exc:
-            print(f"error: {exc}", file=stderr)
-            return 3
-    else:
-        print("error: need --corpus or --kind", file=stderr)
+    seen: set = set()
+    seqs = [seq for _, seq in _records(args.input, stdin, stderr, seen)]
+    if 3 in seen:
         return 3
-
+    mismatched = seqs.count(None)
+    seqs = [seq for seq in seqs if seq is not None]
     if not seqs:
-        print("empty corpus", file=stdout)
+        # a CSV reader gets the header and no rows
+        empty = ",".join(_BENCH_COLUMNS) if args.format == "csv" else "empty corpus"
+        print(empty, file=stdout)
         return 0
-
-    try:
-        with (
-            open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext()
-        ) as csv_file:
-            table = _bench_table(seqs, args.loops, args.repeat)
-            if csv_file is not None:
-                for row in table:
-                    print(*row, sep=",", file=csv_file)
-    except OSError as exc:
-        print(f"error: cannot write {args.csv}: {exc.strerror or exc}", file=stderr)
-        return 3
+    table = _bench_table(seqs, args.loops, args.repeat)
+    if args.format == "csv":
+        for row in table:
+            print(*row, sep=",", file=stdout)
+        return 0
 
     print(
         f"records={len(seqs)} sum_mismatch={mismatched} repeat={args.repeat} "
@@ -402,8 +388,7 @@ def _bench_table(seqs, loops: bool, repeat: int) -> list:
     # a check leaves each record it does not certify inconclusive, the
     # exact check finds it not graphic
     records, graphic = len(seqs), exact.certified
-    header = "check certified inconclusive not_graphic coverage median_ns p99_ns"
-    table = [header.split()]
+    table = [_BENCH_COLUMNS]
     for row in checks:
         missed = records - row.certified
         counts = (0, missed) if row is exact else (missed, 0)
@@ -432,11 +417,11 @@ def _add_loop_flags(parser):
     )
 
 
-def _add_generator_flags(parser, kind_required):
+def _add_generator_flags(parser):
     parser.add_argument(
         "--kind",
         choices=["uniform", "powerlaw", "counterexample1", "extremal"],
-        required=kind_required,
+        required=True,
         help="generator family",
     )
     parser.add_argument("--n", type=int, help="node count")
@@ -489,14 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("--format", choices=["dense", "edges"], default="dense")
 
     p_generate = sub.add_parser("generate", help="emit generated records")
-    _add_generator_flags(p_generate, kind_required=True)
+    _add_generator_flags(p_generate)
 
     p_bench = sub.add_parser("bench", help="coverage and timing over a corpus")
-    p_bench.add_argument("--corpus", help="record file (or - for stdin)")
+    p_bench.add_argument("input", nargs="?", default="-", help="file or - for stdin")
     _add_loop_flags(p_bench)
-    _add_generator_flags(p_bench, kind_required=False)
     p_bench.add_argument("--repeat", type=int, default=1, help="timing repetitions")
-    p_bench.add_argument("--csv", help="also write the report as CSV to this path")
+    p_bench.add_argument("--format", choices=["text", "csv"], default="text")
 
     return parser
 

@@ -115,7 +115,7 @@ class Prepared:
     def __init__(self, seq: BidegreeSequence):
         self.sorted_pairs = _canonical_pairs(seq)
         suffix_max = list(
-            accumulate((max(p) for p in reversed(self.sorted_pairs)), max)
+            accumulate(map(max, reversed(self.sorted_pairs)), max)
         )
         suffix_max.reverse()
         self.suffix_pair_max = suffix_max

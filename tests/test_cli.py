@@ -14,6 +14,7 @@ import bidegree as bd
 from bidegree import cli
 from bidegree.cli import format_record, main, parse_record
 from bidegree.generate import SplitMix64
+from bidegree.sufficient import Prepared
 from conftest import sequence_pairs
 
 TEN_NODE_RECORD = "6,6,6,6,6,4,2,2,1,1;6,6,6,6,6,4,2,2,1,1"
@@ -426,27 +427,45 @@ class TestGenerate:
                                   "--total", "4", "--min", "1", "--max", "1"])
         assert (code, out) == (3, "")
         assert err == "error: BIDEGREE_SEED must be an integer, got 'abc'\n"
-        code, _, err = run_cli(["bench", "--kind", "uniform", "--n", "4",
-                                "--total", "4", "--min", "1", "--max", "1"])
-        assert code == 3 and "BIDEGREE_SEED" in err
-        # an explicit --seed does not read it, and check never does
-        assert run_cli(["generate", "--kind", "counterexample1", "--Ma", "2",
-                        "--Mb", "4", "--seed", "1"])[0] == 0
+        # an explicit --seed does not read it, and check and bench never do
+        code, records, _ = run_cli(["generate", "--kind", "uniform", "--n", "4",
+                                    "--total", "4", "--min", "1", "--max", "1",
+                                    "--seed", "1"])
+        assert (code, records) == (0, "1,1,1,1;1,1,1,1\n")
+        code, out, err = run_cli(["bench"], records)
+        assert (code, err) == (0, "") and out.startswith("records=1 ")
         assert run_cli(["check"], TEN_NODE_RECORD) == (
             0, "GRAPHIC thm3 Ma=6 Mb=6\n", "")
 
+    @pytest.mark.parametrize("count", ["-2", "-1"])
+    def test_negative_count_exit_3(self, count):
+        code, out, err = run_cli(["generate", "--kind", "counterexample1",
+                                  "--Ma", "2", "--Mb", "4", "--count", count])
+        assert (code, out) == (3, "")
+        assert err == f"error: --count must be at least 0, got {count}\n"
+
+    def test_zero_count_prints_nothing(self):
+        assert run_cli(["generate", "--kind", "counterexample1", "--Ma", "2",
+                        "--Mb", "4", "--count", "0"]) == (0, "", "")
+
+
+def generated(*argv):
+    """The records ``generate`` prints for ``argv``, as bench's stdin."""
+    code, out, err = run_cli(["generate", *argv])
+    assert (code, err) == (0, "")
+    return out
+
+
+UNIFORM_N40 = generated("--kind", "uniform", "--n", "40", "--total", "120",
+                        "--min", "1", "--max", "8", "--count", "25", "--seed", "2")
+COUNT_COLUMNS = slice(0, 5)  # check .. coverage; the times differ per run
+
 
 class TestBench:
-    def test_generated_corpus_report(self, tmp_path):
-        csv_path = tmp_path / "report.csv"
-        code, out, _ = run_cli(
-            ["bench", "--kind", "uniform", "--n", "40", "--total", "120",
-             "--min", "1", "--max", "8", "--count", "25", "--seed", "2",
-             "--csv", str(csv_path)]
-        )
-        assert code == 0
-        assert "records=25" in out
-        lines = csv_path.read_text().splitlines()
+    def test_generated_corpus_report(self):
+        code, out, err = run_cli(["bench", "--format", "csv"], UNIFORM_N40)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
         assert lines[0] == "check,certified,inconclusive,not_graphic,coverage,median_ns,p99_ns"
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         assert set(rows) == {
@@ -459,18 +478,53 @@ class TestBench:
             assert int(rows[code_name][1]) <= exact_graphic
 
     def test_no_loops_reports_no_loop_family_only(self):
-        code, out, _ = run_cli(
-            ["bench", "--no-loops", "--kind", "uniform", "--n", "10",
-             "--total", "20", "--min", "1", "--max", "4", "--count", "5"]
-        )
+        records = generated("--kind", "uniform", "--n", "10", "--total", "20",
+                            "--min", "1", "--max", "4", "--count", "5")
+        code, out, _ = run_cli(["bench", "--no-loops"], records)
         assert code == 0
         assert "thm4" in out and "thm6" in out and "cor3" in out
         assert "thm3" not in out and "cor5" not in out
 
+    @pytest.mark.parametrize("loops", [True, False])
+    def test_certified_counts_match_the_checks(self, loops):
+        """Each row counts the records its check finds graphic; the text
+        and CSV reports agree on every count column."""
+        corpus = UNIFORM_N40 + generated(
+            "--kind", "powerlaw", "--n", "30", "--exponent", "2.5",
+            "--count", "20", "--seed", "5") + COUNTEREXAMPLE_RECORD + "\n"
+        corpus += "1;1\n"  # graphic only with a loop
+        seqs = [parse_record(line) for line in corpus.splitlines()]
+        policy = ["--loops"] if loops else ["--no-loops"]
+        exact = bd.check_with_loops if loops else bd.check_no_loops
+        expected = {"exact": sum(exact(seq).is_graphic for seq in seqs)}
+        assert 0 < expected["exact"] < len(seqs)
+        for cond in bd.Condition:
+            if loops or cond.certifies_no_loops:
+                expected[cond.value] = sum(
+                    cond.check(seq, Prepared(seq)).is_graphic for seq in seqs)
+
+        code, csv, err = run_cli(["bench", "--format", "csv", *policy], corpus)
+        assert (code, err) == (0, "")
+        header, *csv_rows = [line.split(",") for line in csv.splitlines()]
+        certified = {row[0]: int(row[1]) for row in csv_rows}
+        assert certified == {**expected, "prepare": 0}
+        # a check leaves what it misses inconclusive, the exact check
+        # finds it not graphic
+        for label, _, inconclusive, not_graphic, *_ in csv_rows[:-1]:
+            missed = len(seqs) - certified[label]
+            assert (int(inconclusive), int(not_graphic)) == (
+                (0, missed) if label == "exact" else (missed, 0))
+        code, text, err = run_cli(["bench", *policy], corpus)
+        assert (code, err) == (0, "")
+        # records=..., a note, then the header and one line per row
+        text_rows = [line.split() for line in text.splitlines()[2:]]
+        assert [row[COUNT_COLUMNS] for row in text_rows[:len(csv_rows) + 1]] == [
+            row[COUNT_COLUMNS] for row in [header, *csv_rows]]
+
     def test_corpus_file(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(TEN_NODE_RECORD + "\n" + COUNTEREXAMPLE_RECORD + "\n")
-        code, out, _ = run_cli(["bench", "--corpus", str(corpus)])
+        code, out, _ = run_cli(["bench", str(corpus)])
         assert code == 0
         assert "records=2" in out
         # the non-graphic record's violated index shows in the failure summary
@@ -480,7 +534,7 @@ class TestBench:
         corpus = tmp_path / "corpus.txt"
         lines = [TEN_NODE_RECORD, "2,1;1,1", "", COUNTEREXAMPLE_RECORD]
         corpus.write_text("\n".join(lines) + "\n")
-        code, out, err = run_cli(["bench", "--corpus", str(corpus)])
+        code, out, err = run_cli(["bench", str(corpus)])
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == (
             "records=2 sum_mismatch=1 repeat=1 policy=loops")
@@ -488,28 +542,31 @@ class TestBench:
     def test_malformed_record_reports_line_and_exit_3(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(TEN_NODE_RECORD + "\n1,x;1,1\n")
-        code, out, err = run_cli(["bench", "--corpus", str(corpus)])
+        code, out, err = run_cli(["bench", str(corpus)])
         assert (code, out) == (3, "")
         assert err.startswith("line 2: ")
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty.txt"
         corpus.write_text("")
-        code, out, _ = run_cli(["bench", "--corpus", str(corpus)])
+        code, out, _ = run_cli(["bench", str(corpus)])
         assert code == 0
         assert "empty corpus" in out
+        # as CSV: the header and no rows
+        assert run_cli(["bench", "--format", "csv", str(corpus)]) == (
+            0, ",".join(cli._BENCH_COLUMNS) + "\n", "")
 
-    def test_needs_source(self):
-        code, _, err = run_cli(["bench"])
-        assert code == 3
-        assert "need --corpus or --kind" in err
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "-"]], ids=["none", "dash"])
+    def test_reads_stdin_by_default(self, argv):
+        code, out, err = run_cli(argv, TEN_NODE_RECORD + "\n")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == (
+            "records=1 sum_mismatch=0 repeat=1 policy=loops")
 
     @pytest.mark.parametrize("repeat", ["0", "-2"])
     def test_repeat_below_one_exit_3(self, repeat):
         code, out, err = run_cli(
-            ["bench", "--kind", "uniform", "--n", "10", "--total", "20",
-             "--min", "1", "--max", "4", f"--repeat={repeat}"]
-        )
+            ["bench", f"--repeat={repeat}"], TEN_NODE_RECORD + "\n")
         assert code == 3
         assert out == ""
         assert err == f"error: --repeat must be at least 1, got {repeat}\n"
@@ -530,7 +587,7 @@ class TestInputErrors:
     """An input the CLI cannot read gives one line on stderr and exit 3,
     never a traceback and never exit 1, the code for a non-graphic record."""
 
-    COMMANDS = [["check"], ["realize"], ["bench", "--corpus"]]
+    COMMANDS = [["check"], ["realize"], ["bench"]]
 
     @staticmethod
     def assert_one_line_error(err):
@@ -584,16 +641,17 @@ class TestInputErrors:
         assert (code, out) == (3, "GRAPHIC thm3 Ma=1 Mb=1\n")
         assert err == 'line 1: JSON record needs "in" and "out" arrays\n'
 
-    @pytest.mark.parametrize("target", ["missing/report.csv", "."])
-    def test_unwritable_csv_path(self, tmp_path, target):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text(TEN_NODE_RECORD + "\n")
-        csv_path = tmp_path / target
-        code, out, err = run_cli(
-            ["bench", "--corpus", str(corpus), "--csv", str(csv_path)])
-        assert (code, out) == (3, "")  # the path is tried before any timing
-        self.assert_one_line_error(err)
-        assert str(csv_path) in err
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_json_nested_too_deeply(self, command):
+        """Nesting deep enough to exhaust the JSON decoder's recursion is
+        one malformed record, not a traceback."""
+        line = '{"in": ' + "[" * 2000
+        code, out, err = run_cli(command, line + "\n1,1;1,1\n")
+        assert code == 3
+        assert err == "line 1: JSON record nested too deeply\n"
+        assert out == {"check": "GRAPHIC thm3 Ma=1 Mb=1\n",
+                       "realize": "10\n01\n",
+                       "bench": ""}[command[0]]
 
     def test_nan_exponent(self):
         code, out, err = run_cli(

@@ -250,6 +250,17 @@ class TestCor5:
         seq = bd.new_sequence((1, 1, 0), (1, 1, 0))
         assert bd.check_cor5(seq).verdict is Verdict.INCONCLUSIVE
 
+    @given(sequence_pairs(max_n=30))
+    @settings(max_examples=200)
+    def test_suffix_pair_max_is_the_suffix_maximum(self, seq):
+        if seq is None:
+            return
+        prep = Prepared(seq)
+        pairs = prep.sorted_pairs
+        assert len(prep.suffix_pair_max) == len(pairs) == seq.n
+        for r in range(seq.n):
+            assert prep.suffix_pair_max[r] == max(max(p) for p in pairs[r:])
+
 
 class TestMinimizer:
     def test_examples(self):
