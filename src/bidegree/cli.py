@@ -2,9 +2,11 @@
 
 Records are one bidegree sequence per line, in either the plain form
 ``a1,a2,...,an;b1,b2,...,bn`` or a JSON object ``{"in": [...], "out":
-[...]}`` — auto-detected from the first non-whitespace byte.  Blank lines
-are skipped.  Plain entries are ASCII ``[0-9]+``, so parsing round-trips:
-printing a parsed record reproduces the plain form byte for byte.
+[...]}`` — auto-detected from the first non-whitespace byte.  A line ends
+at ``\\n``, in a file and on stdin alike: a ``\\r\\n`` ending is fine, and
+a bare ``\\r`` is part of its line.  Blank lines are skipped.  Plain entries
+are ASCII ``[0-9]+``, so parsing round-trips: printing a parsed record
+reproduces the plain form byte for byte.
 ``check``, ``realize`` and ``bench`` read records from a positional input
 (a file, or ``-`` for stdin, the default); every command writes only to
 stdout and stderr.
@@ -29,9 +31,8 @@ When the reader of stdout goes away (``bidegree realize | head``), the
 command stops without a traceback and exits with 141, the code a shell
 gives a process ended by SIGPIPE.
 
-The default seed for ``generate`` comes from the ``BIDEGREE_SEED``
-environment variable when set; no other command reads it, and a value
-that is not an integer is an input error (exit 3).
+``generate`` takes its seed from ``--seed`` only, default 0; no command
+reads a seed from the environment.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from .core import BidegreeSequence, new_sequence
@@ -56,7 +57,7 @@ from .exact import (
     check_with_loops,
     violated_indices,
 )
-from .generate import GeneratorSpec, generate_sequence
+from .generate import GENERATOR_KINDS, GeneratorSpec, generate_sequence
 from .realize import realize
 from .sufficient import Condition, Prepared, bound_table, certify
 
@@ -148,32 +149,30 @@ def _exit_code(seen: set) -> int:
 def _records(path, stdin, stderr, seen: set):
     """Yield ``(lineno, seq)`` for each non-blank record of ``path`` (``-``
     for stdin); ``seq`` is None for a sum-mismatch record, which adds 1 to
-    ``seen``.  A malformed record, one that is not UTF-8 among them, is
-    reported as ``line N: ...`` and adds 3; the records after it are still
-    read.  An input that cannot be opened is reported on one line, adds 3
-    and yields nothing."""
-    if path == "-" and hasattr(stdin, "reconfigure"):
-        stdin.reconfigure(errors="surrogateescape")
+    ``seen``.  A file and stdin are both read as bytes, so in either a line
+    ends at ``\\n``.  A malformed record, one that is not UTF-8 among them,
+    is reported as ``line N: ...`` and adds 3; the records after it are
+    still read.  An input that cannot be opened is reported on one line,
+    adds 3 and yields nothing."""
     try:
         with (
-            nullcontext(stdin)
+            # a text stream without bytes beneath (StringIO) yields str
+            nullcontext(getattr(stdin, "buffer", stdin))
             if path == "-"
-            else open(path, encoding="utf-8", errors="surrogateescape")
+            else open(path, "rb")
         ) as stream:
             for lineno, line in enumerate(stream, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    # the stream keeps a byte that is not UTF-8 as a lone
-                    # surrogate, which does not encode
-                    if not line.isascii():
-                        line.encode("utf-8")
+                    if isinstance(line, bytes):
+                        line = line.decode()
+                    if not line.strip():
+                        continue
                     seq = parse_record(line)
                 except SumMismatch:
                     seen.add(1)
                     seq = None
                 except (BidegreeError, ValueError) as exc:
-                    if isinstance(exc, UnicodeEncodeError):
+                    if isinstance(exc, UnicodeDecodeError):
                         exc = "not UTF-8 text"
                     print(f"line {lineno}: {exc}", file=stderr)
                     seen.add(3)
@@ -261,29 +260,14 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
     if args.count < 0:
         print(f"error: --count must be at least 0, got {args.count}", file=stderr)
         return 3
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get("BIDEGREE_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            print(f"error: BIDEGREE_SEED must be an integer, got {text!r}",
-                  file=stderr)
-            return 3
     try:
+        # the generator flags are parsed under GeneratorSpec's field names
+        spec = GeneratorSpec(
+            **{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)}
+        )
         for i in range(args.count):
-            spec = GeneratorSpec(
-                kind=args.kind,
-                n=args.n,
-                seed=seed + i,
-                total=args.total,
-                min_degree=args.min,
-                max_degree=args.max,
-                exponent=args.exponent,
-                max_in=args.Ma,
-                max_out=args.Mb,
-            )
-            print(format_record(generate_sequence(spec)), file=stdout)
+            seq = generate_sequence(replace(spec, seed=spec.seed + i))
+            print(format_record(seq), file=stdout)
     except BidegreeError as exc:
         print(f"error: {exc}", file=stderr)
         return 3
@@ -349,10 +333,11 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
     widths = [12, 9, 12, 11, 8, 10, 10]
     for row in table:
         print(" ".join(str(c).ljust(w) for c, w in zip(row, widths)), file=stdout)
-    witness_hist = Counter(
-        j for seq in seqs for j in violated_indices(seq, args.loops)
-    )
-    if witness_hist:
+    _, _, _, not_graphic, *_ = next(row for row in table if row[0] == "exact")
+    if not_graphic:  # else every record is graphic and violates nothing
+        witness_hist = Counter(
+            j for seq in seqs for j in violated_indices(seq, args.loops)
+        )
         top = sorted(witness_hist.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         summary = " ".join(f"j={j}:{c}" for j, c in top)
         print(f"violated indices over non-graphic records: {summary}", file=stdout)
@@ -417,28 +402,6 @@ def _add_loop_flags(parser):
     )
 
 
-def _add_generator_flags(parser):
-    parser.add_argument(
-        "--kind",
-        choices=["uniform", "powerlaw", "counterexample1", "extremal"],
-        required=True,
-        help="generator family",
-    )
-    parser.add_argument("--n", type=int, help="node count")
-    parser.add_argument("--total", type=int, help="degree sum")
-    parser.add_argument("--min", type=int, help="minimum degree (uniform)")
-    parser.add_argument("--max", type=int, help="maximum degree (uniform/extremal)")
-    parser.add_argument("--exponent", type=float, help="power-law exponent (> 2)")
-    parser.add_argument("--Ma", type=int, help="maximum in-degree (counterexample1)")
-    parser.add_argument("--Mb", type=int, help="maximum out-degree (counterexample1)")
-    parser.add_argument("--count", type=int, default=1, help="records to emit")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="base seed (record i uses seed+i); default from BIDEGREE_SEED, else 0",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bidegree",
@@ -473,8 +436,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loop_flags(p_realize)
     p_realize.add_argument("--format", choices=["dense", "edges"], default="dense")
 
-    p_generate = sub.add_parser("generate", help="emit generated records")
-    _add_generator_flags(p_generate)
+    p_gen = sub.add_parser("generate", help="emit generated records")
+    p_gen.add_argument("--kind", choices=GENERATOR_KINDS, required=True,
+                       help="generator family")
+    p_gen.add_argument("--n", type=int, help="node count")
+    p_gen.add_argument("--total", type=int, help="degree sum")
+    # dest is GeneratorSpec's field name, metavar the flag's own
+    p_gen.add_argument("--min", dest="min_degree", metavar="MIN", type=int,
+                       help="minimum degree (uniform)")
+    p_gen.add_argument("--max", dest="max_degree", metavar="MAX", type=int,
+                       help="maximum degree (uniform/extremal)")
+    p_gen.add_argument("--exponent", type=float, help="power-law exponent (> 2)")
+    p_gen.add_argument("--Ma", dest="max_in", metavar="MA", type=int,
+                       help="maximum in-degree (counterexample1)")
+    p_gen.add_argument("--Mb", dest="max_out", metavar="MB", type=int,
+                       help="maximum out-degree (counterexample1)")
+    p_gen.add_argument("--count", type=int, default=1, help="records to emit")
+    p_gen.add_argument("--seed", type=int, default=0,
+                       help="base seed (record i uses seed+i)")
 
     p_bench = sub.add_parser("bench", help="coverage and timing over a corpus")
     p_bench.add_argument("input", nargs="?", default="-", help="file or - for stdin")

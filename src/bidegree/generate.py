@@ -22,6 +22,7 @@ from .errors import BadExponent, Infeasible, InvalidParameters
 from .sufficient import minimizer_b_star
 
 __all__ = [
+    "GENERATOR_KINDS",
     "SplitMix64",
     "GeneratorSpec",
     "generate_sequence",
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# what GeneratorSpec.kind may name, and ``generate --kind``'s choices
+GENERATOR_KINDS = ("uniform", "powerlaw", "counterexample1", "extremal")
 
 
 class SplitMix64:
@@ -205,7 +209,7 @@ def gen_extremal(n: int, total: int, max_degree: int) -> BidegreeSequence:
 class GeneratorSpec:
     """Declarative description of one generator invocation."""
 
-    kind: str  # uniform | powerlaw | counterexample1 | extremal
+    kind: str  # one of GENERATOR_KINDS
     n: Optional[int] = None
     seed: int = 0
     total: Optional[int] = None
@@ -216,7 +220,7 @@ class GeneratorSpec:
     max_out: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in {"uniform", "powerlaw", "counterexample1", "extremal"}:
+        if self.kind not in GENERATOR_KINDS:
             raise InvalidParameters(f"unknown generator kind {self.kind!r}")
 
 

@@ -55,6 +55,15 @@ def run_cli(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 
+def cli_child(argv, **kwargs):
+    """``python -m bidegree.cli argv`` in a child process that imports this
+    checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen(
+        [sys.executable, "-m", "bidegree.cli", *argv], env=env, **kwargs)
+
+
 class TestRecords:
     def test_plain_round_trip(self):
         seq = parse_record("2,2,2,0;4,2,0,0")
@@ -410,30 +419,18 @@ class TestGenerate:
             assert seq.n == 12
             assert bd.stats(seq).total == 30
 
-    def test_env_var_default_seed(self, monkeypatch):
+    @pytest.mark.parametrize("value", ["77", "abc"])
+    def test_seed_env_var_is_ignored(self, monkeypatch, value):
+        """``--seed`` is the only seed: without it the seed is 0, whatever
+        ``BIDEGREE_SEED`` holds, and no command reads that variable."""
         argv = ["generate", "--kind", "uniform", "--n", "10", "--total", "25",
-                "--min", "0", "--max", "8"]
-        monkeypatch.setenv("BIDEGREE_SEED", "77")
-        _, from_env, _ = run_cli(argv)
-        monkeypatch.delenv("BIDEGREE_SEED")
-        _, explicit, _ = run_cli(argv + ["--seed", "77"])
-        _, default, _ = run_cli(argv)
-        assert from_env == explicit
-        assert from_env != default  # seed 77 differs from the 0 default
-
-    def test_bad_env_seed_is_an_input_error(self, monkeypatch):
-        monkeypatch.setenv("BIDEGREE_SEED", "abc")
-        code, out, err = run_cli(["generate", "--kind", "uniform", "--n", "4",
-                                  "--total", "4", "--min", "1", "--max", "1"])
-        assert (code, out) == (3, "")
-        assert err == "error: BIDEGREE_SEED must be an integer, got 'abc'\n"
-        # an explicit --seed does not read it, and check and bench never do
-        code, records, _ = run_cli(["generate", "--kind", "uniform", "--n", "4",
-                                    "--total", "4", "--min", "1", "--max", "1",
-                                    "--seed", "1"])
-        assert (code, records) == (0, "1,1,1,1;1,1,1,1\n")
-        code, out, err = run_cli(["bench"], records)
-        assert (code, err) == (0, "") and out.startswith("records=1 ")
+                "--min", "0", "--max", "8", "--count", "3"]
+        seed_0 = run_cli(argv + ["--seed", "0"])
+        assert seed_0[0] == 0 and seed_0 != run_cli(argv + ["--seed", "77"])
+        monkeypatch.setenv("BIDEGREE_SEED", value)
+        assert run_cli(argv) == seed_0
+        code, out, err = run_cli(["bench"], seed_0[1])
+        assert (code, err) == (0, "") and out.startswith("records=3 ")
         assert run_cli(["check"], TEN_NODE_RECORD) == (
             0, "GRAPHIC thm3 Ma=6 Mb=6\n", "")
 
@@ -529,6 +526,25 @@ class TestBench:
         assert "records=2" in out
         # the non-graphic record's violated index shows in the failure summary
         assert "violated indices over non-graphic records: j=3:1" in out
+
+    def test_histogram_pass_only_with_a_non_graphic_record(self, monkeypatch):
+        """The violated-index pass runs only when the exact row found a
+        non-graphic record; otherwise its histogram would be empty."""
+        calls = []
+
+        def counted(seq, loops):
+            calls.append(seq)
+            return bd.violated_indices(seq, loops)
+
+        monkeypatch.setattr(cli, "violated_indices", counted)
+        all_graphic = TEN_NODE_RECORD + "\n1,1;1,1\n"
+        code, out, err = run_cli(["bench"], all_graphic)
+        assert (code, err, calls) == (0, "", [])
+        assert "violated" not in out
+        code, out, err = run_cli(["bench"], all_graphic + COUNTEREXAMPLE_RECORD)
+        assert (code, err, len(calls)) == (0, "", 3)
+        assert out.splitlines()[-1] == (
+            "violated indices over non-graphic records: j=3:1")
 
     def test_sum_mismatch_records_are_counted_not_timed(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -630,6 +646,43 @@ class TestInputErrors:
         assert err.getvalue() == "line 5001: not UTF-8 text\n"
         assert out.getvalue() == "GRAPHIC thm3 Ma=1 Mb=1\n" * 5001
 
+    def test_file_and_stdin_split_lines_alike(self, tmp_path):
+        """A line ends at \\n in a file and on stdin alike: a \\r\\n ending
+        is fine and a bare \\r stays inside its line.  Only a child process
+        reads the real stdin's bytes."""
+        data = b"1;1\r\n1;1\r2,0;1,1\n\xff;1\n3;1\n"
+        path = tmp_path / "records.txt"
+        path.write_bytes(data)
+        from_file = run_cli(["check", str(path)])
+        assert from_file == (
+            3,
+            "GRAPHIC thm3 Ma=1 Mb=1\n",
+            "line 2: plain entries must be ASCII digits, got '\\r'\n"
+            "line 3: not UTF-8 text\n"
+            "line 4: in-degree entry 3 exceeds node count 1\n",
+        )
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        code = main(["check"], stdin=stdin, stdout=out, stderr=err)
+        assert (code, out.getvalue(), err.getvalue()) == from_file
+        with open(path, "rb") as stdin:
+            proc = cli_child(["check"], stdin=stdin,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stdout.decode(), stderr.decode()) == from_file
+
+    @pytest.mark.parametrize("entry", ["1.5", "true", '"1"'])
+    def test_json_entries_not_integers(self, entry):
+        """A float, a bool or a string entry is one malformed record."""
+        line = '{"in": [%s], "out": [1]}' % entry
+        message = f"degree entries must be integers, got {json.loads(entry)!r}"
+        with pytest.raises(bd.BidegreeError) as info:
+            parse_record(line)
+        assert str(info.value) == message
+        code, out, err = run_cli(["check"], line + "\n1;1\n")
+        assert (code, out) == (3, "GRAPHIC thm3 Ma=1 Mb=1\n")
+        assert err == f"line 1: {message}\n"
+
     @pytest.mark.parametrize("value", ["5", "null", '{"a": 1}', '"11"', "true"])
     @pytest.mark.parametrize("key", ["in", "out"])
     def test_json_entries_not_an_array(self, key, value):
@@ -672,14 +725,8 @@ class TestBrokenPipe:
             corpus = TEN_NODE_RECORD + "\n" + "1,1;1,1\n" * 50_000
         path = tmp_path / "corpus.txt"
         path.write_text(corpus)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "bidegree.cli", command, str(path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        proc = cli_child([command, str(path)],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()

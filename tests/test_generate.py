@@ -18,6 +18,11 @@ class TestSplitMix64:
         draws = [rng.randbelow(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_randbelow_empty_range_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            SplitMix64(1).randbelow(bound)
+
     def test_randint_inclusive(self):
         rng = SplitMix64(9)
         draws = {rng.randint(3, 5) for _ in range(200)}

@@ -115,6 +115,12 @@ class TestVerifyRealization:
         )
         assert not bd.verify_realization(strict, seq)
 
+    def test_bits_past_last_column_fail(self):
+        # row 0 holds bit 2, a column a 2-node matrix does not have
+        stray = bd.AdjacencyRealization(2, (0b100, 0b01), True)
+        seq = bd.new_sequence((1, 1), (1, 1))
+        assert bd.verify_realization(stray, seq) is False
+
     def test_dimension_mismatch(self):
         real = bd.AdjacencyRealization(2, (0, 0), True)
         with pytest.raises(bd.DimensionMismatch):
