@@ -45,12 +45,12 @@ import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from dataclasses import fields, replace
 
 from .core import BidegreeSequence, new_sequence
 from .errors import BidegreeError, SumMismatch
 from .exact import (
+    INCONCLUSIVE,
     CheckOutcome,
     Verdict,
     check_no_loops,
@@ -59,7 +59,7 @@ from .exact import (
 )
 from .generate import GENERATOR_KINDS, GeneratorSpec, generate_sequence
 from .realize import realize
-from .sufficient import Condition, Prepared, bound_table, certify
+from .sufficient import Condition, bound_table, certify
 
 __all__ = ["main", "entry", "parse_record", "format_record"]
 
@@ -110,7 +110,20 @@ def parse_record(line: str) -> BidegreeSequence:
             f"plain entries must not have leading zeros, got {padded[1]!r}"
         )
     left, right = text.split(";", 1)
-    return new_sequence(map(int, left.split(",")), map(int, right.split(",")))
+    if ";" in right:
+        raise BidegreeError("plain record needs exactly one ';'")
+    try:
+        return new_sequence(map(int, left.split(",")), map(int, right.split(",")))
+    except BidegreeError:
+        raise
+    except ValueError:
+        # int() failed on the first entry that is empty or past its digit
+        # limit; the empty one gets a message of ours, the other keeps int()'s
+        for entry in (*left.split(","), *right.split(",")):
+            if not entry:
+                raise BidegreeError("plain entries must not be empty") from None
+            int(entry)
+        raise
 
 
 def format_record(seq: BidegreeSequence) -> str:
@@ -186,24 +199,29 @@ def _records(path, stdin, stderr, seen: set):
 _SUM_MISMATCH = "NOT_GRAPHIC sum-mismatch"
 
 
+def _decider(method: str, loops: bool, fallback_exact: bool = False):
+    """The call that decides one record under ``--method``: the policy's
+    exact check, the ``auto`` ladder, or one condition's check.  A
+    loops-only condition asked a ``--no-loops`` question certifies
+    nothing, so its call leaves every record inconclusive."""
+    if method == "exact":
+        return check_with_loops if loops else check_no_loops
+    if method == "auto":
+        return lambda seq: certify(seq, loops, fallback_exact)
+    cond = Condition(method)
+    if loops or cond.certifies_no_loops:
+        return cond.check
+    return lambda seq: INCONCLUSIVE
+
+
 def _cmd_check(args, stdin, stdout, stderr) -> int:
+    decide = _decider(args.method, args.loops, args.fallback_exact)
     seen: set = set()
     for _, seq in _records(args.input, stdin, stderr, seen):
         if seq is None:
             print(_SUM_MISMATCH, file=stdout)
             continue
-        if args.method == "exact":
-            outcome = check_with_loops(seq) if args.loops else check_no_loops(seq)
-        elif args.method == "auto":
-            outcome = certify(
-                seq, allow_loops=args.loops, fallback_exact=args.fallback_exact
-            )
-        else:
-            cond = Condition(args.method)
-            if not args.loops and not cond.certifies_no_loops:
-                outcome = CheckOutcome(Verdict.INCONCLUSIVE)
-            else:
-                outcome = cond.check(seq)
+        outcome = decide(seq)
         seen.add(_EXIT_CODE[outcome.verdict])
         print(_outcome_line(outcome, args.method), file=stdout)
     return _exit_code(seen)
@@ -288,17 +306,6 @@ _BENCH_COLUMNS = (
 )
 
 
-@dataclass
-class _BenchRow:
-    """One line of the ``bench`` report: the call it times, the records it
-    found graphic and its time per call in ns."""
-
-    label: str
-    call: Callable
-    certified: int = 0
-    samples: list = field(default_factory=list)
-
-
 def _cmd_bench(args, stdin, stdout, stderr) -> int:
     if args.repeat < 1:
         print(f"error: --repeat must be at least 1, got {args.repeat}", file=stderr)
@@ -314,7 +321,7 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
         empty = ",".join(_BENCH_COLUMNS) if args.format == "csv" else "empty corpus"
         print(empty, file=stdout)
         return 0
-    table = _bench_table(seqs, args.loops, args.repeat)
+    table, not_graphic = _bench_table(seqs, args.loops, args.repeat)
     if args.format == "csv":
         for row in table:
             print(*row, sep=",", file=stdout)
@@ -325,18 +332,12 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
         f"policy={'loops' if args.loops else 'no-loops'}",
         file=stdout,
     )
-    print(
-        "sufficient checks read the stats found by validation; the prepare"
-        " row times the heavy-tail sorted profile, built before the checks",
-        file=stdout,
-    )
     widths = [12, 9, 12, 11, 8, 10, 10]
     for row in table:
         print(" ".join(str(c).ljust(w) for c, w in zip(row, widths)), file=stdout)
-    _, _, _, not_graphic, *_ = next(row for row in table if row[0] == "exact")
-    if not_graphic:  # else every record is graphic and violates nothing
+    if not_graphic:
         witness_hist = Counter(
-            j for seq in seqs for j in violated_indices(seq, args.loops)
+            j for seq in not_graphic for j in violated_indices(seq, args.loops)
         )
         top = sorted(witness_hist.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         summary = " ".join(f"j={j}:{c}" for j, c in top)
@@ -344,45 +345,41 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
     return 0
 
 
-def _bench_table(seqs, loops: bool, repeat: int) -> list:
-    """Time every check the policy allows, the exact check and cor5's
-    precomputation on each record; return the report, header first."""
-    exact_check = check_with_loops if loops else check_no_loops
-    exact = _BenchRow("exact", lambda seq, prep: exact_check(seq))
-    checks = [
-        _BenchRow(cond.value, cond.check)
-        for cond in Condition
-        if loops or cond.certifies_no_loops
-    ] + [exact]
-    prepare = _BenchRow("prepare", Prepared)
+def _bench_table(seqs, loops: bool, repeat: int) -> tuple[list, list]:
+    """Time, on each record, every check the policy allows and the exact
+    check, each as ``check --method`` calls it; return the report, header
+    first, and the records the exact check found not graphic."""
+    labels = [
+        cond.value for cond in Condition if loops or cond.certifies_no_loops
+    ] + ["exact"]
+    rows = [(label, _decider(label, loops), []) for label in labels]
+    certified = Counter()
+    not_graphic = []  # only the exact check finds a record not graphic
 
     clock = time.perf_counter_ns
     for seq in seqs:
         for rep in range(repeat):
-            t0 = clock()
-            prep = prepare.call(seq)
-            prepare.samples.append(clock() - t0)
-            for row in checks:
-                call = row.call
+            for label, call, samples in rows:
                 t0 = clock()
-                outcome = call(seq, prep)
-                row.samples.append(clock() - t0)
+                outcome = call(seq)
+                samples.append(clock() - t0)
                 if rep == 0 and outcome.verdict is Verdict.GRAPHIC:
-                    row.certified += 1
+                    certified[label] += 1
+                elif rep == 0 and outcome.verdict is Verdict.NOT_GRAPHIC:
+                    not_graphic.append(seq)
 
     # a check leaves each record it does not certify inconclusive, the
     # exact check finds it not graphic
-    records, graphic = len(seqs), exact.certified
+    records, graphic = len(seqs), certified["exact"]
     table = [_BENCH_COLUMNS]
-    for row in checks:
-        missed = records - row.certified
-        counts = (0, missed) if row is exact else (missed, 0)
-        coverage = f"{row.certified / graphic:.4f}" if graphic else "n/a"
+    for label, _, samples in rows:
+        missed = records - certified[label]
+        counts = (0, missed) if label == "exact" else (missed, 0)
+        coverage = f"{certified[label] / graphic:.4f}" if graphic else "n/a"
         table.append(
-            (row.label, row.certified, *counts, coverage, *_median_p99(row.samples))
+            (label, certified[label], *counts, coverage, *_median_p99(samples))
         )
-    table.append(("prepare", 0, 0, 0, "n/a", *_median_p99(prepare.samples)))
-    return table
+    return table, not_graphic
 
 
 def _add_loop_flags(parser):

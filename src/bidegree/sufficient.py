@@ -293,11 +293,11 @@ def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
 
     Scans exception-set sizes ``R = 0, 1, 2, ...`` over the nodes of
     largest in-degree.  With ``P`` the in-degree mass of the set, the scan
-    continues while ``P < n*m`` and ``m*(n - R - 1) >= P``; a given ``R``
-    certifies when the out-degree mass of the set is also at most ``P``,
-    the remaining maximum degree fits the adjusted mean/min bound, and
-    ``k <= M`` or ``k*m <= m*(n - R) - P``.  ``R = 0`` coincides with the
-    thm5 test.
+    continues while ``m*(n - R - 1) >= P``, which keeps ``P < n*m``; a
+    given ``R`` certifies when the out-degree mass of the set is also at
+    most ``P``, the remaining maximum degree fits the adjusted mean/min
+    bound, and ``k <= M`` or ``k*m <= m*(n - R) - P``.  ``R = 0``
+    coincides with the thm5 test.
     """
     st = seq.stats
     n, S, m = st.n, st.total, st.min_degree
@@ -308,7 +308,9 @@ def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     suffix_max = prep.suffix_pair_max
     P = Q = 0  # in- and out-degree mass of the first R pairs
     for R, (x, y) in enumerate(prep.sorted_pairs):
-        if P >= n * m or m * (n - R - 1) < P:
+        # this also stops the scan once P >= n*m: with m >= 1 and R >= 0,
+        # m*(n - R - 1) <= m*(n - 1) < m*n <= P
+        if m * (n - R - 1) < P:
             break
         if Q <= P:
             M_rest = suffix_max[R]

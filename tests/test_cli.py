@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 import bidegree as bd
-from bidegree import cli
+from bidegree import cli, sufficient
 from bidegree.cli import format_record, main, parse_record
 from bidegree.generate import SplitMix64
-from bidegree.sufficient import Prepared
 from conftest import sequence_pairs
 
 TEN_NODE_RECORD = "6,6,6,6,6,4,2,2,1,1;6,6,6,6,6,4,2,2,1,1"
@@ -467,7 +466,7 @@ class TestBench:
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         assert set(rows) == {
             "thm2", "thm3", "thm4", "thm5", "thm6", "cor2", "cor3", "cor5",
-            "exact", "prepare",
+            "exact",
         }
         exact_graphic = int(rows["exact"][1])
         for code_name in ("thm2", "thm3", "thm4", "thm5", "thm6", "cor2",
@@ -484,37 +483,35 @@ class TestBench:
 
     @pytest.mark.parametrize("loops", [True, False])
     def test_certified_counts_match_the_checks(self, loops):
-        """Each row counts the records its check finds graphic; the text
-        and CSV reports agree on every count column."""
+        """Each row counts the verdicts ``check --method`` prints for its
+        code under the same policy; the text and CSV reports agree on
+        every count column."""
         corpus = UNIFORM_N40 + generated(
             "--kind", "powerlaw", "--n", "30", "--exponent", "2.5",
             "--count", "20", "--seed", "5") + COUNTEREXAMPLE_RECORD + "\n"
         corpus += "1;1\n"  # graphic only with a loop
-        seqs = [parse_record(line) for line in corpus.splitlines()]
+        records = len(corpus.splitlines())
         policy = ["--loops"] if loops else ["--no-loops"]
-        exact = bd.check_with_loops if loops else bd.check_no_loops
-        expected = {"exact": sum(exact(seq).is_graphic for seq in seqs)}
-        assert 0 < expected["exact"] < len(seqs)
-        for cond in bd.Condition:
-            if loops or cond.certifies_no_loops:
-                expected[cond.value] = sum(
-                    cond.check(seq, Prepared(seq)).is_graphic for seq in seqs)
 
         code, csv, err = run_cli(["bench", "--format", "csv", *policy], corpus)
         assert (code, err) == (0, "")
         header, *csv_rows = [line.split(",") for line in csv.splitlines()]
-        certified = {row[0]: int(row[1]) for row in csv_rows}
-        assert certified == {**expected, "prepare": 0}
-        # a check leaves what it misses inconclusive, the exact check
-        # finds it not graphic
-        for label, _, inconclusive, not_graphic, *_ in csv_rows[:-1]:
-            missed = len(seqs) - certified[label]
-            assert (int(inconclusive), int(not_graphic)) == (
-                (0, missed) if label == "exact" else (missed, 0))
+        assert [row[0] for row in csv_rows] == [
+            cond.value for cond in bd.Condition
+            if loops or cond.certifies_no_loops] + ["exact"]
+        for label, certified, inconclusive, not_graphic, *_ in csv_rows:
+            _, out, _ = run_cli(["check", "--method", label, *policy], corpus)
+            verdicts = [line.split()[0] for line in out.splitlines()]
+            assert len(verdicts) == records
+            assert (int(certified), int(inconclusive), int(not_graphic)) == tuple(
+                verdicts.count(v)
+                for v in ("GRAPHIC", "INCONCLUSIVE", "NOT_GRAPHIC"))
+        exact_graphic = int(csv_rows[-1][1])
+        assert 0 < exact_graphic < records
         code, text, err = run_cli(["bench", *policy], corpus)
         assert (code, err) == (0, "")
-        # records=..., a note, then the header and one line per row
-        text_rows = [line.split() for line in text.splitlines()[2:]]
+        # records=..., then the header and one line per row
+        text_rows = [line.split() for line in text.splitlines()[1:]]
         assert [row[COUNT_COLUMNS] for row in text_rows[:len(csv_rows) + 1]] == [
             row[COUNT_COLUMNS] for row in [header, *csv_rows]]
 
@@ -542,9 +539,29 @@ class TestBench:
         assert (code, err, calls) == (0, "", [])
         assert "violated" not in out
         code, out, err = run_cli(["bench"], all_graphic + COUNTEREXAMPLE_RECORD)
-        assert (code, err, len(calls)) == (0, "", 3)
+        assert (code, err) == (0, "")
+        # only on the record the timed exact row found not graphic
+        assert calls == [parse_record(COUNTEREXAMPLE_RECORD)]
         assert out.splitlines()[-1] == (
             "violated indices over non-graphic records: j=3:1")
+
+    def test_cor5_row_builds_its_own_profile(self, monkeypatch):
+        """cor5's row times the sorted profile with the check, as ``check
+        --method cor5`` and ``certify`` build it: one per record and
+        repetition, none built outside the timed call."""
+        built = []
+
+        class CountedPrepared(sufficient.Prepared):
+            def __init__(self, seq):
+                built.append(seq)
+                super().__init__(seq)
+
+        monkeypatch.setattr(sufficient, "Prepared", CountedPrepared)
+        seqs = [parse_record(line) for line in UNIFORM_N40.splitlines()]
+        assert min(seq.stats.min_degree for seq in seqs) >= 1
+        code, out, err = run_cli(["bench", "--repeat", "2"], UNIFORM_N40)
+        assert (code, err) == (0, "")
+        assert built == [seq for seq in seqs for _ in range(2)]
 
     def test_sum_mismatch_records_are_counted_not_timed(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -680,6 +697,43 @@ class TestInputErrors:
             parse_record(line)
         assert str(info.value) == message
         code, out, err = run_cli(["check"], line + "\n1;1\n")
+        assert (code, out) == (3, "GRAPHIC thm3 Ma=1 Mb=1\n")
+        assert err == f"line 1: {message}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        (";", "plain entries must not be empty"),
+        ("1,;1,0", "plain entries must not be empty"),
+        (",1;0,1", "plain entries must not be empty"),
+        ("1;1,", "plain entries must not be empty"),
+        ("1;1;1", "plain record needs exactly one ';'"),
+    ], ids=["lone-semicolon", "empty-in-last", "empty-in-first", "empty-out-last",
+            "two-semicolons"])
+    def test_plain_record_shape(self, line, message):
+        """An empty entry or a second ';' is one malformed record, with a
+        message of its own rather than int()'s."""
+        with pytest.raises(bd.BidegreeError) as info:
+            parse_record(line)
+        assert str(info.value) == message
+        code, out, err = run_cli(["check"], line + "\n1;1\n")
+        assert (code, out) == (3, "GRAPHIC thm3 Ma=1 Mb=1\n")
+        assert err == f"line 1: {message}\n"
+
+    def test_plain_entry_past_the_int_digit_limit(self):
+        """int() also refuses an entry longer than the interpreter's digit
+        limit; the first bad entry in line order names the message, so
+        such an entry before an empty one keeps int()'s own."""
+        long_entry = "9" * 5000
+        try:
+            int(long_entry)
+            message = "plain entries must not be empty"  # no limit set
+        except ValueError as exc:
+            message = str(exc)
+        with pytest.raises(ValueError) as info:
+            parse_record(f"{long_entry},;1,1")
+        assert str(info.value) == message
+        with pytest.raises(bd.BidegreeError, match="must not be empty"):
+            parse_record(f"1,;{long_entry},1")
+        code, out, err = run_cli(["check"], f"1;{long_entry},\n1;1\n")
         assert (code, out) == (3, "GRAPHIC thm3 Ma=1 Mb=1\n")
         assert err == f"line 1: {message}\n"
 
