@@ -208,8 +208,9 @@ def pad_bipartite(row_sums, col_sums) -> BidegreeSequence:
 def _canonical_pairs(seq: BidegreeSequence) -> list[tuple[int, int]]:
     """(in, out) pairs, in-degree descending, ties by out-degree descending.
 
-    The one canonical order: :func:`sort_canonical`, the loop-free exact
-    check and the heavy-tail certificate all read it.
+    The one canonical order: :func:`sort_canonical` and the loop-free
+    exact check read it, and the heavy-tail certificate reads it grouped
+    into counts of distinct pairs.
     """
     return sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
 

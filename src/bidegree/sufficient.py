@@ -4,8 +4,10 @@ Each check either certifies graphicality or reports INCONCLUSIVE, never
 NOT_GRAPHIC.  Most read only ``seq.stats``, the summary that validation
 computed (node count ``n``, degree sum ``S``, minimum ``m``, maxima
 ``Ma``/``Mb``/``M``); the equal-vector check also compares the two
-vectors, and the heavy-tail check walks the canonical pair order, which
-:class:`Prepared` holds for it.  The conditions, by the CLI code used to
+vectors, and the heavy-tail check walks the canonical pair order as a
+count of distinct pairs, which :class:`Prepared` holds for it.  Its cost
+is an O(n) necessary test with no sort plus, only when that passes, the
+profile of distinct pairs.  The conditions, by the CLI code used to
 select them:
 
 ======  ========================  =======================================
@@ -40,12 +42,13 @@ tuples.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
 from typing import Optional
 
-from .core import BidegreeSequence, _canonical_pairs
+from .core import BidegreeSequence
 from .errors import Infeasible, InvalidStats
 from .exact import (
     INCONCLUSIVE,
@@ -104,21 +107,34 @@ class BoundTable:
 
 
 class Prepared:
-    """The heavy-tail check's sorted profile of one sequence.
+    """The heavy-tail check's counted pair profile of one sequence.
 
-    ``sorted_pairs`` is the canonical pair order and
-    ``suffix_pair_max[r]`` the largest degree among positions ``>= r``.
-    Built once, it makes :func:`check_cor5` cost only the prefix it
-    scans; every other check reads ``seq.stats`` and ignores it.
+    ``pair_counts`` lists the distinct ``((in, out), count)`` pairs in
+    canonical order, and ``suffix_group_max[g]`` is the largest degree
+    among groups ``>= g``.  Equal pairs are interchangeable, so every
+    quantity :func:`check_cor5` reads is the same as on the full sorted
+    order.  The profile is built only when :func:`_cor5_may_fire` passes,
+    an O(n) necessary test that needs no sort; otherwise both are empty
+    and cor5 is inconclusive without a scan.  Built once, it makes
+    :func:`check_cor5` cost only the prefix it scans; every other check
+    reads ``seq.stats`` and ignores it.
     """
 
     def __init__(self, seq: BidegreeSequence):
-        self.sorted_pairs = _canonical_pairs(seq)
+        self.pair_counts = []
+        self.suffix_group_max = []
+        if not _cor5_may_fire(seq):
+            return
+        self.pair_counts = sorted(
+            Counter(zip(seq.in_degrees, seq.out_degrees)).items(), reverse=True
+        )
         suffix_max = list(
-            accumulate(map(max, reversed(self.sorted_pairs)), max)
+            accumulate(
+                (max(pair) for pair, _ in reversed(self.pair_counts)), max
+            )
         )
         suffix_max.reverse()
-        self.suffix_pair_max = suffix_max
+        self.suffix_group_max = suffix_max
 
 
 def prepare(seq: BidegreeSequence) -> Prepared:
@@ -288,6 +304,52 @@ def check_cor3(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     return _multiplicity(seq, Condition.MULTIPLICITY_NO_LOOPS, True)
 
 
+def _cor5_may_fire(seq: BidegreeSequence) -> bool:
+    """False only when :func:`check_cor5` cannot certify ``seq``.
+
+    At most two O(n) passes over the vectors and no sort; :class:`Prepared`
+    runs it before building any profile.
+    """
+    st = seq.stats
+    n, S, m = st.n, st.total, st.min_degree
+    if m < 1:
+        return False
+    # cor5 fires at R only if every degree above cap = thm5's Mmax sits
+    # among the first R pairs.  At each R the scan tests, P >= R*m (each
+    # set-aside in-degree is >= m), so the numerator S - n*m - P + R*m is
+    # at most thm5's S - n*m >= 0; the discriminant m^2 + S + R*m - 2*m*n
+    # grows with R, so k_R >= k_thm5 (k = 1 when it is negative, and
+    # k_R >= m >= 1 otherwise).  Hence Mmax(R) <= cap, and M_rest <=
+    # Mmax(R) puts every pair with a degree above cap before position R.
+    cap = _mean_min_bound(n, S, m, 0)[1]
+    if st.max_degree <= cap:
+        return True
+    # The scan tests R iff m*(n - R - 1) >= P_R, the mass of the R largest
+    # in-degrees.  The left side falls with R and P_R never does, so the
+    # tested R are 0..R_last, and testing some R tests every smaller one.
+    # Every pair with a degree above cap must come before a tested R:
+    # (A) the h in-degrees above cap are the h largest, so R = h is tested;
+    # (B) let u be the least in-degree of a node with an out-degree above
+    #     cap.  Pairs go by in-degree first, so that node comes after
+    #     every in-degree above u, and R = #(in-degrees > u) + 1 is tested,
+    #     with P_R = (their sum) + u.  Among pairs of in-degree u the order
+    #     goes by out-degree, so the node may come first there.
+    # When u > cap the node counts among (A)'s h, so (A)'s R is the larger;
+    # otherwise (B)'s is.  Testing the larger R tests both, and as some
+    # degree exceeds cap, that R is at least 1.
+    a = seq.in_degrees
+    u = cap + 1  # no out-degree above cap: (A) alone
+    if st.max_out > cap:
+        u = min([x for x, y in zip(a, seq.out_degrees) if y > cap])
+    if u > cap:
+        top = [x for x in a if x > cap]
+        R, P = len(top), sum(top)
+    else:
+        top = [x for x in a if x > u]
+        R, P = len(top) + 1, sum(top) + u
+    return m * (n - R - 1) >= P
+
+
 def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
     """Heavy-tail certificate (graphic with loops).
 
@@ -298,6 +360,11 @@ def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     most ``P``, the remaining maximum degree fits the adjusted mean/min
     bound, and ``k <= M`` or ``k*m <= m*(n - R) - P``.  ``R = 0``
     coincides with the thm5 test.
+
+    The scan walks ``prep``'s counted pair profile, expanding a group only
+    as far as it gets.  Its cost is :class:`Prepared`'s O(n) prefilter
+    plus, when that passes, a profile of the distinct pairs; a sequence
+    the prefilter rejects has an empty profile and no scan.
     """
     st = seq.stats
     n, S, m = st.n, st.total, st.min_degree
@@ -305,31 +372,33 @@ def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
         return INCONCLUSIVE
     if prep is None:
         prep = Prepared(seq)
-    suffix_max = prep.suffix_pair_max
-    P = Q = 0  # in- and out-degree mass of the first R pairs
-    for R, (x, y) in enumerate(prep.sorted_pairs):
-        # this also stops the scan once P >= n*m: with m >= 1 and R >= 0,
-        # m*(n - R - 1) <= m*(n - 1) < m*n <= P
-        if m * (n - R - 1) < P:
-            break
-        if Q <= P:
-            M_rest = suffix_max[R]
-            k, _ = _kstar(n, S + R * m, m, 0)
-            m_max = min((S - n * m - P + R * m) // k + m, n)
-            if M_rest <= m_max and (k <= M_rest or k * m <= m * (n - R) - P):
-                return _graphic(
-                    Condition.HEAVY_TAIL,
-                    R=R,
-                    P=P,
-                    k=k,
-                    Mmax=m_max,
-                    M=M_rest,
-                    m=m,
-                    n=n,
-                    S=S,
-                )
-        P += x
-        Q += y
+    R = P = Q = 0  # set-aside size, its in- and out-degree mass
+    for ((x, y), count), M_rest in zip(prep.pair_counts, prep.suffix_group_max):
+        for _ in range(count):
+            # this also stops the scan once P >= n*m: with m >= 1 and
+            # R >= 0, m*(n - R - 1) <= m*(n - 1) < m*n <= P
+            if m * (n - R - 1) < P:
+                return INCONCLUSIVE
+            if Q <= P:
+                k, _ = _kstar(n, S + R * m, m, 0)
+                m_max = min((S - n * m - P + R * m) // k + m, n)
+                if M_rest <= m_max and (
+                    k <= M_rest or k * m <= m * (n - R) - P
+                ):
+                    return _graphic(
+                        Condition.HEAVY_TAIL,
+                        R=R,
+                        P=P,
+                        k=k,
+                        Mmax=m_max,
+                        M=M_rest,
+                        m=m,
+                        n=n,
+                        S=S,
+                    )
+            R += 1
+            P += x
+            Q += y
     return INCONCLUSIVE
 
 

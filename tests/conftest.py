@@ -67,12 +67,16 @@ def compositions(total, slots, cap):
 
 
 @st.composite
-def sequence_pairs(draw, max_n=12, max_degree=None):
-    """Hypothesis strategy for valid bidegree sequences."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def sequence_pairs(draw, max_n=12, max_degree=None, min_degree=0):
+    """Hypothesis strategy for valid bidegree sequences.
+
+    Entries are drawn from ``[min_degree..cap]``; the repair only raises
+    entries, so the minimum holds whenever ``n >= min_degree``.
+    """
+    n = draw(st.integers(min_value=max(1, min_degree), max_value=max_n))
     cap = min(n, max_degree) if max_degree is not None else n
-    a = draw(st.lists(st.integers(0, cap), min_size=n, max_size=n))
-    b = draw(st.lists(st.integers(0, cap), min_size=n, max_size=n))
+    a = draw(st.lists(st.integers(min_degree, cap), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(min_degree, cap), min_size=n, max_size=n))
     diff = sum(a) - sum(b)
     lo = b if diff > 0 else a
     # repair the smaller-sum vector to equalize sums, respecting the cap

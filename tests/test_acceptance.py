@@ -378,7 +378,7 @@ def test_c8_constant_time_certificates_vs_linear_exact():
 
     Medians over >= 100 repetitions, timing n=1e3 and n=1e6 alternately;
     sufficient checks read the stats validation found, and cor5 a prepared
-    sorted profile; the exact check runs cold.
+    counted pair profile; the exact check runs cold.
     """
     checks = (bd.check_thm2, bd.check_thm3, bd.check_thm4, bd.check_thm5,
               bd.check_thm6, bd.check_cor2, bd.check_cor3, bd.check_cor5)

@@ -1,5 +1,6 @@
 from collections import Counter
 from decimal import Decimal, getcontext
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
-from bidegree.core import SequenceStats
-from bidegree.exact import Verdict
+from bidegree.core import SequenceStats, _canonical_pairs
+from bidegree.exact import INCONCLUSIVE, Verdict
 from bidegree.generate import SplitMix64
 from bidegree.sufficient import Condition, Prepared
 from conftest import conjugate_sum_direct, equal_sum_vector_pairs, sequence_pairs
@@ -250,16 +251,26 @@ class TestCor5:
         seq = bd.new_sequence((1, 1, 0), (1, 1, 0))
         assert bd.check_cor5(seq).verdict is Verdict.INCONCLUSIVE
 
-    @given(sequence_pairs(max_n=30))
+    @given(sequence_pairs(max_n=30, max_degree=5, min_degree=1))
     @settings(max_examples=200)
-    def test_suffix_pair_max_is_the_suffix_maximum(self, seq):
+    def test_pair_profile_expands_to_the_canonical_order(self, seq):
+        """Small degrees repeat pairs and mostly pass the prefilter, so
+        most examples build a profile."""
         if seq is None:
             return
         prep = Prepared(seq)
-        pairs = prep.sorted_pairs
-        assert len(prep.suffix_pair_max) == len(pairs) == seq.n
-        for r in range(seq.n):
-            assert prep.suffix_pair_max[r] == max(max(p) for p in pairs[r:])
+        assert len(prep.suffix_group_max) == len(prep.pair_counts)
+        if not prep.pair_counts:
+            return
+        expanded = []
+        starts = []
+        for pair, count in prep.pair_counts:
+            assert count >= 1
+            starts.append(len(expanded))
+            expanded += [pair] * count
+        assert expanded == _canonical_pairs(seq)
+        for start, group_max in zip(starts, prep.suffix_group_max):
+            assert group_max == max(max(p) for p in expanded[start:])
 
 
 class TestMinimizer:
@@ -453,6 +464,34 @@ class TestCertify:
                 assert out.verdict is not Verdict.NOT_GRAPHIC
 
 
+def reference_cor5(seq):
+    """check_cor5 as it was on the full sorted pair order: a sort of all
+    n pairs and a suffix maximum per position.  Test-only reference."""
+    n, S, m = seq.stats.n, seq.stats.total, seq.stats.min_degree
+    if m < 1:
+        return INCONCLUSIVE
+    pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
+    suffix_max = list(accumulate(map(max, reversed(pairs)), max))
+    suffix_max.reverse()
+    P = Q = 0
+    for R, (x, y) in enumerate(pairs):
+        if m * (n - R - 1) < P:
+            break
+        if Q <= P:
+            M_rest = suffix_max[R]
+            k, _ = bd.kstar_with_loops(n, S + R * m, m)
+            m_max = min((S - n * m - P + R * m) // k + m, n)
+            if M_rest <= m_max and (k <= M_rest or k * m <= m * (n - R) - P):
+                params = dict(R=R, P=P, k=k, Mmax=m_max, M=M_rest, m=m, n=n, S=S)
+                return bd.CheckOutcome(
+                    Verdict.GRAPHIC,
+                    certificate=bd.Certificate(Condition.HEAVY_TAIL, params),
+                )
+        P += x
+        Q += y
+    return INCONCLUSIVE
+
+
 # The certify ladders as they were before pruning to the rungs that can
 # fire first: every condition, cheapest first.  Test-only reference.
 REFERENCE_LOOPS_LADDER = (
@@ -566,6 +605,88 @@ class TestPrunedLadder:
                             assert fires(bd.check_thm5, n, S, m, M), (n, S, m, M)
                         checked += 1
         assert checked > 700_000
+
+
+class TestCor5Reference:
+    """The counted profile and its prefilter give check_cor5 the outcome,
+    certificate parameters included, of the sort-based reference."""
+
+    @staticmethod
+    def assert_matches_reference(seqs):
+        for seq in seqs:
+            assert bd.check_cor5(seq) == reference_cor5(seq), seq
+
+    @pytest.fixture(scope="class")
+    def powerlaw_n2000(self):
+        """The first 100 records of perfbench's powerlaw-n2000 corpus at
+        seed 77."""
+        return [bd.gen_powerlaw(2000, 2.5, seed=77_000_000 + i) for i in range(100)]
+
+    def test_exhaustive_small(self):
+        self.assert_matches_reference(
+            bd.new_sequence(a, b)
+            for n in range(1, 5)
+            for a, b in equal_sum_vector_pairs(n, n)
+        )
+
+    def test_pruned_ladder_fuzz_records(self):
+        """The 20k records of TestPrunedLadder.test_fuzz."""
+        rng = SplitMix64(4242)
+        for _ in range(20_000):
+            n = rng.randint(1, 30)
+            m = rng.randint(0, min(3, n))
+            M = rng.randint(m, n)
+            S = rng.randint(n * m, n * M)
+            seq = bd.gen_uniform(n, S, m, M, seed=rng.next_u64())
+            assert bd.check_cor5(seq) == reference_cor5(seq), seq
+
+    def test_powerlaw_n2000(self, powerlaw_n2000):
+        self.assert_matches_reference(powerlaw_n2000)
+
+    def test_prefilter_counts_on_powerlaw_n2000(self, powerlaw_n2000):
+        """Of the records that reach cor5 in the ladder (thm3 and thm5 both
+        fail), the prefilter leaves 24 of 30 without a profile."""
+        reach = [
+            seq
+            for seq in powerlaw_n2000
+            if not bd.check_thm3(seq).is_graphic
+            and not bd.check_thm5(seq).is_graphic
+        ]
+        empty = [seq for seq in reach if not Prepared(seq).pair_counts]
+        assert (len(reach), len(empty)) == (30, 24)
+
+    @pytest.mark.parametrize(
+        "a, b, R",
+        [
+            # u = 3 (the out-degree 5), one in-degree above it: the prefix
+            # of R = 2 with P = 4 + 3 = 7 is tested at m*(n - R - 1) = 7
+            ((3, 1, 1, 1, 3, 1, 3, 1, 4, 3), (5, 1, 2, 3, 1, 3, 1, 2, 1, 2), 2),
+            # (3, 11) leads the pairs of in-degree u = 3, so the others
+            # need not be set aside: R = 3 + 1 with P = 7 + 7 + 5 + 3
+            (
+                (3, 1, 3, 3, 2, 1, 2, 2, 3, 2, 5, 3, 1, 1, 3, 2,
+                 2, 7, 2, 7, 3, 1, 1, 3, 3, 1, 3, 3, 2, 1, 3),
+                (11, 6, 3, 2, 3, 3, 1, 1, 5, 3, 3, 2, 3, 3, 2, 1,
+                 3, 1, 1, 2, 3, 1, 2, 1, 1, 1, 1, 2, 2, 3, 3),
+                4,
+            ),
+        ],
+    )
+    def test_prefilter_passes_at_its_bound(self, a, b, R):
+        """cor5 fires on records where the prefilter's bound is tight."""
+        seq = bd.new_sequence(a, b)
+        out = bd.check_cor5(seq)
+        assert out == reference_cor5(seq)
+        assert out.certificate.parameters["R"] == R
+        assert not bd.check_thm5(seq).is_graphic
+
+    @given(sequence_pairs(max_n=30, min_degree=1))
+    @settings(max_examples=500)
+    def test_empty_profile_never_certifies(self, seq):
+        if seq is None:
+            return
+        if not Prepared(seq).pair_counts:
+            assert not reference_cor5(seq).is_graphic
 
 
 class TestSoundness:
