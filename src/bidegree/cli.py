@@ -45,7 +45,6 @@ import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import fields, replace
 
 from .core import BidegreeSequence, new_sequence
 from .errors import BidegreeError, SumMismatch
@@ -63,13 +62,14 @@ from .sufficient import Condition, bound_table, certify
 
 __all__ = ["main", "entry", "parse_record", "format_record"]
 
-# what a plain record may hold once its ends are stripped; int() also
-# takes '+', '_', inner spaces, non-ASCII digits and leading zeros, which
-# would not print back as they were read
+# what a plain record may hold once its ends are stripped; the JSON
+# decoder also takes inner whitespace, signs, fractions and brackets,
+# which would not print back as they were read
 _PLAIN_CHARS = str.maketrans("", "", "0123456789,;")
 # an entry with a leading zero, searched for with ',' put before every
 # entry: a pattern that starts with a literal is scanned for in C, one
-# that starts with an alternation is tried at every position (10x slower)
+# that starts with an alternation is tried at every position (10x slower).
+# Only a line the JSON decoder rejected is searched, to word its error.
 _LEADING_ZERO = re.compile(",(0[0-9]+)")
 
 
@@ -104,26 +104,38 @@ def parse_record(line: str) -> BidegreeSequence:
         raise BidegreeError(
             f"plain entries must be ASCII digits, got {stray[0]!r}"
         )
+    # digits, ',' and ';' left: the line is the body of a JSON array of
+    # arrays, one per ';'-separated side.  JSON's grammar rejects leading
+    # zeros and empty entries, though not an empty side ('[]').
+    try:
+        sides = json.loads("[[" + text.replace(";", "],[") + "]]")
+    except ValueError:
+        _raise_plain_error(text)
+        raise  # not reached: it raises for every line JSON rejects
+    if len(sides) != 2:
+        raise BidegreeError("plain record needs exactly one ';'")
+    left, right = sides
+    if not left or not right:
+        raise BidegreeError("plain entries must not be empty")
+    return new_sequence(left, right)
+
+
+def _raise_plain_error(text: str):
+    """Raise the error of the first rule a plain line of ASCII digits,
+    ',' and ';' breaks, checked in this order: a leading zero, a second
+    ';', then the first entry, in line order, that is empty or past
+    int()'s digit limit, which keeps int()'s own message."""
     padded = _LEADING_ZERO.search("," + text.replace(";", ","))
     if padded:
         raise BidegreeError(
             f"plain entries must not have leading zeros, got {padded[1]!r}"
-        )
-    left, right = text.split(";", 1)
-    if ";" in right:
-        raise BidegreeError("plain record needs exactly one ';'")
-    try:
-        return new_sequence(map(int, left.split(",")), map(int, right.split(",")))
-    except BidegreeError:
-        raise
-    except ValueError:
-        # int() failed on the first entry that is empty or past its digit
-        # limit; the empty one gets a message of ours, the other keeps int()'s
-        for entry in (*left.split(","), *right.split(",")):
-            if not entry:
-                raise BidegreeError("plain entries must not be empty") from None
-            int(entry)
-        raise
+        ) from None
+    if text.count(";") > 1:
+        raise BidegreeError("plain record needs exactly one ';'") from None
+    for entry in text.replace(";", ",").split(","):
+        if not entry:
+            raise BidegreeError("plain entries must not be empty") from None
+        int(entry)
 
 
 def format_record(seq: BidegreeSequence) -> str:
@@ -217,13 +229,15 @@ def _decider(method: str, loops: bool, fallback_exact: bool = False):
 def _cmd_check(args, stdin, stdout, stderr) -> int:
     decide = _decider(args.method, args.loops, args.fallback_exact)
     seen: set = set()
+    # one write per line: print() writes the line and its end apart, two
+    # system calls each on an unbuffered stdout (PYTHONUNBUFFERED)
     for _, seq in _records(args.input, stdin, stderr, seen):
         if seq is None:
-            print(_SUM_MISMATCH, file=stdout)
+            stdout.write(_SUM_MISMATCH + "\n")
             continue
         outcome = decide(seq)
         seen.add(_EXIT_CODE[outcome.verdict])
-        print(_outcome_line(outcome, args.method), file=stdout)
+        stdout.write(_outcome_line(outcome, args.method) + "\n")
     return _exit_code(seen)
 
 
@@ -258,19 +272,19 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
                 seen.add(3)
                 continue
         if not first:
-            print(file=stdout)  # blank separator between records
+            stdout.write("\n")  # blank separator between records
         first = False
         if seq is None:
-            print(_SUM_MISMATCH, file=stdout)
+            stdout.write(_SUM_MISMATCH + "\n")
         elif isinstance(result, CheckOutcome):
             seen.add(_EXIT_CODE[result.verdict])
-            print(f"NOT_GRAPHIC j={result.witness}", file=stdout)
+            stdout.write(f"NOT_GRAPHIC j={result.witness}\n")
         elif args.format == "dense":
             for i in range(result.n):
-                print(result.row_string(i), file=stdout)
+                stdout.write(result.row_string(i) + "\n")
         else:
             for src, dst in result.edges():
-                print(f"{src} {dst}", file=stdout)
+                stdout.write(f"{src} {dst}\n")
     return _exit_code(seen)
 
 
@@ -281,10 +295,10 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
     try:
         # the generator flags are parsed under GeneratorSpec's field names
         spec = GeneratorSpec(
-            **{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)}
+            **{name: getattr(args, name) for name in GeneratorSpec._fields}
         )
         for i in range(args.count):
-            seq = generate_sequence(replace(spec, seed=spec.seed + i))
+            seq = generate_sequence(spec._replace(seed=spec.seed + i))
             print(format_record(seq), file=stdout)
     except BidegreeError as exc:
         print(f"error: {exc}", file=stderr)

@@ -13,8 +13,7 @@ rescans a record for its summary integers.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import sub
 
@@ -38,8 +37,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SequenceStats:
+class SequenceStats(
+    namedtuple(
+        "SequenceStats", "n total min_degree max_in max_out max_degree"
+    )
+):
     """Exact integer summary of a sequence.
 
     ``total`` is the shared degree sum (``n`` times the average degree,
@@ -47,30 +49,23 @@ class SequenceStats:
     ``min_degree`` ranges over the concatenation of both vectors.
     """
 
-    n: int
-    total: int
-    min_degree: int
-    max_in: int
-    max_out: int
-    max_degree: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BidegreeSequence:
     """Paired in-degree and out-degree vectors of equal length and equal sum.
 
     Entries may equal ``n`` (legal when loops are allowed); the loop-free
     checks treat an entry equal to ``n`` as immediately non-graphic rather
     than rejecting it at construction.  ``stats`` is the summary that
-    validation computes on the way; equality and hashing ignore it.
+    validation computes on the way; equality, hashing and the repr read
+    only the two vectors.  Instances are immutable.
     """
 
-    in_degrees: tuple[int, ...]
-    out_degrees: tuple[int, ...]
-    stats: SequenceStats = field(init=False, repr=False, compare=False)
+    __slots__ = ("in_degrees", "out_degrees", "stats")
 
-    def __post_init__(self):
-        a, b = self.in_degrees, self.out_degrees
+    def __init__(self, in_degrees: tuple[int, ...], out_degrees: tuple[int, ...]):
+        a, b = in_degrees, out_degrees
         if len(a) == 0 or len(b) == 0:
             raise LengthMismatch("degree vectors must be nonempty")
         if len(a) != len(b):
@@ -86,10 +81,41 @@ class BidegreeSequence:
             raise SumMismatch(
                 f"sum of in-degrees {total} != sum of out-degrees {sum(b)}"
             )
-        st = SequenceStats(
-            n, total, min(min_in, min_out), max_in, max_out, max(max_in, max_out)
+        _set_in(self, a)
+        _set_out(self, b)
+        _set_stats(
+            self,
+            SequenceStats(
+                n, total, min(min_in, min_out), max_in, max_out, max(max_in, max_out)
+            ),
         )
-        object.__setattr__(self, "stats", st)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.in_degrees == other.in_degrees
+            and self.out_degrees == other.out_degrees
+        )
+
+    def __hash__(self):
+        return hash((self.in_degrees, self.out_degrees))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(in_degrees={self.in_degrees!r}, "
+            f"out_degrees={self.out_degrees!r})"
+        )
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which validates again
+        return type(self), (self.in_degrees, self.out_degrees)
 
     @property
     def n(self) -> int:
@@ -98,6 +124,14 @@ class BidegreeSequence:
     def pairs(self) -> list[tuple[int, int]]:
         """Per-node (in-degree, out-degree) pairs in input order."""
         return list(zip(self.in_degrees, self.out_degrees))
+
+
+# the slots' own setters: __init__ fills each slot once, past the
+# __setattr__ that keeps instances immutable, and faster than
+# object.__setattr__, which looks the name up on every call
+_set_in = BidegreeSequence.in_degrees.__set__
+_set_out = BidegreeSequence.out_degrees.__set__
+_set_stats = BidegreeSequence.stats.__set__
 
 
 def _raise_first_out_of_range(a, b, n: int):
@@ -112,8 +146,7 @@ def _raise_first_out_of_range(a, b, n: int):
                 )
 
 
-@dataclass(frozen=True)
-class ConjugateProfile:
+class ConjugateProfile(namedtuple("ConjugateProfile", "cumulative counts")):
     """Cumulative conjugate sums of an out-degree vector.
 
     ``counts[i - 1]`` is the number of entries that are >= ``i`` for
@@ -123,8 +156,7 @@ class ConjugateProfile:
     ``j`` reaches the maximum entry.
     """
 
-    cumulative: tuple[int, ...]
-    counts: tuple[int, ...]
+    __slots__ = ()
 
 
 def new_sequence(in_degrees, out_degrees) -> BidegreeSequence:

@@ -32,10 +32,9 @@ search) and reports whether any matches the margins.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, combinations
 from operator import sub
-from typing import Optional
 
 from .core import (
     BidegreeSequence,
@@ -66,19 +65,20 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(
+    namedtuple(
+        "CheckOutcome", "verdict witness certificate", defaults=(None, None)
+    )
+):
     """Result of a graphicality check.
 
     ``witness`` is a violated inequality index (exact checks only);
     ``certificate`` names the sufficient condition that fired (only on
     GRAPHIC outcomes from :mod:`bidegree.sufficient`).  Exact checks never
-    return INCONCLUSIVE.
+    return INCONCLUSIVE.  Both default to None.
     """
 
-    verdict: Verdict
-    witness: Optional[int] = None
-    certificate: Optional[object] = None
+    __slots__ = ()
 
     @property
     def is_graphic(self) -> bool:
@@ -172,7 +172,7 @@ def _col_feasible(resid, next_row, n, allow_loops):
 def brute_force_exists(
     seq: BidegreeSequence,
     allow_loops: bool = True,
-    max_n: Optional[int] = None,
+    max_n: int | None = None,
 ) -> bool:
     """Ground-truth oracle: does any 0-1 matrix realize the margins?
 

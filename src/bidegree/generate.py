@@ -13,9 +13,8 @@ by construction.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
-from typing import Optional
 
 from .core import BidegreeSequence, new_sequence
 from .errors import BadExponent, Infeasible, InvalidParameters
@@ -56,7 +55,11 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randbelow(self, bound: int) -> int:
-        """Unbiased uniform integer in [0, bound), by rejection."""
+        """Unbiased uniform integer in [0, bound), by rejection.
+
+        Raises ValueError unless ``0 < bound <= 2**64``; past ``2**64``
+        the error comes after one draw.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
         limit = ((1 << 64) // bound) * bound
@@ -64,6 +67,11 @@ class SplitMix64:
             r = self.next_u64()
             if r < limit:
                 return r % bound
+            # only a rejected draw gets here, so an accepted one pays
+            # nothing for this test: past 2**64 the limit is 0, and no
+            # draw would ever be accepted
+            if not limit:
+                raise ValueError("bound must be at most 2**64")
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
@@ -149,7 +157,7 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
 
 
 def gen_counterexample1(
-    max_in: int, max_out: int, n: Optional[int] = None
+    max_in: int, max_out: int, n: int | None = None
 ) -> BidegreeSequence:
     """Adversarial sequence sitting just past the max-product bound.
 
@@ -205,23 +213,30 @@ def gen_extremal(n: int, total: int, max_degree: int) -> BidegreeSequence:
     return new_sequence(vec, vec)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of one generator invocation."""
+class GeneratorSpec(
+    namedtuple(
+        "GeneratorSpec",
+        "kind n seed total min_degree max_degree exponent max_in max_out",
+        defaults=(None, 0, None, None, None, None, None, None),
+    )
+):
+    """Declarative description of one generator invocation.
 
-    kind: str  # one of GENERATOR_KINDS
-    n: Optional[int] = None
-    seed: int = 0
-    total: Optional[int] = None
-    min_degree: Optional[int] = None
-    max_degree: Optional[int] = None
-    exponent: Optional[float] = None
-    max_in: Optional[int] = None
-    max_out: Optional[int] = None
+    ``kind`` is one of :data:`GENERATOR_KINDS`; every other field
+    defaults to None, except ``seed``, which defaults to 0.
+    """
 
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise InvalidParameters(f"unknown generator kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, kind, *args, **kwargs):
+        if kind not in GENERATOR_KINDS:
+            raise InvalidParameters(f"unknown generator kind {kind!r}")
+        return super().__new__(cls, kind, *args, **kwargs)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it past the kind check too
+        return cls(*iterable)
 
 
 def generate_sequence(spec: GeneratorSpec) -> BidegreeSequence:

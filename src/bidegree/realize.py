@@ -32,9 +32,8 @@ at large ``n`` that ``O(S n)`` term of the bitmask rows dominates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
-from typing import Union
 
 from .core import BidegreeSequence
 from .errors import DimensionMismatch
@@ -43,17 +42,16 @@ from .exact import CheckOutcome, check_no_loops, check_with_loops
 __all__ = ["AdjacencyRealization", "realize", "verify_realization"]
 
 
-@dataclass(frozen=True)
-class AdjacencyRealization:
+class AdjacencyRealization(
+    namedtuple("AdjacencyRealization", "n rows loops_allowed")
+):
     """A 0-1 adjacency matrix in the caller's node order.
 
     ``rows[i]`` is a bitmask: bit ``j`` set means an edge ``j -> i``.
     The diagonal is all zero whenever ``loops_allowed`` is False.
     """
 
-    n: int
-    rows: tuple
-    loops_allowed: bool
+    __slots__ = ()
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -79,7 +77,7 @@ class AdjacencyRealization:
 
 def realize(
     seq: BidegreeSequence, allow_loops: bool = True
-) -> Union[AdjacencyRealization, CheckOutcome]:
+) -> AdjacencyRealization | CheckOutcome:
     """Build an adjacency matrix realizing ``seq``, or report why not.
 
     Runs the exact check first; a NOT_GRAPHIC outcome (with its witness)

@@ -42,11 +42,9 @@ tuples.
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate
 from math import isqrt
-from typing import Optional
 
 from .core import BidegreeSequence
 from .errors import Infeasible, InvalidStats
@@ -82,16 +80,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A fired condition plus the integers needed to re-verify it."""
+class Certificate(namedtuple("Certificate", "condition parameters")):
+    """A fired condition plus the integers needed to re-verify it.
 
-    condition: Condition
-    parameters: dict
+    ``condition`` is a :class:`Condition` and ``parameters`` a dict from
+    name to integer.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(namedtuple("BoundTable", "n m total h")):
     """Largest certifiable maximum degree per condition, for fixed stats.
 
     ``h[J]`` is the largest ``M`` such that condition ``thmJ`` certifies a
@@ -100,10 +99,7 @@ class BoundTable:
     are present only when ``m >= 1`` (and ``m <= n-1`` for 6).
     """
 
-    n: int
-    m: int
-    total: int
-    h: dict
+    __slots__ = ()
 
 
 class Prepared:
@@ -196,7 +192,7 @@ def _mean_min_bound(n: int, S: int, m: int, offset: int) -> tuple[int, int]:
     return k, min((S - n * m) // k + m, n - offset)
 
 
-def check_thm2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
+def check_thm2(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
     """Equal-vector min/max certificate (graphic with loops).
 
     Applies only when every node's in-degree equals its out-degree (an
@@ -212,7 +208,7 @@ def check_thm2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     return INCONCLUSIVE
 
 
-def check_thm3(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
+def check_thm3(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
     """Max-product certificate: ``Ma * Mb <= S + 1`` (graphic with loops)."""
     st = seq.stats
     if st.max_in * st.max_out <= st.total + 1:
@@ -222,7 +218,7 @@ def check_thm3(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     return INCONCLUSIVE
 
 
-def check_thm4(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
+def check_thm4(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
     """Max-product certificate ``(Ma + 1) * Mb <= S`` (graphic, no loops)."""
     st = seq.stats
     if (st.max_in + 1) * st.max_out <= st.total:
@@ -262,7 +258,7 @@ def _mean_min(seq, condition, offset) -> CheckOutcome:
     return INCONCLUSIVE
 
 
-def check_thm5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
+def check_thm5(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
     """Mean/min certificate (graphic with loops).
 
     Requires a positive minimum degree; certifies when the maximum degree
@@ -271,7 +267,7 @@ def check_thm5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     return _mean_min(seq, Condition.MEAN_MIN_LOOPS, 0)
 
 
-def check_thm6(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
+def check_thm6(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
     """Mean/min certificate, loop-free variant (cap ``n - 1``)."""
     return _mean_min(seq, Condition.MEAN_MIN_NO_LOOPS, 1)
 
@@ -289,7 +285,7 @@ def _multiplicity(seq, condition, strict) -> CheckOutcome:
     return INCONCLUSIVE
 
 
-def check_cor2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
+def check_cor2(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
     """Multiplicity certificate (graphic with loops).
 
     Certifies when some integer ``k`` has ``M <= k`` and ``M*k <= S``;
@@ -299,7 +295,7 @@ def check_cor2(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckO
     return _multiplicity(seq, Condition.MULTIPLICITY_LOOPS, False)
 
 
-def check_cor3(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
+def check_cor3(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
     """Strict multiplicity certificate (graphic, no loops): ``M < k``."""
     return _multiplicity(seq, Condition.MULTIPLICITY_NO_LOOPS, True)
 
@@ -350,7 +346,7 @@ def _cor5_may_fire(seq: BidegreeSequence) -> bool:
     return m * (n - R - 1) >= P
 
 
-def check_cor5(seq: BidegreeSequence, prep: Optional[Prepared] = None) -> CheckOutcome:
+def check_cor5(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
     """Heavy-tail certificate (graphic with loops).
 
     Scans exception-set sizes ``R = 0, 1, 2, ...`` over the nodes of

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from functools import cache
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bidegree as bd
 from bidegree import cli, sufficient
@@ -133,6 +135,102 @@ class TestRecords:
         if seq is None:
             return
         assert parse_record(format_record(seq)) == seq
+
+
+_LEADING_ZERO = re.compile(",(0[0-9]+)")
+
+
+def split_reader(line):
+    """Reference reader for the plain form: split on ';' and ',', then
+    int() each entry, with the plain form's checks in their stated order.
+    ``parse_record`` decodes with JSON instead and must agree with it."""
+    text = line.strip()
+    if not text:
+        raise bd.BidegreeError("empty record")
+    if ";" not in text:
+        raise bd.BidegreeError("plain record needs ';' between in- and out-degrees")
+    stray = text.translate(str.maketrans("", "", "0123456789,;"))
+    if stray:
+        raise bd.BidegreeError(
+            f"plain entries must be ASCII digits, got {stray[0]!r}")
+    padded = _LEADING_ZERO.search("," + text.replace(";", ","))
+    if padded:
+        raise bd.BidegreeError(
+            f"plain entries must not have leading zeros, got {padded[1]!r}")
+    left, right = text.split(";", 1)
+    if ";" in right:
+        raise bd.BidegreeError("plain record needs exactly one ';'")
+    try:
+        return bd.new_sequence(map(int, left.split(",")),
+                               map(int, right.split(",")))
+    except bd.BidegreeError:
+        raise
+    except ValueError:
+        for entry in (*left.split(","), *right.split(",")):
+            if not entry:
+                raise bd.BidegreeError("plain entries must not be empty") from None
+            int(entry)
+        raise
+
+
+def read_with(reader, line):
+    """The sequence ``reader`` returns, or its error's type and message."""
+    try:
+        return reader(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+LONG_ENTRY = "9" * 5000
+PLAIN_EDGE_LINES = [
+    ";", "1;", ";1", "1;;", ";;", "1,;1", ",1;1", "1;1,", "1;,1", ",;,",
+    "1,,1;1,1", "01;1", "1;01", "0;0", "00;0", "0,010;5,5", "1;1;1", "1;1;",
+    "01;1;1", "1;;01", "+1;1", "1;1\r", "\uff11;1", "1", "2,1;1,1",
+    "2;1,1", "3,0;1,1", f"{LONG_ENTRY};1", f"1;{LONG_ENTRY}",
+    f"{LONG_ENTRY},;1", f"1,;{LONG_ENTRY}", f"{LONG_ENTRY};1;1",
+    f"0{LONG_ENTRY};1", f"1;1,{LONG_ENTRY}", "1,1;1,1", "  2,2,2,0;4,2,0,0 \n",
+]
+
+
+def mutated_lines(count, seed):
+    """Seeded edits of well-formed records: a character dropped, or one
+    of '0', ',' and ';' put in, so most break a rule and some do not."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        M = rng.randint(0, n)
+        line = format_record(bd.gen_uniform(n, rng.randint(0, n * M), 0, M,
+                                            seed=rng.next_u64()))
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randbelow(len(line) + 1)
+            if rng.randbelow(3) == 0:
+                line = line[:i] + line[i + 1:]
+            else:
+                line = line[:i] + "0,;"[rng.randbelow(3)] + line[i:]
+        yield line
+
+
+class TestPlainDecoder:
+    """``parse_record``'s JSON decoding of the plain form gives the
+    sequence or the error, type and message, the split reader gives."""
+
+    @pytest.mark.parametrize("line", PLAIN_EDGE_LINES,
+                             ids=lambda line: repr(line[:12]))
+    def test_edge_lines(self, line):
+        assert read_with(parse_record, line) == read_with(split_reader, line)
+
+    def test_mutated_records(self):
+        lines = list(mutated_lines(3000, seed=12))
+        ok = sum(isinstance(read_with(split_reader, line), bd.BidegreeSequence)
+                 for line in lines)
+        assert 300 < ok < 2700  # both well-formed and malformed lines
+        for line in lines:
+            assert read_with(parse_record, line) == read_with(split_reader, line)
+
+    @settings(max_examples=1500)
+    @given(st.text(alphabet="0123,;", min_size=1, max_size=14))
+    def test_fuzzed_lines(self, line):
+        assert read_with(parse_record, line) == read_with(split_reader, line)
 
 
 class TestCheck:
@@ -771,7 +869,7 @@ class TestBrokenPipe:
     """A reader that stops early (``| head -1``) ends the run quietly."""
 
     @pytest.mark.parametrize("command", ["realize", "check"])
-    def test_closed_stdout_is_quiet(self, tmp_path, command):
+    def test_closed_stdout_is_quiet(self, tmp_path, monkeypatch, command):
         if command == "realize":  # one dense 2000 x 2000 matrix, 4 MB
             seq = bd.gen_uniform(2000, 14_000, 1, 2000, seed=1)
             corpus = format_record(seq) + "\n"
@@ -779,11 +877,48 @@ class TestBrokenPipe:
             corpus = TEN_NODE_RECORD + "\n" + "1,1;1,1\n" * 50_000
         path = tmp_path / "corpus.txt"
         path.write_text(corpus)
-        proc = cli_child([command, str(path)],
-                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=120) == 141
-        assert err == b""
+        # a buffered stdout fails at a flush, an unbuffered one at a write
+        for unbuffered in ("1", None):
+            with monkeypatch.context() as env:
+                if unbuffered:
+                    env.setenv("PYTHONUNBUFFERED", unbuffered)
+                else:
+                    env.delenv("PYTHONUNBUFFERED", raising=False)
+                proc = cli_child([command, str(path)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=120) == 141, unbuffered
+            assert err == b"", unbuffered
+
+
+class CountedWrites(io.StringIO):
+    """A stdout that records each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--method", "auto", "--fallback-exact"],
+    ["check", "--method", "thm4", "--no-loops"],
+    ["realize", "--format", "dense"],
+    ["realize", "--format", "edges", "--no-loops"],
+])
+def test_one_write_per_output_line(argv):
+    """``check`` and ``realize`` hand stdout each line whole, its end
+    included: on an unbuffered stdout every write is a system call."""
+    out = CountedWrites()
+    stdin = "\n".join([TEN_NODE_RECORD, COUNTEREXAMPLE_RECORD, "2,1;1,1",
+                       "1,1;1,1"]) + "\n"
+    main(argv, stdin=io.StringIO(stdin), stdout=out, stderr=io.StringIO())
+    assert len(out.writes) == out.getvalue().count("\n") >= 4
+    assert all(text.endswith("\n") and text.count("\n") == 1
+               for text in out.writes)

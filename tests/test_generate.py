@@ -23,6 +23,12 @@ class TestSplitMix64:
         with pytest.raises(ValueError, match="bound must be positive"):
             SplitMix64(1).randbelow(bound)
 
+    def test_randbelow_past_two_to_the_64_rejected(self):
+        # no 64-bit draw falls under a rejection limit of 0
+        with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+            SplitMix64(1).randbelow(2**64 + 1)
+        assert SplitMix64(1).randbelow(2**64) == SplitMix64(1).next_u64()
+
     def test_randint_inclusive(self):
         rng = SplitMix64(9)
         draws = {rng.randint(3, 5) for _ in range(200)}
@@ -179,6 +185,8 @@ class TestGeneratorSpec:
     def test_unknown_kind(self):
         with pytest.raises(bd.InvalidParameters):
             GeneratorSpec(kind="mystery")
+        with pytest.raises(bd.InvalidParameters):
+            GeneratorSpec(kind="uniform")._replace(kind="mystery")
 
     def test_missing_parameter(self):
         with pytest.raises(bd.InvalidParameters):

@@ -1,10 +1,15 @@
 """The package surface: what ``bidegree`` exports, and the README examples."""
 
 import ast
+import copy
 import importlib
 import io
+import os
+import pickle
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,3 +127,143 @@ class TestReadme:
         assert verified is True and note == "True"
         bounds, note = value("bd.bound_table(10, 1, 40).h")
         assert bounds == ast.literal_eval(note)
+
+
+def _seq():
+    return bd.new_sequence((2, 1, 0), (1, 1, 1))
+
+
+def _spec(seed=0):
+    return bd.GeneratorSpec("uniform", n=5, total=10, min_degree=1,
+                            max_degree=5, seed=seed)
+
+
+# name -> (a fresh value, an unequal value of the same type, its fields,
+# its repr or None); a value holding a dict is unhashable
+VALUES = {
+    "BidegreeSequence": (
+        _seq, lambda: bd.new_sequence((1, 1, 1), (2, 1, 0)),
+        ("in_degrees", "out_degrees", "stats"),
+        "BidegreeSequence(in_degrees=(2, 1, 0), out_degrees=(1, 1, 1))",
+    ),
+    "SequenceStats": (
+        lambda: bd.stats(_seq()), lambda: bd.stats(bd.new_sequence((1,), (1,))),
+        ("n", "total", "min_degree", "max_in", "max_out", "max_degree"),
+        "SequenceStats(n=3, total=3, min_degree=0, max_in=2, max_out=1, "
+        "max_degree=2)",
+    ),
+    "ConjugateProfile": (
+        lambda: bd.conjugate_profile((2, 1, 0), 3),
+        lambda: bd.conjugate_profile((1, 1, 1), 3),
+        ("cumulative", "counts"),
+        "ConjugateProfile(cumulative=(0, 2, 3, 3), counts=(2, 1, 0))",
+    ),
+    "CheckOutcome": (
+        lambda: bd.check_with_loops(bd.new_sequence((2, 2, 2, 0), (4, 2, 0, 0))),
+        lambda: bd.check_with_loops(_seq()),
+        ("verdict", "witness", "certificate"),
+        "CheckOutcome(verdict=<Verdict.NOT_GRAPHIC: 'NOT_GRAPHIC'>, "
+        "witness=3, certificate=None)",
+    ),
+    "Certificate": (
+        lambda: bd.check_thm3(_seq()).certificate,
+        lambda: bd.check_thm3(bd.new_sequence((1,), (1,))).certificate,
+        ("condition", "parameters"),
+        "Certificate(condition=<Condition.MAX_PRODUCT_LOOPS: 'thm3'>, "
+        "parameters={'Ma': 2, 'Mb': 1, 'S': 3})",
+    ),
+    "BoundTable": (
+        lambda: bd.bound_table(10, 1, 40), lambda: bd.bound_table(10, 2, 40),
+        ("n", "m", "total", "h"),
+        "BoundTable(n=10, m=1, total=40, h={2: 5, 3: 6, 4: 5, 5: 6, 6: 5})",
+    ),
+    "AdjacencyRealization": (
+        lambda: bd.realize(_seq()), lambda: bd.realize(_seq(), allow_loops=False),
+        ("n", "rows", "loops_allowed"),
+        None,
+    ),
+    "GeneratorSpec": (
+        _spec, lambda: _spec(seed=1),
+        ("kind", "n", "seed", "total", "min_degree", "max_degree", "exponent",
+         "max_in", "max_out"),
+        "GeneratorSpec(kind='uniform', n=5, seed=0, total=10, min_degree=1, "
+        "max_degree=5, exponent=None, max_in=None, max_out=None)",
+    ),
+}
+UNHASHABLE = {"Certificate", "BoundTable"}
+
+
+@pytest.mark.parametrize("name", VALUES)
+class TestValueTypes:
+    """Each public value type: equal by value, hashable unless it holds a
+    dict, a stable repr, and immutable."""
+
+    def test_type_is_exported(self, name):
+        make, _, _, _ = VALUES[name]
+        assert type(make()) is getattr(bd, name)
+
+    def test_equality(self, name):
+        make, other, _, _ = VALUES[name]
+        assert make() == make() and not make() != make()
+        assert make() != other() and not make() == other()
+
+    def test_hash(self, name):
+        make, _, _, _ = VALUES[name]
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(make())
+        else:
+            assert hash(make()) == hash(make())
+            assert len({make(), make()}) == 1
+
+    def test_repr(self, name):
+        make, _, _, expected = VALUES[name]
+        if expected is not None:
+            assert repr(make()) == expected
+
+    def test_immutable(self, name):
+        make, _, fields, _ = VALUES[name]
+        value = make()
+        for field in fields:
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == make()
+
+    def test_copy_and_pickle(self, name):
+        make, _, _, _ = VALUES[name]
+        value = make()
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+
+
+def test_sequence_copies_keep_their_stats():
+    # equality reads only the vectors, so compare the stats on their own
+    seq = _seq()
+    for twin in (copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+        assert twin.stats == seq.stats
+
+
+def test_generator_spec_defaults():
+    fields = VALUES["GeneratorSpec"][2]
+    spec = bd.GeneratorSpec("powerlaw")
+    assert {name: getattr(spec, name) for name in fields} == {
+        **dict.fromkeys(fields), "kind": "powerlaw", "seed": 0}
+
+
+def test_cli_import_leaves_out_dataclasses():
+    """The value types are plain classes, so importing the CLI, as every
+    command does, loads no ``dataclasses``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
+    probe = "import sys, bidegree.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
