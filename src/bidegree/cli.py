@@ -249,14 +249,14 @@ def _cmd_bound(args, stdin, stdout, stderr) -> int:
         return 3
     cells = {j: table.h.get(j, "n/a") for j in range(2, 7)}
     if args.format == "csv":
-        print("J,H", file=stdout)
+        stdout.write("J,H\n")
         for j in range(2, 7):
-            print(f"{j},{cells[j]}", file=stdout)
+            stdout.write(f"{j},{cells[j]}\n")
     else:
-        print(" ".join(f"H{j}={cells[j]}" for j in range(2, 7)), file=stdout)
+        stdout.write(" ".join(f"H{j}={cells[j]}" for j in range(2, 7)) + "\n")
         best = max(table.h.values())
         winners = " ".join(f"H{j}" for j in sorted(table.h) if table.h[j] == best)
-        print(f"largest: {winners}", file=stdout)
+        stdout.write(f"largest: {winners}\n")
     return 0
 
 
@@ -299,7 +299,7 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
         )
         for i in range(args.count):
             seq = generate_sequence(spec._replace(seed=spec.seed + i))
-            print(format_record(seq), file=stdout)
+            stdout.write(format_record(seq) + "\n")
     except BidegreeError as exc:
         print(f"error: {exc}", file=stderr)
         return 3
@@ -333,29 +333,28 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
     if not seqs:
         # a CSV reader gets the header and no rows
         empty = ",".join(_BENCH_COLUMNS) if args.format == "csv" else "empty corpus"
-        print(empty, file=stdout)
+        stdout.write(empty + "\n")
         return 0
     table, not_graphic = _bench_table(seqs, args.loops, args.repeat)
     if args.format == "csv":
         for row in table:
-            print(*row, sep=",", file=stdout)
+            stdout.write(",".join(map(str, row)) + "\n")
         return 0
 
-    print(
+    stdout.write(
         f"records={len(seqs)} sum_mismatch={mismatched} repeat={args.repeat} "
-        f"policy={'loops' if args.loops else 'no-loops'}",
-        file=stdout,
+        f"policy={'loops' if args.loops else 'no-loops'}\n"
     )
     widths = [12, 9, 12, 11, 8, 10, 10]
     for row in table:
-        print(" ".join(str(c).ljust(w) for c, w in zip(row, widths)), file=stdout)
+        stdout.write(" ".join(str(c).ljust(w) for c, w in zip(row, widths)) + "\n")
     if not_graphic:
         witness_hist = Counter(
             j for seq in not_graphic for j in violated_indices(seq, args.loops)
         )
         top = sorted(witness_hist.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         summary = " ".join(f"j={j}:{c}" for j, c in top)
-        print(f"violated indices over non-graphic records: {summary}", file=stdout)
+        stdout.write(f"violated indices over non-graphic records: {summary}\n")
     return 0
 
 

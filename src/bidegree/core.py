@@ -18,6 +18,7 @@ from itertools import accumulate, chain, islice, repeat, starmap
 from operator import sub
 
 from .errors import (
+    BidegreeError,
     DegreeExceedsN,
     EntryOutOfRange,
     LengthMismatch,
@@ -76,10 +77,13 @@ class BidegreeSequence:
         min_in, max_in, min_out, max_out = min(a), max(a), min(b), max(b)
         if min(min_in, min_out) < 0 or max(max_in, max_out) > n:
             _raise_first_out_of_range(a, b, n)
-        total = sum(a)
-        if total != sum(b):
+        total, total_out = sum(a), sum(b)
+        # a float, Fraction or Decimal entry makes its vector's sum one too
+        if type(total) is not int or type(total_out) is not int:
+            _raise_first_non_integer(a, b)
+        if total != total_out:
             raise SumMismatch(
-                f"sum of in-degrees {total} != sum of out-degrees {sum(b)}"
+                f"sum of in-degrees {total} != sum of out-degrees {total_out}"
             )
         _set_in(self, a)
         _set_out(self, b)
@@ -146,6 +150,13 @@ def _raise_first_out_of_range(a, b, n: int):
                 )
 
 
+def _raise_first_non_integer(a, b):
+    """Raise for the first entry, in-degrees first, that is not an int."""
+    for x in a + b:
+        if not isinstance(x, int):
+            raise BidegreeError(f"degree entries must be integers, got {x!r}")
+
+
 class ConjugateProfile(namedtuple("ConjugateProfile", "cumulative counts")):
     """Cumulative conjugate sums of an out-degree vector.
 
@@ -166,6 +177,8 @@ def new_sequence(in_degrees, out_degrees) -> BidegreeSequence:
     ------
     LengthMismatch, NegativeDegree, DegreeExceedsN, SumMismatch
         When the vectors are not a plausible digraph degree sequence.
+    BidegreeError
+        When an entry in range is not an integer.
     """
     return BidegreeSequence(tuple(in_degrees), tuple(out_degrees))
 
@@ -240,9 +253,10 @@ def pad_bipartite(row_sums, col_sums) -> BidegreeSequence:
 def _canonical_pairs(seq: BidegreeSequence) -> list[tuple[int, int]]:
     """(in, out) pairs, in-degree descending, ties by out-degree descending.
 
-    The one canonical order: :func:`sort_canonical` and the loop-free
-    exact check read it, and the heavy-tail certificate reads it grouped
-    into counts of distinct pairs.
+    The one canonical order: :func:`sort_canonical` reads it, the
+    heavy-tail certificate reads it grouped into counts of distinct
+    pairs, and the loop-free exact check sorts the same way only the
+    pairs whose in-degree can place them among the first ``max_out``.
     """
     return sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
 

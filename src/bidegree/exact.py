@@ -20,9 +20,12 @@ it is the only case where a witness of ``n`` can occur.
 Both checks count each vector once in O(n) and evaluate only the indices
 up to the maximum out-degree: no inequality with ``j`` beyond it can
 fail, because the conjugate side has already saturated at the full
-degree sum.  The with-loops check sorts only the distinct in-degree
-values, O(n + d log d) for ``d`` distinct values; the loop-free check
-sorts the ``n`` pairs, O(n log n).
+degree sum.  Both sort only the distinct in-degree values, O(n + d log d)
+for ``d`` distinct values.  The loop-free check also reads the
+out-degrees of the first ``M`` pairs in canonical order, ``M`` the
+maximum out-degree, so it sorts only the ``k`` pairs whose in-degree is
+at least the ``M``-th largest: O(n + k log k), with ``k = n`` only when
+no in-degree is smaller.
 
 ``brute_force_exists`` is an independent ground-truth oracle for tiny
 instances: it exhaustively enumerates 0-1 matrices (as a pruned row-wise
@@ -36,12 +39,7 @@ from collections import namedtuple
 from itertools import accumulate, combinations
 from operator import sub
 
-from .core import (
-    BidegreeSequence,
-    _canonical_pairs,
-    _conjugate_sums,
-    _sorted_prefix,
-)
+from .core import BidegreeSequence, _conjugate_sums, _sorted_prefix
 from .errors import InstanceTooLarge
 
 __all__ = [
@@ -97,11 +95,29 @@ def _outcome(slack: list) -> CheckOutcome:
     return CheckOutcome(Verdict.NOT_GRAPHIC, witness=witness)
 
 
-def _loops_slack(seq: BidegreeSequence) -> list:
-    """Conjugate sum minus sorted prefix, for ``j`` in ``[0..limit]``."""
-    limit = min(seq.stats.max_out, seq.n - 1)
-    conj = _conjugate_sums(seq.out_degrees, limit)
-    return list(map(sub, conj, _sorted_prefix(seq.in_degrees, limit)))
+def _slack(seq: BidegreeSequence, allow_loops: bool) -> list:
+    """Capacity minus demand of the policy's inequality ``j``, for ``j`` in
+    ``[0..limit]``; graphic under the policy iff no entry is negative."""
+    a, b = seq.in_degrees, seq.out_degrees
+    limit = seq.stats.max_out  # without loops j = n when some b_i = n
+    if allow_loops:
+        limit = min(limit, seq.n - 1)
+    prefix = _sorted_prefix(a, limit)
+    slack = list(map(sub, _conjugate_sums(b, limit), prefix))
+    if allow_loops or limit == 0:
+        return slack
+    # diagonal correction c[j] = #(i <= j with b_i >= j) over the first
+    # `limit` canonical pairs, by interval stabbing (pair i covers
+    # [i..b_i]); each has an in-degree of at least t, the limit-th
+    # largest, so they lead the sort of just those pairs
+    t = prefix[limit] - prefix[limit - 1]
+    top = sorted([p for p in zip(a, b) if p[0] >= t], reverse=True)
+    diff = [0] * (limit + 2)
+    for i, (_, b_i) in enumerate(top[:limit], 1):
+        if b_i >= i:
+            diff[i] += 1
+            diff[b_i + 1] -= 1
+    return list(map(sub, slack, accumulate(diff[: limit + 1])))
 
 
 def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
@@ -110,29 +126,7 @@ def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
     Returns GRAPHIC, or NOT_GRAPHIC with the first violated index as
     witness.
     """
-    return _outcome(_loops_slack(seq))
-
-
-def _no_loops_slack(seq: BidegreeSequence) -> list:
-    """Per-index slack of the loop-free system, for ``j`` in ``[0..limit]``.
-
-    Entry ``j`` is (capacity minus demand) of the ``j``-th inequality;
-    the sequence is loop-free graphic iff no entry is negative.
-    """
-    pairs = _canonical_pairs(seq)
-    limit = seq.stats.max_out  # <= n; j = n reachable only when some b_i = n
-    conj = _conjugate_sums(seq.out_degrees, limit)
-    # diagonal correction: c[j] = #(i <= j with b_i >= j), via interval
-    # stabbing (pair i covers j in [i..b_i])
-    diff = [0] * (limit + 2)
-    for i in range(1, limit + 1):
-        b_i = pairs[i - 1][1]
-        if b_i >= i:
-            diff[i] += 1
-            diff[b_i + 1] -= 1
-    correction = accumulate(diff[: limit + 1])
-    prefix_a = accumulate((p[0] for p in pairs[:limit]), initial=0)
-    return [f - c - s for f, c, s in zip(conj, correction, prefix_a)]
+    return _outcome(_slack(seq, True))
 
 
 def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:
@@ -142,7 +136,7 @@ def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:
     to ``n`` fails at ``j = n``; no other sequence can produce a witness
     of ``n``.
     """
-    return _outcome(_no_loops_slack(seq))
+    return _outcome(_slack(seq, False))
 
 
 def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[int]:
@@ -154,8 +148,7 @@ def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[in
     truncated there.
     """
     assert sum(seq.in_degrees) == sum(seq.out_degrees)
-    slack = _loops_slack(seq) if allow_loops else _no_loops_slack(seq)
-    return [j for j, s in enumerate(slack) if s < 0]
+    return [j for j, s in enumerate(_slack(seq, allow_loops)) if s < 0]
 
 
 def _col_feasible(resid, next_row, n, allow_loops):

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,29 @@ class TestNewSequence:
             bd.DegreeExceedsN, match=r"^out-degree entry 3 exceeds node count 2$"
         ):
             bd.new_sequence((1, 1), (3, -1))
+
+    @pytest.mark.parametrize(
+        "a, b, got",
+        [
+            ([0.5], [0.5], "0.5"),
+            ([1.0, 1], [1, 1.0], "1.0"),
+            ([1, 1], [1, 1.0], "1.0"),
+            ([Fraction(1, 2), 1], [1, Fraction(1, 2)], "Fraction(1, 2)"),
+        ],
+        ids=["half", "float-ones", "float-out", "fraction"],
+    )
+    def test_non_integer_entries_rejected(self, a, b, got):
+        # in range and with equal sums: only the entry type is wrong
+        with pytest.raises(bd.BidegreeError) as err:
+            bd.new_sequence(a, b)
+        assert not isinstance(err.value, bd.SumMismatch)
+        assert str(err.value) == f"degree entries must be integers, got {got}"
+
+    def test_non_integer_entries_never_reach_the_checks(self):
+        with pytest.raises(bd.BidegreeError, match="must be integers"):
+            bd.certify(bd.new_sequence([0.5], [0.5]))
+        with pytest.raises(bd.BidegreeError, match="must be integers"):
+            bd.realize(bd.new_sequence([1.0, 1], [1, 1.0]), allow_loops=False)
 
     def test_entries_equal_n_allowed(self):
         seq = bd.new_sequence((2, 2), (2, 2))

@@ -1,9 +1,14 @@
+from itertools import accumulate
+from operator import sub
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
-from bidegree.exact import Verdict
+from bidegree.core import _canonical_pairs, _conjugate_sums, _sorted_prefix
+from bidegree.exact import Verdict, _slack
+from bidegree.generate import SplitMix64
 from conftest import (
     anstee_lhs_direct,
     equal_sum_vector_pairs,
@@ -101,6 +106,94 @@ def direct_violations(seq, allow_loops):
     return [
         j for j in range(1, n + 1) if not no_loops_inequality_holds_direct(pairs, j)
     ]
+
+
+def reference_loops_slack(seq):
+    """The with-loops slack as its own routine: conjugate sums minus the
+    sorted in-degree prefix, up to ``min(max_out, n - 1)``."""
+    limit = min(seq.stats.max_out, seq.n - 1)
+    conj = _conjugate_sums(seq.out_degrees, limit)
+    return list(map(sub, conj, _sorted_prefix(seq.in_degrees, limit)))
+
+
+def reference_no_loops_slack(seq):
+    """The loop-free slack read off a sort of all ``n`` pairs in canonical
+    order, up to ``max_out``."""
+    pairs = _canonical_pairs(seq)
+    limit = seq.stats.max_out
+    conj = _conjugate_sums(seq.out_degrees, limit)
+    diff = [0] * (limit + 2)
+    for i in range(1, limit + 1):
+        b_i = pairs[i - 1][1]
+        if b_i >= i:
+            diff[i] += 1
+            diff[b_i + 1] -= 1
+    correction = accumulate(diff[: limit + 1])
+    prefix_a = accumulate((p[0] for p in pairs[:limit]), initial=0)
+    return [f - c - s for f, c, s in zip(conj, correction, prefix_a)]
+
+
+def assert_slack_matches_reference(seq):
+    assert _slack(seq, True) == reference_loops_slack(seq), seq
+    assert _slack(seq, False) == reference_no_loops_slack(seq), seq
+
+
+class TestSlack:
+    """One slack routine serves both policies, and the loop-free one sorts
+    only the pairs whose in-degree reaches the ``max_out``-th largest; it
+    equals the references above, which sort all ``n`` pairs."""
+
+    def test_exhaustive_small(self):
+        for n in range(1, 5):
+            for a, b in equal_sum_vector_pairs(n, n):
+                assert_slack_matches_reference(bd.new_sequence(a, b))
+
+    def test_fuzz(self):
+        rng = SplitMix64(1313)
+        for _ in range(20_000):
+            n = rng.randint(1, 12)
+            m = rng.randint(0, min(3, n))
+            M = rng.randint(m, n)
+            S = rng.randint(n * m, n * M)
+            assert_slack_matches_reference(
+                bd.gen_uniform(n, S, m, M, seed=rng.next_u64())
+            )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: bd.gen_uniform(100, 700, 1, 100, seed=seed),
+            lambda seed: bd.gen_powerlaw(2000, 2.5, seed=seed),
+            lambda seed: bd.gen_uniform(1000, 7000, 1, 1000, seed=seed),
+        ],
+        ids=["uniform-n100", "powerlaw-n2000", "realize-n1000"],
+    )
+    def test_perfbench_corpus_shapes(self, make):
+        for i in range(4):
+            assert_slack_matches_reference(make(77_000_000 + i))
+
+    @pytest.mark.parametrize(
+        "a, b, slack, witness",
+        [
+            # max_out = 2 and t = 1: three pairs reach t, and of the two
+            # tied at t only (1, 2) is among the first two canonical pairs
+            ((1, 2, 1), (0, 2, 2), [0, -1, -1], 1),
+            # limit = 0: nothing to sort and no correction
+            ((0, 0, 0), (0, 0, 0), [0], None),
+            # an out-degree of n, graphic with loops, fails only at j = n
+            ((2, 1, 2), (1, 3, 1), [0, 0, 0, -1], 3),
+            # an in-degree of n fails at j = 1
+            ((3, 0, 0), (1, 1, 1), [0, -1], 1),
+            # t = 1 is the least in-degree, so the filter keeps all n pairs
+            ((1, 1, 2), (1, 2, 1), [0, 0, 0], None),
+        ],
+        ids=["tie-at-t", "limit-0", "out-degree-n", "in-degree-n", "keeps-all"],
+    )
+    def test_named_cases(self, a, b, slack, witness):
+        seq = bd.new_sequence(a, b)
+        assert _slack(seq, False) == slack
+        assert_slack_matches_reference(seq)
+        assert bd.check_no_loops(seq).witness == witness
 
 
 class TestBruteForce:
