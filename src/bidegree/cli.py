@@ -199,12 +199,12 @@ def _records(path, stdin, stderr, seen: set):
                 except (BidegreeError, ValueError) as exc:
                     if isinstance(exc, UnicodeDecodeError):
                         exc = "not UTF-8 text"
-                    print(f"line {lineno}: {exc}", file=stderr)
+                    stderr.write(f"line {lineno}: {exc}\n")
                     seen.add(3)
                     continue
                 yield lineno, seq
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}", file=stderr)
+        stderr.write(f"error: cannot read {path}: {exc.strerror or exc}\n")
         seen.add(3)
 
 
@@ -245,7 +245,7 @@ def _cmd_bound(args, stdin, stdout, stderr) -> int:
     try:
         table = bound_table(args.n, args.m, args.total)
     except BidegreeError as exc:
-        print(f"error: {exc}", file=stderr)
+        stderr.write(f"error: {exc}\n")
         return 3
     cells = {j: table.h.get(j, "n/a") for j in range(2, 7)}
     if args.format == "csv":
@@ -268,7 +268,7 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
             try:
                 result = realize(seq, allow_loops=args.loops)
             except RuntimeError as exc:
-                print(f"line {lineno}: {exc}", file=stderr)
+                stderr.write(f"line {lineno}: {exc}\n")
                 seen.add(3)
                 continue
         if not first:
@@ -280,17 +280,20 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
             seen.add(_EXIT_CODE[result.verdict])
             stdout.write(f"NOT_GRAPHIC j={result.witness}\n")
         elif args.format == "dense":
-            for i in range(result.n):
-                stdout.write(result.row_string(i) + "\n")
+            for row in result.row_strings():
+                stdout.write(row + "\n")
         else:
-            for src, dst in result.edges():
-                stdout.write(f"{src} {dst}\n")
+            # one write per source: its lines share the "src " prefix
+            for src, dsts in enumerate(result.targets):
+                if dsts:
+                    head = f"{src} "
+                    stdout.write(head + f"\n{head}".join(map(str, dsts)) + "\n")
     return _exit_code(seen)
 
 
 def _cmd_generate(args, stdin, stdout, stderr) -> int:
     if args.count < 0:
-        print(f"error: --count must be at least 0, got {args.count}", file=stderr)
+        stderr.write(f"error: --count must be at least 0, got {args.count}\n")
         return 3
     try:
         # the generator flags are parsed under GeneratorSpec's field names
@@ -301,7 +304,7 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
             seq = generate_sequence(spec._replace(seed=spec.seed + i))
             stdout.write(format_record(seq) + "\n")
     except BidegreeError as exc:
-        print(f"error: {exc}", file=stderr)
+        stderr.write(f"error: {exc}\n")
         return 3
     return 0
 
@@ -322,7 +325,7 @@ _BENCH_COLUMNS = (
 
 def _cmd_bench(args, stdin, stdout, stderr) -> int:
     if args.repeat < 1:
-        print(f"error: --repeat must be at least 1, got {args.repeat}", file=stderr)
+        stderr.write(f"error: --repeat must be at least 1, got {args.repeat}\n")
         return 3
     seen: set = set()
     seqs = [seq for _, seq in _records(args.input, stdin, stderr, seen)]

@@ -2,8 +2,9 @@
 
 The matrix convention is row sums = in-degrees, column sums =
 out-degrees: entry ``(i, j) = 1`` means an edge from node ``j`` to node
-``i``.  Rows are stored as bitmasks (bit ``j`` of row ``i`` is entry
-``(i, j)``).
+``i``.  A realization is stored sparse, as one increasing tuple of
+targets per source (``targets[j]`` holds every ``i`` with entry
+``(i, j) = 1``), so it takes ``O(n + S)`` space for ``S`` edges.
 
 The wiring is the directed laying-off scheme of Kleitman and Wang (1973),
 in the form of Erdős, Miklós and Toroczkai (2010): take the sources in
@@ -25,15 +26,16 @@ its own turn, so the key reproduces the (residual out-degree, index)
 tie-break exactly.  Re-keying a wired node pushes a fresh entry and
 leaves the old one behind; old entries are recognized by a rank below the
 current step and dropped when popped.  Each stub costs one pop and one
-push, so the wiring takes ``O(S log n)`` for ``S`` edges.  Setting a bit
-rebuilds the whole ``n``-bit row (about ``n / 30`` CPython digits), and
-at large ``n`` that ``O(S n)`` term of the bitmask rows dominates.
+push, and each source sorts its own short target list, so the wiring
+takes ``O(S log n)``.  The margin check and the edge list read the
+target lists in ``O(n + S)``; only the dense forms (``rows``,
+``row_string``, ``entry``) cost ``n`` bits or characters per row.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .core import BidegreeSequence
 from .errors import DimensionMismatch
@@ -42,16 +44,100 @@ from .exact import CheckOutcome, check_no_loops, check_with_loops
 __all__ = ["AdjacencyRealization", "realize", "verify_realization"]
 
 
-class AdjacencyRealization(
-    namedtuple("AdjacencyRealization", "n rows loops_allowed")
-):
+class AdjacencyRealization:
     """A 0-1 adjacency matrix in the caller's node order.
 
-    ``rows[i]`` is a bitmask: bit ``j`` set means an edge ``j -> i``.
+    ``targets[j]`` is the increasing tuple of the nodes that ``j`` has an
+    edge to, so entry ``(i, j)`` is 1 exactly when ``i`` is in it.  The
+    constructor takes the dense form instead, one row per node:
+    ``rows[i]`` is a bitmask with bit ``j`` set for an edge ``j -> i``.
+    ``rows`` stays readable, built from the lists on first use and kept.
+    A bit at a column past ``n - 1`` names a source the matrix does not
+    have: ``targets`` then runs past ``n`` entries, ``verify_realization``
+    rejects it, and ``row_string`` and ``edges`` leave it out.
+
     The diagonal is all zero whenever ``loops_allowed`` is False.
+    Equality and hashing read ``(n, targets, loops_allowed)``.  Instances
+    are immutable.
     """
 
-    __slots__ = ()
+    __slots__ = ("n", "targets", "loops_allowed", "_rows")
+
+    def __init__(self, n: int, rows, loops_allowed: bool):
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise DimensionMismatch(f"{len(rows)} rows for n={n}")
+        width = max(n, max((row.bit_length() for row in rows), default=0))
+        targets = [[] for _ in range(width)]
+        for dst, row in enumerate(rows):
+            bits = bin(row)[:1:-1]  # column 0 first
+            src = bits.find("1")
+            while src >= 0:
+                targets[src].append(dst)
+                src = bits.find("1", src + 1)
+        _fill(self, n, tuple(map(tuple, targets)), loops_allowed, rows)
+
+    @classmethod
+    def _from_targets(cls, n: int, targets: tuple, loops_allowed: bool):
+        self = object.__new__(cls)
+        _fill(self, n, targets, loops_allowed, None)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.loops_allowed == other.loops_allowed
+            and self.targets == other.targets
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.targets, self.loops_allowed))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(n={self.n!r}, targets={self.targets!r}, "
+            f"loops_allowed={self.loops_allowed!r})"
+        )
+
+    def __reduce__(self):
+        # a copy is built from the form this one was, so it keeps any bit
+        # past column n - 1 in its rows as well as in its targets
+        if self._rows is not None:
+            return type(self), (self.n, self._rows, self.loops_allowed)
+        return self._from_targets, (self.n, self.targets, self.loops_allowed)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row ``i`` as a bitmask, bit ``j`` set for an edge ``j -> i``;
+        built from ``row_strings`` on first use and kept."""
+        rows = self._rows
+        if rows is None:
+            rows = tuple(int(row[::-1], 2) for row in self.row_strings())
+            _set_rows(self, rows)
+        return rows
+
+    def row_strings(self):
+        """Yield every row as ``row_string`` gives it, built from the
+        target lists: ``n`` bytes per row and one byte store per edge."""
+        n = self.n
+        sources = [[] for _ in range(n)]
+        for src, dsts in zip(range(n), self.targets):
+            for dst in dsts:
+                sources[dst].append(src)
+        blank = b"0" * n
+        for srcs in sources:
+            row = bytearray(blank)
+            for src in srcs:
+                row[src] = 49  # "1"
+            yield row.decode()
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -63,16 +149,24 @@ class AdjacencyRealization(
 
     def edges(self):
         """Yield ``(src, dst)`` pairs grouped by source node, both ascending."""
-        targets = [[] for _ in range(self.n)]
-        for dst in range(self.n):
-            bits = self.row_string(dst)
-            src = bits.find("1")
-            while src >= 0:
-                targets[src].append(dst)
-                src = bits.find("1", src + 1)
-        for src, dsts in enumerate(targets):
+        for src, dsts in zip(range(self.n), self.targets):
             for dst in dsts:
                 yield (src, dst)
+
+
+# the slots' own setters: construction fills each slot once, past the
+# __setattr__ that keeps instances immutable
+_set_n = AdjacencyRealization.n.__set__
+_set_targets = AdjacencyRealization.targets.__set__
+_set_loops = AdjacencyRealization.loops_allowed.__set__
+_set_rows = AdjacencyRealization._rows.__set__
+
+
+def _fill(real, n, targets, loops_allowed, rows):
+    _set_n(real, n)
+    _set_targets(real, targets)
+    _set_loops(real, loops_allowed)
+    _set_rows(real, rows)
 
 
 def realize(
@@ -101,7 +195,7 @@ def realize(
         if resid_in[s]
     ]
     heapify(heap)
-    rows = [0] * n
+    targets = [()] * n
 
     for step, s in enumerate(sources):
         need = out[s]
@@ -119,18 +213,22 @@ def realize(
                 continue  # left behind by re-keying, or the source itself
             chosen.append(entry)
             need -= 1
-        bit = 1 << s
+        dsts = []
         for entry in chosen:
             k = entry % width
             t = sources[k] if k < n else k - n
-            rows[t] |= bit
+            dsts.append(t)
             resid_in[t] -= 1
             if resid_in[t]:
                 heappush(heap, entry + width)
+        dsts.sort()
+        targets[s] = tuple(dsts)
         if resid_in[s]:
             heappush(heap, n + s - resid_in[s] * width)  # s is wired: re-key
 
-    realization = AdjacencyRealization(n, tuple(rows), allow_loops)
+    realization = AdjacencyRealization._from_targets(
+        n, tuple(targets), allow_loops
+    )
     if not verify_realization(realization, seq):
         raise RuntimeError("constructed matrix does not match the margins")
     return realization
@@ -139,7 +237,10 @@ def realize(
 def verify_realization(
     real: AdjacencyRealization, seq: BidegreeSequence
 ) -> bool:
-    """Bit-exact margin check: row sums, column sums, diagonal policy.
+    """Exact margin check in ``O(n + S)``: each source's targets strictly
+    increase inside ``[0, n)``, number its out-degree and skip the source
+    itself unless loops are allowed; each node is a target as often as its
+    in-degree.
 
     Raises
     ------
@@ -149,16 +250,21 @@ def verify_realization(
     if real.n != seq.n:
         raise DimensionMismatch(f"matrix n={real.n} vs sequence n={seq.n}")
     n = seq.n
-    col_sums = [0] * n
-    for i, row in enumerate(real.rows):
-        if row >> n:
-            return False  # stray bits beyond column n-1
-        if row.bit_count() != seq.in_degrees[i]:
+    targets = real.targets
+    if len(targets) != n:
+        return False  # an edge from a column past n-1
+    if list(map(len, targets)) != list(seq.out_degrees):
+        return False
+    loops = real.loops_allowed
+    for src, dsts in enumerate(targets):
+        prev = -1
+        for dst in dsts:
+            if dst <= prev:
+                return False  # repeated, unordered or negative
+            prev = dst
+        if prev >= n or (not loops and src in dsts):
             return False
-        if not real.loops_allowed and row >> i & 1:
-            return False
-        while row:
-            low = row & -row
-            col_sums[low.bit_length() - 1] += 1
-            row ^= low
-    return col_sums == list(seq.out_degrees)
+    in_count = [0] * n
+    for dst in chain.from_iterable(targets):
+        in_count[dst] += 1
+    return in_count == list(seq.in_degrees)

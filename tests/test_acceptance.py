@@ -16,6 +16,8 @@ import time
 from itertools import product
 from statistics import median
 
+import pytest
+
 import bidegree as bd
 from bidegree.exact import Verdict
 from bidegree.generate import SplitMix64
@@ -253,6 +255,25 @@ def test_c6_realization_round_trip():
     report("C6 realization round-trip", failures == 0,
            f"({done} sequences, {failures} failures)")
     assert failures == 0
+
+
+@pytest.mark.parametrize("loops", [True, False])
+def test_c6_realization_at_large_n(loops):
+    """n = 10^5 with S = 7n: realize, list the edges and verify, under
+    20 s.  Stored as bitmask rows, the edge list alone took about 19 s."""
+    seq = bd.gen_uniform(10**5, 7 * 10**5, 1, 10**5, seed=5)
+    t0 = time.perf_counter()
+    real = bd.realize(seq, loops)
+    edges = list(real.edges())
+    ok = bd.verify_realization(real, seq)
+    elapsed = time.perf_counter() - t0
+    report(f"C6 realization at n=1e5 ({'loops' if loops else 'no-loops'})",
+           ok and elapsed < 20, f"({len(edges)} edges, {elapsed:.1f}s)")
+    assert isinstance(real, bd.AdjacencyRealization)
+    assert ok
+    assert len(edges) == seq.stats.total
+    assert loops or all(src != dst for src, dst in edges)
+    assert elapsed < 20
 
 
 # -- C7 ---------------------------------------------------------------------

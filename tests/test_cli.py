@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -47,6 +48,22 @@ def golden_corpus():
         TEN_NODE_RECORD,
         COUNTEREXAMPLE_RECORD,
     ]
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def realize_corpus():
+    """Seeded uniform records with n from 150 to 250 and mean degree up to
+    12, each graphic under both policies."""
+    rng = SplitMix64(1914)
+    lines = []
+    for _ in range(24):
+        n = rng.randint(150, 250)
+        m = rng.randint(0, 2)
+        M = rng.randint(max(m, 1) * 4, n)
+        c = rng.randint(max(m, 1), 12)
+        seq = bd.gen_uniform(n, c * n, m, M, seed=rng.next_u64())
+        lines.append(format_record(seq))
     return "\n".join(lines) + "\n"
 
 
@@ -384,10 +401,41 @@ GOLDEN_CHECK_OUTPUT = [
 ]
 
 
+# (corpus, realize arguments, exit code, SHA-256 of stdout), computed
+# while each row was still a bitmask, before realizations were stored as
+# per-source target lists; the matrices must stay byte-identical.
+GOLDEN_REALIZE_OUTPUT = [
+    ("golden", "--format dense --loops", 1,
+     "1c6cee6d3735deaea3f281be63b60b82dfe4f61badd4ab6a84e8d597be288f11"),
+    ("golden", "--format dense --no-loops", 1,
+     "925921e68d2ea47526a1c1514f5d230d7a1e161bf19fc8c597c453f6c19a79eb"),
+    ("golden", "--format edges --loops", 1,
+     "994ea5a10636a37b36c05c002c59e4c27a3de8a6b1778fc2a10bbdee7a8004c9"),
+    ("golden", "--format edges --no-loops", 1,
+     "ec511faa91eb4cfd0cb039774e78f9008db398d50a64412b960d5032ed0621c9"),
+    ("n200", "--format dense --loops", 0,
+     "66e7b1b6f13ded0a886839ccee147c79c752a19e3e39feb769c1b67efe91261d"),
+    ("n200", "--format dense --no-loops", 0,
+     "da74c682c686ca427a47248cc8528a2cad961ebe00ae9815ea3dce258e51f8d7"),
+    ("n200", "--format edges --loops", 0,
+     "f3bf5ba88daebad5588209934c75cd80219c490350c95848b06c6786f979f1da"),
+    ("n200", "--format edges --no-loops", 0,
+     "46600c4a92a212adbb636944b7e9df6d77c838b5d1e43dac14bd1f652b31ee53"),
+]
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("args,code,digest", GOLDEN_CHECK_OUTPUT)
     def test_check_output_is_byte_identical(self, args, code, digest):
         got_code, out, err = run_cli(["check", *args.split()], golden_corpus())
+        assert err == ""
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("corpus,args,code,digest", GOLDEN_REALIZE_OUTPUT)
+    def test_realize_output_is_byte_identical(self, corpus, args, code, digest):
+        records = golden_corpus() if corpus == "golden" else realize_corpus()
+        got_code, out, err = run_cli(["realize", *args.split()], records)
         assert err == ""
         assert got_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -919,14 +967,59 @@ class CountedWrites(io.StringIO):
     ["bench", "--format", "csv"],
 ])
 def test_one_write_per_output_line(argv):
-    """Every command hands stdout each line whole, its end included: on
-    an unbuffered stdout every write is a system call."""
+    """Every command hands stdout whole lines, their ends included: on an
+    unbuffered stdout every write is a system call.  ``realize --format
+    edges`` writes all edge lines of one source at once, and every other
+    line goes out on its own."""
     out = CountedWrites()
     stdin = "\n".join([TEN_NODE_RECORD, COUNTEREXAMPLE_RECORD, "2,1;1,1",
                        "1,1;1,1"]) + "\n"
     main(argv, stdin=io.StringIO(stdin), stdout=out, stderr=io.StringIO())
-    assert len(out.writes) == out.getvalue().count("\n") >= 2
-    assert all(text.endswith("\n") and text.count("\n") == 1
-               for text in out.writes)
+
+    def write_key(line):
+        # the edge lines of one source share a write; any other line is
+        # a write of its own
+        src, _, dst = line.partition(" ")
+        if "edges" in argv and src.isdigit() and dst.isdigit():
+            return src
+        return object()
+
+    lines = out.getvalue().splitlines()
+    assert len(lines) >= 2
+    assert out.writes == [
+        "".join(line + "\n" for line in group)
+        for _, group in itertools.groupby(lines, key=write_key)
+    ]
     if argv[0] == "generate":
         assert len(out.writes) == 100
+    if "edges" in argv:
+        assert len(out.writes) < len(lines)
+
+
+@pytest.mark.parametrize("argv,stdin,count", [
+    (["check"], "1,x;1\n1,1;1,1\n1;\n", 2),
+    (["check", os.path.join(os.devnull, "missing.txt")], "", 1),
+    (["bound", "--n", "10", "--m", "5", "--total", "40"], "", 1),
+    (["generate", "--kind", "uniform", "--count", "-1"], "", 1),
+    (["generate", "--kind", "powerlaw", "--n", "6", "--exponent", "nan"], "", 1),
+    (["bench", "--repeat", "0"], "", 1),
+])
+def test_one_write_per_error_line(argv, stdin, count):
+    """Each stderr message goes out in one write, its line end included."""
+    err = CountedWrites()
+    main(argv, stdin=io.StringIO(stdin), stdout=io.StringIO(), stderr=err)
+    assert len(err.writes) == count
+    assert all(text.endswith("\n") and text.count("\n") == 1
+               for text in err.writes)
+
+
+def test_one_write_per_realize_error_line(monkeypatch):
+    def failing(seq, allow_loops=True):
+        raise RuntimeError("greedy wiring failed")
+
+    monkeypatch.setattr(cli, "realize", failing)
+    err = CountedWrites()
+    main(["realize"], stdin=io.StringIO("1;1\n1;1\n"), stdout=io.StringIO(),
+         stderr=err)
+    assert err.writes == ["line 1: greedy wiring failed\n",
+                          "line 2: greedy wiring failed\n"]

@@ -125,6 +125,8 @@ class TestReadme:
         assert same == outcome
         verified, note = value("bd.verify_realization(real, good)")
         assert verified is True and note == "True"
+        targets, note = value("real.targets")
+        assert targets == ast.literal_eval(note)
         bounds, note = value("bd.bound_table(10, 1, 40).h")
         assert bounds == ast.literal_eval(note)
 
@@ -248,6 +250,24 @@ def test_sequence_copies_keep_their_stats():
     seq = _seq()
     for twin in (copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
         assert twin.stats == seq.stats
+
+
+def test_realization_copies_keep_their_rows():
+    # equality reads the target lists; a bit past the last column lives in
+    # the rows a matrix was built from, and a copy keeps it there too
+    stray = bd.AdjacencyRealization(2, (0b110, 0b1001), True)
+    built = bd.realize(_seq())
+    for real in (stray, built):
+        for twin in (copy.deepcopy(real), pickle.loads(pickle.dumps(real))):
+            assert twin.rows == real.rows
+            assert twin.targets == real.targets
+    assert stray.rows == (0b110, 0b1001)
+
+
+def test_realization_needs_one_row_per_node():
+    # a third row would be a target the two-node matrix does not have
+    with pytest.raises(bd.DimensionMismatch):
+        bd.AdjacencyRealization(2, (0b1, 0b10, 0b1), True)
 
 
 def test_generator_spec_defaults():
