@@ -71,6 +71,10 @@ _PLAIN_CHARS = str.maketrans("", "", "0123456789,;")
 # that starts with an alternation is tried at every position (10x slower).
 # Only a line the JSON decoder rejected is searched, to word its error.
 _LEADING_ZERO = re.compile(",(0[0-9]+)")
+# the decoder's C scanner, called without json.loads's wrapper: a plain
+# line's text holds no brackets but the outer ones, so a scan from 0 that
+# succeeds reads all of it
+_scan_json = json.scanner.make_scanner(json.decoder.JSONDecoder())
 
 
 def _int_entries(values):
@@ -108,8 +112,8 @@ def parse_record(line: str) -> BidegreeSequence:
     # arrays, one per ';'-separated side.  JSON's grammar rejects leading
     # zeros and empty entries, though not an empty side ('[]').
     try:
-        sides = json.loads("[[" + text.replace(";", "],[") + "]]")
-    except ValueError:
+        sides, _ = _scan_json("[[" + text.replace(";", "],[") + "]]", 0)
+    except (StopIteration, ValueError):
         _raise_plain_error(text)
         raise  # not reached: it raises for every line JSON rejects
     if len(sides) != 2:
@@ -139,11 +143,12 @@ def _raise_plain_error(text: str):
 
 
 def format_record(seq: BidegreeSequence) -> str:
-    """Plain-form record line for a sequence."""
+    """Plain-form record line for a sequence.  Entries print as ints, so
+    a ``bool`` entry prints as 0 or 1 and the line parses back."""
     return (
-        ",".join(map(str, seq.in_degrees))
+        ",".join(map(int.__repr__, seq.in_degrees))
         + ";"
-        + ",".join(map(str, seq.out_degrees))
+        + ",".join(map(int.__repr__, seq.out_degrees))
     )
 
 

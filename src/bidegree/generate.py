@@ -3,15 +3,20 @@
 Every generator is deterministic given its parameters and seed.  The
 random ones draw from SplitMix64 (Steele, Lea & Flood's published
 mix-and-increment generator), pinned here so fuzz corpora are
-reproducible across runs and platforms; the power-law sampler
-additionally evaluates its cumulative weights in IEEE double precision,
-so its byte-for-byte reproducibility is pinned to platforms with the same
-libm rounding (all common ones).  Outputs always satisfy sum(a) == sum(b)
-by construction.
+reproducible across runs and platforms.  Its k-th output depends only on
+``seed + k*gamma``, so the generators take their draws in batches
+(:meth:`SplitMix64.next_u64s`), computed in one pass of big-integer
+arithmetic with one 128-bit lane per draw; a batch equals as many
+:meth:`SplitMix64.next_u64` calls, so the stream is the sequential one.
+The power-law sampler additionally evaluates its cumulative weights in
+IEEE double precision, so its byte-for-byte reproducibility is pinned to
+platforms with the same libm rounding (all common ones).  Outputs always
+satisfy sum(a) == sum(b) by construction.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate
@@ -32,9 +37,41 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 # what GeneratorSpec.kind may name, and ``generate --kind``'s choices
 GENERATOR_KINDS = ("uniform", "powerlaw", "counterexample1", "extremal")
+
+# next_u64s computes up to _CHUNK outputs in one integer z: output k
+# (from 0) is mix(state + (k+1)*gamma mod 2**64), held in bits
+# [128k, 128k + 64) ("lane k").  ONES holds 1 and STEPS (k+1)*gamma
+# mod 2**64 in each lane k, so state * ONES + STEPS is below 2**65 a lane
+# and carries into nothing; the lane mask (2**64 - 1 a lane) leaves each
+# lane's upper 64 bits zero.  Each step of mix acts on all lanes at once,
+# exactly as on one 64-bit value:
+# - z >> s (s <= 31) moves the low s bits of lane k + 1 into the top s
+#   bits of lane k, above its value; the mask clears them;
+# - z * c (c < 2**64) makes each lane's product below 2**128, so it fits
+#   its own lane and no carry crosses into the next; the mask keeps it
+#   mod 2**64.
+# Only each lane's low word is read: word 2k of z.to_bytes in
+# little-endian order, word 2c - 1 - 2k in big-endian order (c lanes,
+# most significant first), so every host reads the same stream.
+_CHUNK = 1024
+_LANE_WORDS = {"little": slice(0, None, 2), "big": slice(None, None, -2)}
+_lanes = None  # (ONES, STEPS, mask) over _CHUNK lanes, built on first use
+
+
+def _build_lanes():
+    global _lanes
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * _CHUNK, "little")
+    steps = b"".join(
+        (k * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(1, _CHUNK + 1)
+    )
+    _lanes = ones, int.from_bytes(steps, "little"), ones * _MASK64
+    return _lanes
 
 
 class SplitMix64:
@@ -48,11 +85,33 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def next_u64s(self, count: int) -> list[int]:
+        """The outputs of ``count`` calls to :meth:`next_u64`, leaving the
+        state where they would; computed ``_CHUNK`` lanes at a time."""
+        ones, steps, mask = _lanes or _build_lanes()
+        words = _LANE_WORDS[sys.byteorder]
+        out = []
+        state = self._state
+        while count > 0:
+            c = min(count, _CHUNK)
+            if c < _CHUNK:
+                keep = (1 << 128 * c) - 1
+                ones, steps, mask = ones & keep, steps & keep, mask & keep
+            z = (state * ones + steps) & mask
+            z = ((z ^ z >> 30) & mask) * _MIX1 & mask
+            z = ((z ^ z >> 27) & mask) * _MIX2 & mask
+            z ^= z >> 31  # only each lane's low word is read: no mask
+            out += memoryview(z.to_bytes(16 * c, sys.byteorder)).cast("Q")[words].tolist()
+            state = (state + c * _GAMMA) & _MASK64
+            count -= c
+        self._state = state
+        return out
 
     def randbelow(self, bound: int) -> int:
         """Unbiased uniform integer in [0, bound), by rejection.
@@ -103,18 +162,10 @@ def gen_uniform(
             f"no vector over n={n} slots with min={m} max={M} sum={total}"
         )
     rng = SplitMix64(seed)
-
-    def vector():
-        vec = [m] * n
-        remaining = total - n * m
-        while remaining:
-            i = rng.randbelow(n)
-            if vec[i] < M:
-                vec[i] += 1
-                remaining -= 1
-        return vec
-
-    return new_sequence(vector(), vector())
+    a, b = [m] * n, [m] * n
+    _top_up(rng, a, M, total - n * m)
+    _top_up(rng, b, M, total - n * m)
+    return new_sequence(a, b)
 
 
 def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
@@ -139,21 +190,33 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
     rng = SplitMix64(seed)
     cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))
     total_weight = cum[-1]
-
-    def draw():
-        u = rng.random() * total_weight
-        return min(bisect_right(cum, u) + 1, n)
-
-    a = [draw() for _ in range(n)]
-    b = [draw() for _ in range(n)]
+    # u is random() * total_weight, as the sequential sampler computed it;
+    # bisecting below n - 1 is min(bisect_right(cum, u) + 1, n), as cum
+    # never decreases
+    degrees = [
+        bisect_right(cum, (r >> 11) * 2.0**-53 * total_weight, 0, n - 1) + 1
+        for r in rng.next_u64s(2 * n)
+    ]
+    a, b = degrees[:n], degrees[n:]
     lo, hi = (a, b) if sum(a) < sum(b) else (b, a)
-    deficit = sum(hi) - sum(lo)
-    while deficit:
-        i = rng.randbelow(n)
-        if lo[i] < n:
-            lo[i] += 1
-            deficit -= 1
+    _top_up(rng, lo, n, sum(hi) - sum(lo))
     return new_sequence(a, b)
+
+
+def _top_up(rng: SplitMix64, vec: list, cap: int, amount: int) -> None:
+    """Add 1 at ``randbelow(len(vec))`` slots below ``cap`` until
+    ``amount`` units are placed, drawing as the one-at-a-time loop did.
+
+    Each unit takes at least one draw, so a batch of ``amount`` draws
+    never goes past the last draw that loop would make.
+    """
+    n = len(vec)
+    while amount:
+        limit = (1 << 64) // n * n  # randbelow's rejection bound
+        for i in [r % n for r in rng.next_u64s(amount) if r < limit]:
+            if vec[i] < cap:
+                vec[i] += 1
+                amount -= 1
 
 
 def gen_counterexample1(

@@ -1,7 +1,14 @@
+import struct
+from bisect import bisect_right
+from itertools import accumulate
+
 import pytest
 
 import bidegree as bd
+from bidegree import generate
 from bidegree.generate import GeneratorSpec, SplitMix64, generate_sequence
+
+CHUNK = generate._CHUNK
 
 
 class TestSplitMix64:
@@ -38,6 +45,32 @@ class TestSplitMix64:
         rng = SplitMix64(9)
         xs = [rng.random() for _ in range(1000)]
         assert all(0.0 <= x < 1.0 for x in xs)
+
+
+class TestNextU64s:
+    """The lane-packed batch is the sequential stream."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1, 2**70 + 5])
+    @pytest.mark.parametrize(
+        "count", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+    )
+    def test_equals_sequential_calls(self, seed, count):
+        batched, sequential = SplitMix64(seed), SplitMix64(seed)
+        assert batched.next_u64s(count) == [
+            sequential.next_u64() for _ in range(count)
+        ]
+        assert batched._state == sequential._state
+        assert batched.next_u64() == sequential.next_u64()
+
+    @pytest.mark.parametrize("byteorder, code", [("little", "<"), ("big", ">")])
+    def test_lane_words_for_either_byte_order(self, byteorder, code):
+        """The low word of lane k of a c-lane integer is the 64-bit word
+        the table picks from its bytes in the host's order, read in that
+        order, whatever its high word holds."""
+        values = SplitMix64(5).next_u64s(9)
+        z = sum((v | (v ^ 1) << 64) << 128 * k for k, v in enumerate(values))
+        words = struct.unpack(f"{code}18Q", z.to_bytes(16 * 9, byteorder))
+        assert list(words[generate._LANE_WORDS[byteorder]]) == values
 
 
 class TestGenUniform:
@@ -97,6 +130,116 @@ class TestGenPowerlaw:
 
     def test_determinism(self):
         assert bd.gen_powerlaw(64, 2.5, seed=3) == bd.gen_powerlaw(64, 2.5, seed=3)
+
+
+def reference_uniform(n, total, min_degree, max_degree, seed):
+    """gen_uniform as it was, one randbelow draw per step.  Test-only
+    reference."""
+    m, M = min_degree, max_degree
+    rng = SplitMix64(seed)
+
+    def vector():
+        vec = [m] * n
+        remaining = total - n * m
+        while remaining:
+            i = rng.randbelow(n)
+            if vec[i] < M:
+                vec[i] += 1
+                remaining -= 1
+        return vec
+
+    return bd.new_sequence(vector(), vector())
+
+
+def reference_powerlaw(n, exponent, seed):
+    """gen_powerlaw as it was, one random() draw per degree and one
+    randbelow draw per top-up step.  Test-only reference."""
+    rng = SplitMix64(seed)
+    cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))
+    total_weight = cum[-1]
+
+    def draw():
+        u = rng.random() * total_weight
+        return min(bisect_right(cum, u) + 1, n)
+
+    a = [draw() for _ in range(n)]
+    b = [draw() for _ in range(n)]
+    lo, hi = (a, b) if sum(a) < sum(b) else (b, a)
+    deficit = sum(hi) - sum(lo)
+    while deficit:
+        i = rng.randbelow(n)
+        if lo[i] < n:
+            lo[i] += 1
+            deficit -= 1
+    return bd.new_sequence(a, b)
+
+
+class TestGeneratorReference:
+    """The batched generators give the sequence of the sequential
+    reference on every parameter set."""
+
+    def test_uniform_fuzz(self):
+        rng = SplitMix64(2015)
+        for _ in range(1500):
+            n = rng.randint(1, 40)
+            m = rng.randint(0, min(3, n))
+            M = rng.randint(m, n)
+            args = n, rng.randint(n * m, n * M), m, M, rng.next_u64()
+            assert bd.gen_uniform(*args) == reference_uniform(*args), args
+
+    def test_powerlaw_fuzz(self):
+        rng = SplitMix64(2016)
+        for _ in range(600):
+            n = rng.randint(2, 60)
+            exponent = (2.1, 2.5, 3.0, 10.0, 2 + rng.random())[rng.randbelow(5)]
+            args = n, exponent, rng.next_u64()
+            assert bd.gen_powerlaw(*args) == reference_powerlaw(*args), args
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (5, 15, 0, 3),  # saturated: every slot ends at the cap
+            (1, 0, 0, 0),
+            (1, 1, 0, 1),
+            (1, 1, 1, 1),
+            (2, 3, 0, 2),
+            (300, 2400, 2, 12),  # more than one chunk per vector
+            (100, 700, 1, 100),  # perfbench's uniform-n100
+        ],
+    )
+    def test_uniform_edge_cases(self, args):
+        for seed in (0, 1, -1, 2**64 - 1, 2**70 + 5):
+            assert bd.gen_uniform(*args, seed) == reference_uniform(*args, seed)
+
+    @pytest.mark.parametrize(
+        "n, exponent", [(2, 2.1), (2, 10.0), (3, 2.1), (700, 2.2), (600, 10.0)]
+    )
+    def test_powerlaw_edge_cases(self, n, exponent):
+        for seed in (0, 1, -1, 2**64 - 1, 2**70 + 5):
+            assert bd.gen_powerlaw(n, exponent, seed) == reference_powerlaw(
+                n, exponent, seed
+            )
+
+    def test_top_up_stops_at_the_last_draw(self):
+        """After placing its units, the batched top-up leaves the stream
+        where the one-at-a-time loop leaves it."""
+        rng = SplitMix64(99)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            cap = rng.randint(1, 4)
+            start = [rng.randbelow(cap + 1) for _ in range(n)]
+            amount = rng.randint(0, n * cap - sum(start))
+            seed = rng.next_u64()
+            batched, sequential = SplitMix64(seed), SplitMix64(seed)
+            vec, expected = list(start), list(start)
+            generate._top_up(batched, vec, cap, amount)
+            while amount:
+                i = sequential.randbelow(n)
+                if expected[i] < cap:
+                    expected[i] += 1
+                    amount -= 1
+            assert vec == expected
+            assert batched.next_u64() == sequential.next_u64()
 
 
 class TestGenCounterexample1:
