@@ -62,19 +62,43 @@ from .sufficient import Condition, bound_table, certify
 
 __all__ = ["main", "entry", "parse_record", "format_record"]
 
-# what a plain record may hold once its ends are stripped; the JSON
-# decoder also takes inner whitespace, signs, fractions and brackets,
-# which would not print back as they were read
+# the characters a plain line may hold once its ends are stripped; only
+# a line the table missed is checked against it, to word its error
 _PLAIN_CHARS = str.maketrans("", "", "0123456789,;")
 # an entry with a leading zero, searched for with ',' put before every
 # entry: a pattern that starts with a literal is scanned for in C, one
-# that starts with an alternation is tried at every position (10x slower).
-# Only a line the JSON decoder rejected is searched, to word its error.
+# that starts with an alternation is tried at every position (10x slower)
 _LEADING_ZERO = re.compile(",(0[0-9]+)")
-# the decoder's C scanner, called without json.loads's wrapper: a plain
-# line's text holds no brackets but the outer ones, so a scan from 0 that
-# succeeds reads all of it
-_scan_json = json.scanner.make_scanner(json.decoder.JSONDecoder())
+
+
+class _Decimals(dict):
+    """Canonical decimal text -> its int, for the values in ``[0..limit]``.
+
+    Canonical text is ASCII digits with no sign and no leading zero, the
+    text ``str()`` gives, so a hit proves a plain entry well-formed.  Each
+    value is entered on first sight, and only up to ``limit``, the most
+    in-degrees any plain line has held: a larger entry is out of range
+    anyway.  So, whatever the input, the table holds no more entries than
+    the longest line held in-degrees, plus one; every other key misses
+    with ``KeyError``.
+    """
+
+    __slots__ = ("limit",)
+
+    def __init__(self):
+        self.limit = 0
+
+    def __missing__(self, key):
+        # the length test keeps int() off keys past its digit limit
+        if len(key) <= len(str(self.limit)) and key.isdecimal():
+            value = int(key)
+            if value <= self.limit and str(value) == key:
+                self[key] = value
+                return value
+        raise KeyError(key)
+
+
+_DECIMALS = _Decimals()
 
 
 def _int_entries(values):
@@ -101,45 +125,51 @@ def parse_record(line: str) -> BidegreeSequence:
         ):
             raise BidegreeError('JSON record needs "in" and "out" arrays')
         return new_sequence(_int_entries(obj["in"]), _int_entries(obj["out"]))
-    if ";" not in text:
+    left, sep, right = text.partition(";")
+    if not sep:
         raise BidegreeError("plain record needs ';' between in- and out-degrees")
+    n = left.count(",") + 1
+    table = _DECIMALS
+    if n > table.limit:
+        table.limit = n
+    # every entry a hit: the line is canonical entries in [0..n], with one
+    # ';' (a second one stays inside an entry of the right side).  A miss
+    # costs only time, as the diagnosis reads a well-formed line too.  Each
+    # side's list of entry strings is gone before the other side is split.
+    decimal = table.__getitem__
+    try:
+        return new_sequence(
+            tuple(map(decimal, left.split(","))), tuple(map(decimal, right.split(",")))
+        )
+    except KeyError:
+        pass  # diagnosed past the handler, so its error chains to no KeyError
+    return _diagnose_plain(text)
+
+
+def _diagnose_plain(text: str) -> BidegreeSequence:
+    """Read a plain line with an entry the table missed, checking its rules
+    in this order: ASCII digits, ',' and ';' only; no leading zero; one
+    ';'; then the first entry, in line order, that is empty or past
+    int()'s digit limit, which keeps int()'s own message.  A line that
+    breaks none of them is read with int(): the table missed only an
+    entry past its limit, which validation rejects as past ``n``."""
     stray = text.translate(_PLAIN_CHARS)
     if stray:
-        raise BidegreeError(
-            f"plain entries must be ASCII digits, got {stray[0]!r}"
-        )
-    # digits, ',' and ';' left: the line is the body of a JSON array of
-    # arrays, one per ';'-separated side.  JSON's grammar rejects leading
-    # zeros and empty entries, though not an empty side ('[]').
-    try:
-        sides, _ = _scan_json("[[" + text.replace(";", "],[") + "]]", 0)
-    except (StopIteration, ValueError):
-        _raise_plain_error(text)
-        raise  # not reached: it raises for every line JSON rejects
-    if len(sides) != 2:
-        raise BidegreeError("plain record needs exactly one ';'")
-    left, right = sides
-    if not left or not right:
-        raise BidegreeError("plain entries must not be empty")
-    return new_sequence(left, right)
-
-
-def _raise_plain_error(text: str):
-    """Raise the error of the first rule a plain line of ASCII digits,
-    ',' and ';' breaks, checked in this order: a leading zero, a second
-    ';', then the first entry, in line order, that is empty or past
-    int()'s digit limit, which keeps int()'s own message."""
+        raise BidegreeError(f"plain entries must be ASCII digits, got {stray[0]!r}")
     padded = _LEADING_ZERO.search("," + text.replace(";", ","))
     if padded:
         raise BidegreeError(
             f"plain entries must not have leading zeros, got {padded[1]!r}"
-        ) from None
-    if text.count(";") > 1:
-        raise BidegreeError("plain record needs exactly one ';'") from None
-    for entry in text.replace(";", ",").split(","):
+        )
+    sides = text.split(";")
+    if len(sides) > 2:
+        raise BidegreeError("plain record needs exactly one ';'")
+    for entry in ",".join(sides).split(","):
         if not entry:
-            raise BidegreeError("plain entries must not be empty") from None
+            raise BidegreeError("plain entries must not be empty")
         int(entry)
+    left, right = sides
+    return new_sequence(map(int, left.split(",")), map(int, right.split(",")))
 
 
 def format_record(seq: BidegreeSequence) -> str:

@@ -6,9 +6,11 @@ module is exact integer arithmetic on immutable values; no floats appear
 anywhere, so comparisons at bound boundaries (where a difference of one
 decides graphicality) are never subject to rounding.
 
-Validation reads each vector once with the C-level ``min``/``max``/``sum``
-builtins and keeps what it found as ``seq.stats``, so no later layer
-rescans a record for its summary integers.
+Validation sums each vector with the C-level ``sum`` builtin; when both
+sums are ints, every entry is, and it takes ``min``/``max`` over the set
+of each vector's distinct values, which degree vectors hold few of.  It
+keeps what it found as ``seq.stats``, so no later layer rescans a record
+for its summary integers.
 """
 
 from __future__ import annotations
@@ -74,13 +76,19 @@ class BidegreeSequence:
                 f"in-degree length {len(a)} != out-degree length {len(b)}"
             )
         n = len(a)
-        min_in, max_in, min_out, max_out = min(a), max(a), min(b), max(b)
-        if min(min_in, min_out) < 0 or max(max_in, max_out) > n:
-            _raise_first_out_of_range(a, b, n)
-        total, total_out = sum(a), sum(b)
+        try:
+            total, total_out = sum(a), sum(b)
+        except (TypeError, ArithmeticError):  # worded below, in order
+            total = total_out = None
         # a float, Fraction or Decimal entry makes its vector's sum one too
         if type(total) is not int or type(total_out) is not int:
-            _raise_first_non_integer(a, b)
+            _raise_not_integer(a, b, n)
+        # int entries: a set keeps each value's first occurrence, the one
+        # min/max over the vector returns, and a vector repeats few values
+        ins, outs = set(a), set(b)
+        min_in, max_in, min_out, max_out = min(ins), max(ins), min(outs), max(outs)
+        if min(min_in, min_out) < 0 or max(max_in, max_out) > n:
+            _raise_first_out_of_range(a, b, n)
         if total != total_out:
             raise SumMismatch(
                 f"sum of in-degrees {total} != sum of out-degrees {total_out}"
@@ -150,8 +158,18 @@ def _raise_first_out_of_range(a, b, n: int):
                 )
 
 
-def _raise_first_non_integer(a, b):
-    """Raise for the first entry, in-degrees first, that is not an int."""
+def _raise_not_integer(a, b, n: int):
+    """Raise for vectors that hold an entry other than an int, or that
+    cannot be summed, in the order validation reads every record: the
+    range check on min/max over the vectors themselves, then the sums,
+    then the first entry, in-degrees first, that is not an int.  A NaN
+    compares false with everything, so where it sits in its vector decides
+    what the range check sees; over a set, in hash order, it could see
+    more and raise another error."""
+    min_in, max_in, min_out, max_out = min(a), max(a), min(b), max(b)
+    if min(min_in, min_out) < 0 or max(max_in, max_out) > n:
+        _raise_first_out_of_range(a, b, n)
+    sum(a), sum(b)  # an entry the sums cannot take raises as it did
     for x in a + b:
         if not isinstance(x, int):
             raise BidegreeError(f"degree entries must be integers, got {x!r}")

@@ -192,9 +192,14 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
     total_weight = cum[-1]
     # u is random() * total_weight, as the sequential sampler computed it;
     # bisecting below n - 1 is min(bisect_right(cum, u) + 1, n), as cum
-    # never decreases
+    # never decreases.  Most draws land in the first bucket (P(d = 1) is
+    # 1/zeta(exponent), 0.75 at 2.5), so u < cum[0] is tested first and
+    # the bisect starts past it.
+    first = cum[0]
     degrees = [
-        bisect_right(cum, (r >> 11) * 2.0**-53 * total_weight, 0, n - 1) + 1
+        1
+        if (u := (r >> 11) * 2.0**-53 * total_weight) < first
+        else bisect_right(cum, u, 1, n - 1) + 1
         for r in rng.next_u64s(2 * n)
     ]
     a, b = degrees[:n], degrees[n:]

@@ -7,6 +7,7 @@ import re
 import statistics
 import subprocess
 import sys
+import threading
 from functools import cache
 
 import pytest
@@ -165,7 +166,8 @@ _LEADING_ZERO = re.compile(",(0[0-9]+)")
 def split_reader(line):
     """Reference reader for the plain form: split on ';' and ',', then
     int() each entry, with the plain form's checks in their stated order.
-    ``parse_record`` decodes with JSON instead and must agree with it."""
+    ``parse_record`` looks entries up in a table instead and must agree
+    with it."""
     text = line.strip()
     if not text:
         raise bd.BidegreeError("empty record")
@@ -211,6 +213,17 @@ PLAIN_EDGE_LINES = [
     "2;1,1", "3,0;1,1", f"{LONG_ENTRY};1", f"1;{LONG_ENTRY}",
     f"{LONG_ENTRY},;1", f"1,;{LONG_ENTRY}", f"{LONG_ENTRY};1;1",
     f"0{LONG_ENTRY};1", f"1;1,{LONG_ENTRY}", "1,1;1,1", "  2,2,2,0;4,2,0,0 \n",
+    # entries equal to n and to n + 1, some of several digits
+    "2,0;1,1", "3,0;1,2", "0,1;0,3", "1,1;2,0", "100;1", "1;100",
+    ",".join(["10"] + ["0"] * 9) + ";" + ",".join(["1"] * 10),
+    ",".join(["11"] + ["0"] * 9) + ";" + ",".join(["1"] * 10),
+    ",".join(["0"] * 9 + ["10"]) + ";" + ",".join(["1"] * 9 + ["11"]),
+    ",".join(["12", "10"] + ["0"] * 10) + ";" + ",".join(["2"] * 11 + ["0"]),
+    # digits of other scripts, for which str.isdigit() is true
+    "\u00b2;1", "1;\u00b2", "\u0661;1", "1;\u0661", "1;\uff11", "1,\uff11;1,1",
+    # a sign, an underscore, inner spaces
+    "1;+1", "1;-1", "1_0;1", "1;1_0", "1 ;1", "1; 1", "1,1;1 ,1", "1 1;1",
+    f"2,{LONG_ENTRY};1,1", f"2,1;1,{LONG_ENTRY}0",
 ]
 
 
@@ -233,8 +246,9 @@ def mutated_lines(count, seed):
 
 
 class TestPlainDecoder:
-    """``parse_record``'s JSON decoding of the plain form gives the
-    sequence or the error, type and message, the split reader gives."""
+    """``parse_record``'s table lookup of the plain form, and the routine
+    that words the lines it misses, give the sequence or the error, type
+    and message, the split reader gives."""
 
     @pytest.mark.parametrize("line", PLAIN_EDGE_LINES,
                              ids=lambda line: repr(line[:12]))
@@ -254,23 +268,96 @@ class TestPlainDecoder:
     def test_fuzzed_lines(self, line):
         assert read_with(parse_record, line) == read_with(split_reader, line)
 
-    def test_scan_reads_the_whole_line(self):
-        """A plain body holds no brackets, so a scan, which stops at the
-        end of the first JSON value, that succeeds ends at the end of the
-        text."""
-        scanned = 0
-        for line in [*PLAIN_EDGE_LINES, *mutated_lines(300, seed=13)]:
-            body = line.strip()
-            if body.translate(cli._PLAIN_CHARS):
-                continue  # rejected before the scan
-            text = "[[" + body.replace(";", "],[") + "]]"
-            try:
-                _, end = cli._scan_json(text, 0)
-            except (StopIteration, ValueError):
-                continue  # worded by _raise_plain_error, as the tests above show
-            assert end == len(text), line
-            scanned += 1
-        assert scanned > 100
+    @settings(max_examples=800)
+    @given(st.lists(st.text(alphabet="0129,; +_-\u00b2\u0661\uff11",
+                            min_size=1, max_size=24), min_size=1, max_size=6))
+    def test_fuzzed_streams(self, lines):
+        """Lines of other characters too, read one after another, so the
+        table has seen other records, of other lengths, before each."""
+        for line in lines:
+            assert read_with(parse_record, line) == read_with(split_reader, line)
+
+    def test_records_of_different_n_on_one_stream(self, monkeypatch):
+        """An entry the table took from a longer record is still out of
+        range in a shorter one, and one it missed as out of range is read
+        once a record is long enough for it."""
+        monkeypatch.setattr(cli, "_DECIMALS", cli._Decimals())
+        long_line = ",".join(map(str, range(13))) + ";" + ",".join(["6"] * 13)
+        stream = [
+            "5,0;1,4", "1,1;1,1", long_line, "5,0;1,4", "12,0;6,6", "2,0;1,1",
+            "3,1,1;1,2,2", "1,1;1,1", "0,12;12,0", long_line, "1,0;0,1",
+        ]
+        expected = [read_with(split_reader, line) for line in stream]
+        assert [read_with(parse_record, line) for line in stream] == expected
+        assert sum(isinstance(x, bd.BidegreeSequence) for x in expected) == 7
+        monkeypatch.setattr(cli, "_DECIMALS", cli._Decimals())
+        code, out, err = run_cli(["check"], "\n".join(stream) + "\n")
+        assert code == 3
+        assert len(out.splitlines()) == 7
+        assert err.splitlines() == [
+            f"line {i}: {result[1]}"
+            for i, result in enumerate(expected, start=1)
+            if isinstance(result, tuple)
+        ]
+
+    def test_threads_share_the_table(self, monkeypatch):
+        """A lost update to the table's limit costs only time: every
+        thread still reads what the split reader reads, and the table
+        stays within the longest record."""
+        table = cli._Decimals()
+        monkeypatch.setattr(cli, "_DECIMALS", table)
+        streams = [[format_record(bd.gen_uniform(n, n * 3, 0, n, seed=seed))
+                    for n, seed in zip(range(k + 4, 400, 37), itertools.count(k))]
+                   + [f"{k + 30},0;1,1", f"1;0{k}"] for k in range(6)]
+        mismatches = []
+
+        def read(stream):
+            for _ in range(20):
+                for line in stream:
+                    if read_with(parse_record, line) != read_with(split_reader, line):
+                        mismatches.append(line)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(s,)) for s in streams]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        longest = max(len(line.split(";")[0].split(","))
+                      for stream in streams for line in stream)
+        assert len(table) <= longest + 1
+        assert all(table[key] == int(key) for key in table)
+
+    def test_json_record_with_a_semicolon_in_a_string(self):
+        line = '{"in": [2, 1, 0], "note": "a;b", "out": [1, 1, 1]}'
+        assert parse_record(line) == parse_record("2,1,0;1,1,1")
+        assert run_cli(["check"], line + "\n") == (0, "GRAPHIC thm3 Ma=2 Mb=1\n", "")
+
+    def test_table_stays_within_the_longest_record(self, monkeypatch):
+        """Out-of-range, long and malformed entries are never entered, so
+        no input grows the table past the most in-degrees a line held,
+        plus one for 0."""
+        table = cli._Decimals()
+        monkeypatch.setattr(cli, "_DECIMALS", table)
+        lines = [",".join(map(str, range(40))) + ";" + ",".join(["20"] * 39)]
+        for k in range(3000):
+            lines.append(f"{k + 3},0;1,1")  # out of range: past n = 2
+            lines.append(f"{k % 2};{k % 2}")
+            if k % 100 == 0:
+                lines += [f"{LONG_ENTRY}{k};1", f"1;{k}{LONG_ENTRY}", f"0{k};0",
+                          f"1,1;{k},{k}"]
+        for line in lines:
+            assert read_with(parse_record, line) == read_with(split_reader, line)
+        longest = max(len(line.split(";")[0].split(",")) for line in lines)
+        assert table.limit == longest == 40
+        assert len(table) <= longest + 1
+        assert table == {str(x): x for x in range(longest + 1)}
 
 
 class TestCheck:

@@ -121,6 +121,85 @@ class TestStats:
         )
 
 
+def typed(values):
+    return tuple((type(x), x) for x in values)
+
+
+# the sequences validation saw NaN in: a NaN compares false with
+# everything, so min/max over a vector return whatever its order leaves,
+# and the range check sees, or misses, the int beside it accordingly
+NAN_BESIDE_OUT_OF_RANGE = [
+    ("nan,-1", "0,0", bd.BidegreeError, "degree entries must be integers, got nan"),
+    ("-1,nan", "0,0", bd.NegativeDegree, "in-degree entry -1 is negative"),
+    ("nan,3", "1,1", bd.BidegreeError, "degree entries must be integers, got nan"),
+    ("3,nan", "1,1", bd.DegreeExceedsN, "in-degree entry 3 exceeds node count 2"),
+    ("1,1", "nan,-1", bd.BidegreeError, "degree entries must be integers, got nan"),
+    ("1,1", "-1,nan", bd.NegativeDegree, "out-degree entry -1 is negative"),
+    ("nan,1", "-1,2", bd.BidegreeError, "degree entries must be integers, got nan"),
+    ("-1,2", "nan,1", bd.NegativeDegree, "in-degree entry -1 is negative"),
+    ("nan,1", "3,0", bd.BidegreeError, "degree entries must be integers, got nan"),
+    ("1,3", "nan,0", bd.DegreeExceedsN, "in-degree entry 3 exceeds node count 2"),
+    ("nan,nan", "1,1", bd.BidegreeError, "degree entries must be integers, got nan"),
+    ("0,nan,5", "0,1,1", bd.DegreeExceedsN, "in-degree entry 5 exceeds node count 3"),
+]
+
+
+class TestStatsOverDistinctValues:
+    """Validation takes min/max over each vector's distinct values; the
+    stats, their types among them, and the errors are those of min/max
+    over the vectors themselves."""
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ([True, 1], [1, True], (2, 2, True, True, 1, True)),
+        ([1, True], [True, 1], (2, 2, 1, 1, True, 1)),
+        ([True, False], [False, True], (2, 1, False, True, True, True)),
+        ([0, False, 2, 2], [False, 0, 2, 2], (4, 4, 0, 2, 2, 2)),
+    ], ids=["true-first", "int-first", "bools", "false-beside-zero"])
+    def test_bool_entries_keep_their_types(self, a, b, expected):
+        # the first of equal entries is the one min/max return
+        assert typed(bd.new_sequence(a, b).stats) == typed(expected)
+
+    @pytest.mark.parametrize("a, b, error, message", [
+        ([1, 1.0], [1.0, 1], bd.BidegreeError, "degree entries must be integers, got 1.0"),
+        ([2.5, 0], [1, 1.5], bd.DegreeExceedsN, "in-degree entry 2.5 exceeds node count 2"),
+        ([3.0, 0], [1, 1], bd.DegreeExceedsN, "in-degree entry 3.0 exceeds node count 2"),
+        ([-1.0, 1], [0, 0], bd.NegativeDegree, "in-degree entry -1.0 is negative"),
+        ([Fraction(3), 0], [1, 2], bd.DegreeExceedsN, "in-degree entry 3 exceeds node count 2"),
+        (["1"], ["1"], TypeError, "'<' not supported between instances of 'str' and 'int'"),
+        ([None], [0], TypeError, "'<' not supported between instances of 'int' and 'NoneType'"),
+        ([[1]], [1], TypeError, "'<' not supported between instances of 'int' and 'list'"),
+    ], ids=["float-ones", "float-over-n", "float-n-plus-one", "float-negative",
+            "fraction-over-n", "str", "none", "list"])
+    def test_entries_other_than_ints(self, a, b, error, message):
+        with pytest.raises(error) as info:
+            bd.new_sequence(a, b)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("a, b, error, message", NAN_BESIDE_OUT_OF_RANGE,
+                             ids=[f"{a};{b}" for a, b, *_ in NAN_BESIDE_OUT_OF_RANGE])
+    def test_nan_beside_an_int_out_of_range(self, a, b, error, message):
+        """A set orders NaNs by their ids, so fresh NaNs put them at many
+        places in it; the error does not depend on where."""
+        for _ in range(50):
+            values = [[float(x) if x == "nan" else int(x) for x in side.split(",")]
+                      for side in (a, b)]
+            with pytest.raises(error) as info:
+                bd.new_sequence(*values)
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.booleans(), st.booleans()),
+                    min_size=6, max_size=12))
+    def test_bounds_as_over_the_vectors(self, rows):
+        """Ints, some 0s and 1s given as bools: each bound is the first
+        entry of its value, the one min/max over the vector return."""
+        a = [bool(x) if flip and x < 2 else x for x, flip, _ in rows]
+        b = [bool(x) if flip and x < 2 else x for x, _, flip in reversed(rows)]
+        assert typed(bd.new_sequence(a, b).stats) == typed((
+            len(a), sum(a), min(min(a), min(b)), max(a), max(b), max(max(a), max(b))))
+
+
 class TestSortCanonical:
     def test_pairs_move_together(self):
         seq = bd.sort_canonical(bd.new_sequence((1, 3, 2), (3, 0, 3)))
