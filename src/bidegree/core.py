@@ -1,4 +1,4 @@
-"""Validated bidegree sequences, summary statistics, and conjugate profiles.
+"""Validated bidegree sequences and their summary statistics.
 
 A bidegree sequence pairs an in-degree vector ``a`` with an out-degree
 vector ``b`` for the ``n`` nodes of a directed graph.  Everything in this
@@ -22,7 +22,6 @@ from operator import sub
 from .errors import (
     BidegreeError,
     DegreeExceedsN,
-    EntryOutOfRange,
     LengthMismatch,
     NegativeDegree,
     SumMismatch,
@@ -31,11 +30,9 @@ from .errors import (
 __all__ = [
     "BidegreeSequence",
     "SequenceStats",
-    "ConjugateProfile",
     "new_sequence",
     "stats",
     "sort_canonical",
-    "conjugate_profile",
     "pad_bipartite",
 ]
 
@@ -175,19 +172,6 @@ def _raise_not_integer(a, b, n: int):
             raise BidegreeError(f"degree entries must be integers, got {x!r}")
 
 
-class ConjugateProfile(namedtuple("ConjugateProfile", "cumulative counts")):
-    """Cumulative conjugate sums of an out-degree vector.
-
-    ``counts[i - 1]`` is the number of entries that are >= ``i`` for
-    ``i`` in ``[1..n]``, and ``cumulative[j] = sum_i min(b_i, j)`` for
-    ``j`` in ``[0..n]``.  The increments ``counts`` are non-increasing,
-    so ``cumulative`` is concave, and it saturates at the degree sum once
-    ``j`` reaches the maximum entry.
-    """
-
-    __slots__ = ()
-
-
 def new_sequence(in_degrees, out_degrees) -> BidegreeSequence:
     """Validate and freeze a bidegree sequence.
 
@@ -213,31 +197,8 @@ def sort_canonical(seq: BidegreeSequence) -> BidegreeSequence:
     deterministic; the pairing of ``a_i`` with ``b_i`` is preserved.
     Idempotent.
     """
-    a, b = zip(*_canonical_pairs(seq))
+    a, b = zip(*sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True))
     return BidegreeSequence(a, b)
-
-
-def conjugate_profile(out_degrees, n: int) -> ConjugateProfile:
-    """Build the conjugate profile of ``out_degrees`` over ``n`` slots.
-
-    ``cumulative`` is the conjugate-sum pipeline the exact checks use, run
-    to ``n``, and ``counts`` are its successive differences, so the whole
-    table costs O(len + n).  ``cumulative[j]`` equals the direct evaluation
-    of ``sum_i min(b_i, j)`` for every ``j``.  Any iterable of any length
-    is accepted; ``n`` only sets the range and the number of slots.
-
-    Raises
-    ------
-    EntryOutOfRange
-        If an entry falls outside ``[0..n]``.
-    """
-    vec = tuple(out_degrees)
-    if vec and not 0 <= min(vec) <= max(vec) <= n:
-        bad = min(vec) if min(vec) < 0 else max(vec)
-        raise EntryOutOfRange(f"entry {bad} outside [0..{n}]")
-    cumulative = _conjugate_sums(vec, n)
-    counts = map(sub, cumulative[1:], cumulative)
-    return ConjugateProfile(tuple(cumulative), tuple(counts))
 
 
 def pad_bipartite(row_sums, col_sums) -> BidegreeSequence:
@@ -266,17 +227,6 @@ def pad_bipartite(row_sums, col_sums) -> BidegreeSequence:
     return new_sequence(
         rows + (0,) * (n - len(rows)), cols + (0,) * (n - len(cols))
     )
-
-
-def _canonical_pairs(seq: BidegreeSequence) -> list[tuple[int, int]]:
-    """(in, out) pairs, in-degree descending, ties by out-degree descending.
-
-    The one canonical order: :func:`sort_canonical` reads it, the
-    heavy-tail certificate reads it grouped into counts of distinct
-    pairs, and the loop-free exact check sorts the same way only the
-    pairs whose in-degree can place them among the first ``max_out``.
-    """
-    return sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
 
 
 # -- internal fast-path helpers -------------------------------------------

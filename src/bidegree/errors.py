@@ -11,7 +11,6 @@ __all__ = [
     "NegativeDegree",
     "DegreeExceedsN",
     "SumMismatch",
-    "EntryOutOfRange",
     "InstanceTooLarge",
     "Infeasible",
     "InvalidStats",
@@ -39,10 +38,6 @@ class DegreeExceedsN(BidegreeError):
 
 class SumMismatch(BidegreeError):
     """Sum of in-degrees differs from sum of out-degrees."""
-
-
-class EntryOutOfRange(BidegreeError):
-    """A vector entry falls outside the permitted [0..n] range."""
 
 
 class InstanceTooLarge(BidegreeError):

@@ -27,15 +27,16 @@ tie-break exactly.  Re-keying a wired node pushes a fresh entry and
 leaves the old one behind; old entries are recognized by a rank below the
 current step and dropped when popped.  Each stub costs one pop and one
 push, and each source sorts its own short target list, so the wiring
-takes ``O(S log n)``.  The margin check and the edge list read the
-target lists in ``O(n + S)``; only the dense forms (``rows``,
-``row_string``, ``entry``) cost ``n`` bits or characters per row.
+takes ``O(S log n)``.  The margin check, the edge list and the dense
+rows all read the target lists, in ``O(n + S)`` plus ``n`` characters per
+row for the dense form.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
+from operator import contains
 
 from .core import BidegreeSequence
 from .errors import DimensionMismatch
@@ -45,43 +46,39 @@ __all__ = ["AdjacencyRealization", "realize", "verify_realization"]
 
 
 class AdjacencyRealization:
-    """A 0-1 adjacency matrix in the caller's node order.
+    """A 0-1 adjacency matrix in the caller's node order, kept sparse.
 
-    ``targets[j]`` is the increasing tuple of the nodes that ``j`` has an
-    edge to, so entry ``(i, j)`` is 1 exactly when ``i`` is in it.  The
-    constructor takes the dense form instead, one row per node:
-    ``rows[i]`` is a bitmask with bit ``j`` set for an edge ``j -> i``.
-    ``rows`` stays readable, built from the lists on first use and kept.
-    A bit at a column past ``n - 1`` names a source the matrix does not
-    have: ``targets`` then runs past ``n`` entries, ``verify_realization``
-    rejects it, and ``row_string`` and ``edges`` leave it out.
+    ``targets[j]`` is the tuple of the nodes that ``j`` has an edge to, so
+    entry ``(i, j)`` is 1 exactly when ``i`` is in it; ``realize`` lists
+    each in increasing order.  The constructor checks only the shape, one
+    target list per node and every target in ``[0, n)``: order, repeats,
+    the margins and, when ``loops_allowed`` is False, the empty diagonal
+    are ``verify_realization``'s to check.
 
-    The diagonal is all zero whenever ``loops_allowed`` is False.
     Equality and hashing read ``(n, targets, loops_allowed)``.  Instances
     are immutable.
+
+    Raises
+    ------
+    DimensionMismatch
+        If there are not ``n`` target lists, or a target is outside
+        ``[0, n)``.
     """
 
-    __slots__ = ("n", "targets", "loops_allowed", "_rows")
+    __slots__ = ("n", "targets", "loops_allowed")
 
-    def __init__(self, n: int, rows, loops_allowed: bool):
-        rows = tuple(rows)
-        if len(rows) != n:
-            raise DimensionMismatch(f"{len(rows)} rows for n={n}")
-        width = max(n, max((row.bit_length() for row in rows), default=0))
-        targets = [[] for _ in range(width)]
-        for dst, row in enumerate(rows):
-            bits = bin(row)[:1:-1]  # column 0 first
-            src = bits.find("1")
-            while src >= 0:
-                targets[src].append(dst)
-                src = bits.find("1", src + 1)
-        _fill(self, n, tuple(map(tuple, targets)), loops_allowed, rows)
-
-    @classmethod
-    def _from_targets(cls, n: int, targets: tuple, loops_allowed: bool):
-        self = object.__new__(cls)
-        _fill(self, n, targets, loops_allowed, None)
-        return self
+    def __init__(self, n: int, targets, loops_allowed: bool):
+        targets = tuple(map(tuple, targets))
+        if len(targets) != n:
+            raise DimensionMismatch(f"{len(targets)} target lists for n={n}")
+        low = min(chain.from_iterable(targets), default=0)
+        high = max(chain.from_iterable(targets), default=-1)
+        if low < 0 or high >= n:
+            bad = low if low < 0 else high
+            raise DimensionMismatch(f"target {bad} outside [0, {n})")
+        _set_n(self, n)
+        _set_targets(self, targets)
+        _set_loops(self, loops_allowed)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -108,28 +105,14 @@ class AdjacencyRealization:
         )
 
     def __reduce__(self):
-        # a copy is built from the form this one was, so it keeps any bit
-        # past column n - 1 in its rows as well as in its targets
-        if self._rows is not None:
-            return type(self), (self.n, self._rows, self.loops_allowed)
-        return self._from_targets, (self.n, self.targets, self.loops_allowed)
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        """Row ``i`` as a bitmask, bit ``j`` set for an edge ``j -> i``;
-        built from ``row_strings`` on first use and kept."""
-        rows = self._rows
-        if rows is None:
-            rows = tuple(int(row[::-1], 2) for row in self.row_strings())
-            _set_rows(self, rows)
-        return rows
+        return type(self), (self.n, self.targets, self.loops_allowed)
 
     def row_strings(self):
         """Yield every row as ``row_string`` gives it, built from the
         target lists: ``n`` bytes per row and one byte store per edge."""
         n = self.n
         sources = [[] for _ in range(n)]
-        for src, dsts in zip(range(n), self.targets):
+        for src, dsts in enumerate(self.targets):
             for dst in dsts:
                 sources[dst].append(src)
         blank = b"0" * n
@@ -139,34 +122,27 @@ class AdjacencyRealization:
                 row[src] = 49  # "1"
             yield row.decode()
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def row_string(self, i: int) -> str:
-        """Row ``i`` as a 0/1 character string, column 0 first."""
-        # the last n binary digits, reversed; bits past column n-1 drop out
-        return format(self.rows[i], f"0{self.n}b")[: -self.n - 1 : -1]
+        """Row ``i`` as a 0/1 character string, column 0 first: one
+        membership test per source, so ``O(n + S)`` for one row."""
+        hits = bytes(map(contains, self.targets, repeat(i)))
+        return hits.translate(_ZERO_ONE).decode()
 
     def edges(self):
-        """Yield ``(src, dst)`` pairs grouped by source node, both ascending."""
-        for src, dsts in zip(range(self.n), self.targets):
+        """Yield ``(src, dst)`` pairs grouped by source node, in target
+        list order: both ascending for a realization ``realize`` built."""
+        for src, dsts in enumerate(self.targets):
             for dst in dsts:
                 yield (src, dst)
 
 
-# the slots' own setters: construction fills each slot once, past the
+# the slots' own setters: __init__ fills each slot once, past the
 # __setattr__ that keeps instances immutable
 _set_n = AdjacencyRealization.n.__set__
 _set_targets = AdjacencyRealization.targets.__set__
 _set_loops = AdjacencyRealization.loops_allowed.__set__
-_set_rows = AdjacencyRealization._rows.__set__
 
-
-def _fill(real, n, targets, loops_allowed, rows):
-    _set_n(real, n)
-    _set_targets(real, targets)
-    _set_loops(real, loops_allowed)
-    _set_rows(real, rows)
+_ZERO_ONE = bytes.maketrans(b"\0\1", b"01")
 
 
 def realize(
@@ -226,9 +202,7 @@ def realize(
         if resid_in[s]:
             heappush(heap, n + s - resid_in[s] * width)  # s is wired: re-key
 
-    realization = AdjacencyRealization._from_targets(
-        n, tuple(targets), allow_loops
-    )
+    realization = AdjacencyRealization(n, targets, allow_loops)
     if not verify_realization(realization, seq):
         raise RuntimeError("constructed matrix does not match the margins")
     return realization
@@ -238,9 +212,9 @@ def verify_realization(
     real: AdjacencyRealization, seq: BidegreeSequence
 ) -> bool:
     """Exact margin check in ``O(n + S)``: each source's targets strictly
-    increase inside ``[0, n)``, number its out-degree and skip the source
-    itself unless loops are allowed; each node is a target as often as its
-    in-degree.
+    increase, number its out-degree and skip the source itself unless
+    loops are allowed; each node is a target as often as its in-degree.
+    The constructor has already kept every target inside ``[0, n)``.
 
     Raises
     ------
@@ -249,10 +223,7 @@ def verify_realization(
     """
     if real.n != seq.n:
         raise DimensionMismatch(f"matrix n={real.n} vs sequence n={seq.n}")
-    n = seq.n
     targets = real.targets
-    if len(targets) != n:
-        return False  # an edge from a column past n-1
     if list(map(len, targets)) != list(seq.out_degrees):
         return False
     loops = real.loops_allowed
@@ -260,11 +231,11 @@ def verify_realization(
         prev = -1
         for dst in dsts:
             if dst <= prev:
-                return False  # repeated, unordered or negative
+                return False  # repeated or unordered
             prev = dst
-        if prev >= n or (not loops and src in dsts):
+        if not loops and src in dsts:
             return False
-    in_count = [0] * n
+    in_count = [0] * seq.n
     for dst in chain.from_iterable(targets):
         in_count[dst] += 1
     return in_count == list(seq.in_degrees)

@@ -23,16 +23,17 @@ MODULES = [
     for name in ("core", "errors", "exact", "generate", "realize", "sufficient")
 ]
 
-# bidegree.__all__ before each module's own list became the one source
+# bidegree.__all__ before each module's own list became the one source,
+# less ConjugateProfile, conjugate_profile and EntryOutOfRange, which were
+# removed as unused
 EARLIER_EXPORTS = """
     AdjacencyRealization BadExponent BidegreeError BidegreeSequence BoundTable
-    Certificate CheckOutcome Condition ConjugateProfile DegreeExceedsN
-    DimensionMismatch EntryOutOfRange GeneratorSpec Infeasible
-    InstanceTooLarge InvalidParameters InvalidStats LengthMismatch
-    NegativeDegree Prepared SequenceStats SplitMix64 SumMismatch Verdict
-    bound_table brute_force_exists certify check_cor2 check_cor3 check_cor5
-    check_no_loops check_thm2 check_thm3 check_thm4 check_thm5 check_thm6
-    check_with_loops conjugate_profile gen_counterexample1 gen_extremal
+    Certificate CheckOutcome Condition DegreeExceedsN DimensionMismatch
+    GeneratorSpec Infeasible InstanceTooLarge InvalidParameters InvalidStats
+    LengthMismatch NegativeDegree Prepared SequenceStats SplitMix64
+    SumMismatch Verdict bound_table brute_force_exists certify check_cor2
+    check_cor3 check_cor5 check_no_loops check_thm2 check_thm3 check_thm4
+    check_thm5 check_thm6 check_with_loops gen_counterexample1 gen_extremal
     gen_powerlaw gen_uniform generate_sequence kstar_no_loops
     kstar_with_loops minimizer_b_star new_sequence pad_bipartite prepare
     realize sort_canonical stats thm3_special_max thm4_special_max
@@ -52,7 +53,7 @@ class TestExports:
         assert sorted(bd.__all__) == sorted(joined)
 
     def test_earlier_exports_are_kept(self):
-        assert len(EARLIER_EXPORTS) == 56
+        assert len(EARLIER_EXPORTS) == 53
         assert set(EARLIER_EXPORTS) <= set(bd.__all__)
 
     def test_realize_is_the_function(self):
@@ -154,12 +155,6 @@ VALUES = {
         "SequenceStats(n=3, total=3, min_degree=0, max_in=2, max_out=1, "
         "max_degree=2)",
     ),
-    "ConjugateProfile": (
-        lambda: bd.conjugate_profile((2, 1, 0), 3),
-        lambda: bd.conjugate_profile((1, 1, 1), 3),
-        ("cumulative", "counts"),
-        "ConjugateProfile(cumulative=(0, 2, 3, 3), counts=(2, 1, 0))",
-    ),
     "CheckOutcome": (
         lambda: bd.check_with_loops(bd.new_sequence((2, 2, 2, 0), (4, 2, 0, 0))),
         lambda: bd.check_with_loops(_seq()),
@@ -181,7 +176,7 @@ VALUES = {
     ),
     "AdjacencyRealization": (
         lambda: bd.realize(_seq()), lambda: bd.realize(_seq(), allow_loops=False),
-        ("n", "rows", "loops_allowed"),
+        ("n", "targets", "loops_allowed"),
         None,
     ),
     "GeneratorSpec": (
@@ -252,22 +247,17 @@ def test_sequence_copies_keep_their_stats():
         assert twin.stats == seq.stats
 
 
-def test_realization_copies_keep_their_rows():
-    # equality reads the target lists; a bit past the last column lives in
-    # the rows a matrix was built from, and a copy keeps it there too
-    stray = bd.AdjacencyRealization(2, (0b110, 0b1001), True)
-    built = bd.realize(_seq())
-    for real in (stray, built):
-        for twin in (copy.deepcopy(real), pickle.loads(pickle.dumps(real))):
-            assert twin.rows == real.rows
+def test_realization_copies_keep_their_targets():
+    # a value the constructor built, with targets realize would not emit
+    # (unsorted, repeated), copies as it is; copies do not re-sort them
+    built = bd.AdjacencyRealization(3, [[2, 0], [], [1, 1]], False)
+    for real in (built, bd.realize(_seq())):
+        for twin in (copy.copy(real), copy.deepcopy(real),
+                     pickle.loads(pickle.dumps(real))):
+            assert type(twin) is type(real) and twin == real
             assert twin.targets == real.targets
-    assert stray.rows == (0b110, 0b1001)
-
-
-def test_realization_needs_one_row_per_node():
-    # a third row would be a target the two-node matrix does not have
-    with pytest.raises(bd.DimensionMismatch):
-        bd.AdjacencyRealization(2, (0b1, 0b10, 0b1), True)
+            assert twin.loops_allowed == real.loops_allowed
+    assert built.targets == ((2, 0), (), (1, 1))
 
 
 def test_generator_spec_defaults():

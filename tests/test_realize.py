@@ -11,7 +11,8 @@ from conftest import equal_sum_vector_pairs, sequence_pairs
 
 def matrix_of(real):
     return [
-        [real.entry(i, j) for j in range(real.n)] for i in range(real.n)
+        [int(i in real.targets[j]) for j in range(real.n)]
+        for i in range(real.n)
     ]
 
 
@@ -28,29 +29,30 @@ def reference_realize(seq, allow_loops):
     n = seq.n
     resid_in = list(seq.in_degrees)
     resid_out = list(seq.out_degrees)
-    rows = [0] * n
+    targets = [()] * n
     for s in sorted(range(n), key=lambda i: (-resid_out[i], i)):
         order = sorted(range(n), key=lambda i: (-resid_in[i], -resid_out[i], i))
         usable = [t for t in order if resid_in[t] and (allow_loops or t != s)]
-        targets = usable[: resid_out[s]]
-        assert len(targets) == resid_out[s]
-        for t in targets:
+        chosen = usable[: resid_out[s]]
+        assert len(chosen) == resid_out[s]
+        for t in chosen:
             resid_in[t] -= 1
-            rows[t] |= 1 << s
+        targets[s] = sorted(chosen)
         resid_out[s] = 0
-    return bd.AdjacencyRealization(n, tuple(rows), allow_loops)
+    return bd.AdjacencyRealization(n, targets, allow_loops)
 
 
 def naive_row_string(real, i):
-    return "".join(str(real.entry(i, j)) for j in range(real.n))
+    return "".join(map(str, matrix_of(real)[i]))
 
 
 def naive_edges(real):
+    matrix = matrix_of(real)
     return [
         (src, dst)
         for src in range(real.n)
         for dst in range(real.n)
-        if real.entry(dst, src)
+        if matrix[dst][src]
     ]
 
 
@@ -75,11 +77,6 @@ class TestRealizeExamples:
         assert matrix_of(real) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
         assert list(real.edges()) == [(0, 1), (1, 2), (2, 0)]
 
-    def test_bits_past_last_column_are_not_entries(self):
-        real = bd.AdjacencyRealization(2, (0b110, 0b1001), True)
-        assert [real.row_string(i) for i in range(2)] == ["01", "10"]
-        assert list(real.edges()) == naive_edges(real) == [(0, 1), (1, 0)]
-
     def test_not_graphic_returns_outcome(self):
         out = bd.realize(bd.new_sequence((2, 2, 2, 0), (4, 2, 0, 0)), True)
         assert isinstance(out, bd.CheckOutcome)
@@ -93,38 +90,101 @@ class TestVerifyRealization:
         assert bd.verify_realization(real, ten_node_vector) is True
 
     def test_any_bit_flip_breaks_margins(self):
+        # flipping entry (i, j) adds target i to source j, or removes it
         seq = bd.new_sequence((2, 1, 1), (1, 2, 1))
         real = bd.realize(seq, allow_loops=False)
         assert isinstance(real, bd.AdjacencyRealization)
         for i in range(seq.n):
             for j in range(seq.n):
-                rows = list(real.rows)
-                rows[i] ^= 1 << j
-                flipped = bd.AdjacencyRealization(seq.n, tuple(rows), False)
+                targets = [set(dsts) for dsts in real.targets]
+                targets[j] ^= {i}
+                flipped = bd.AdjacencyRealization(
+                    seq.n, [sorted(dsts) for dsts in targets], False
+                )
                 assert not bd.verify_realization(flipped, seq)
 
     def test_identity_matrix_all_loops(self):
         n = 4
         seq = bd.new_sequence((1,) * n, (1,) * n)
-        ident = bd.AdjacencyRealization(
-            n, tuple(1 << i for i in range(n)), True
-        )
+        ident = bd.AdjacencyRealization(n, [(i,) for i in range(n)], True)
         assert bd.verify_realization(ident, seq)
-        strict = bd.AdjacencyRealization(
-            n, tuple(1 << i for i in range(n)), False
-        )
+        strict = bd.AdjacencyRealization(n, [(i,) for i in range(n)], False)
         assert not bd.verify_realization(strict, seq)
 
-    def test_bits_past_last_column_fail(self):
-        # row 0 holds bit 2, a column a 2-node matrix does not have
-        stray = bd.AdjacencyRealization(2, (0b100, 0b01), True)
-        seq = bd.new_sequence((1, 1), (1, 1))
-        assert bd.verify_realization(stray, seq) is False
+    def test_unsorted_or_repeated_targets_fail(self):
+        # the constructor checks only the shape, and these margins match:
+        # only verify's order check rejects them
+        for in_degrees, first in (((1, 1, 1), (1, 0)), ((0, 2, 1), (1, 1))):
+            seq = bd.new_sequence(in_degrees, (2, 0, 1))
+            real = bd.AdjacencyRealization(3, (first, (), (2,)), True)
+            assert real.targets[0] == first
+            assert not bd.verify_realization(real, seq)
+        ordered = bd.AdjacencyRealization(3, ((0, 1), (), (2,)), True)
+        assert bd.verify_realization(ordered, bd.new_sequence((1, 1, 1), (2, 0, 1)))
 
     def test_dimension_mismatch(self):
-        real = bd.AdjacencyRealization(2, (0, 0), True)
+        real = bd.AdjacencyRealization(2, ((), ()), True)
         with pytest.raises(bd.DimensionMismatch):
             bd.verify_realization(real, bd.new_sequence((0,), (0,)))
+
+
+class TestConstructor:
+    """The one constructor checks the shape and nothing more."""
+
+    def test_needs_one_target_list_per_node(self):
+        for n, targets in ((2, ((1,),)), (1, ()), (3, ((), ()))):
+            with pytest.raises(bd.DimensionMismatch):
+                bd.AdjacencyRealization(n, targets, True)
+
+    def test_source_past_the_last_column_is_rejected(self):
+        # a third or fourth target list names a source a 2-node matrix
+        # does not have
+        for targets in (((1,), (0,), (0,), (1,)), ((), (0,), (0,))):
+            with pytest.raises(bd.DimensionMismatch):
+                bd.AdjacencyRealization(2, targets, True)
+
+    def test_negative_target_is_rejected(self):
+        with pytest.raises(bd.DimensionMismatch, match="target -1"):
+            bd.AdjacencyRealization(3, ((0,), (2, -1), ()), True)
+
+    def test_target_equal_to_n_is_rejected(self):
+        for bad in (3, 4):
+            with pytest.raises(bd.DimensionMismatch, match=f"target {bad}"):
+                bd.AdjacencyRealization(3, ((0,), (bad, 1), ()), False)
+
+    def test_any_iterables_become_tuples(self):
+        real = bd.AdjacencyRealization(2, iter([[1], iter([0])]), False)
+        assert real.targets == ((1,), (0,))
+        assert real == bd.AdjacencyRealization(2, ((1,), (0,)), False)
+        assert bd.AdjacencyRealization(0, (), True).targets == ()
+
+
+class TestRowString:
+    """``row_string(i)``, read one row at a time from the target lists, is
+    the i-th row that ``row_strings()`` prints and agrees with ``edges()``."""
+
+    @pytest.mark.parametrize("loops", [True, False])
+    def test_matches_row_strings_and_edges(self, loops):
+        rng = SplitMix64(11)
+        done = 0
+        while done < 20:
+            n = rng.randint(1, 60)
+            total = n * min(3, n - 1)  # loop-free graphic sums exist
+            seq = bd.gen_uniform(n, total, 0, n, seed=rng.next_u64())
+            real = bd.realize(seq, loops)
+            if isinstance(real, bd.CheckOutcome):
+                continue
+            rows = [real.row_string(i) for i in range(n)]
+            assert rows == list(real.row_strings())
+            ones = {
+                (src, dst)
+                for dst, row in enumerate(rows)
+                for src, char in enumerate(row)
+                if char == "1"
+            }
+            assert ones == set(real.edges())
+            assert all(set(row) <= {"0", "1"} and len(row) == n for row in rows)
+            done += 1
 
 
 class TestRealizeAgreement:
@@ -144,7 +204,7 @@ class TestRealizeAgreement:
                 assert bd.verify_realization(result, seq)
                 if not loops:
                     assert all(
-                        result.entry(i, i) == 0 for i in range(n)
+                        i not in result.targets[i] for i in range(n)
                     )
 
     @given(sequence_pairs(max_n=14))
@@ -187,7 +247,7 @@ class TestRealizeAgreement:
                 continue
             assert bd.verify_realization(result, seq)
             if not loops:
-                assert all(result.entry(i, i) == 0 for i in range(seq.n))
+                assert all(i not in result.targets[i] for i in range(seq.n))
             done += 1
 
 

@@ -1,6 +1,7 @@
 from collections import Counter
 from decimal import Decimal, getcontext
 from itertools import accumulate
+from operator import sub
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
-from bidegree.core import SequenceStats, _canonical_pairs
+from bidegree.core import SequenceStats, _conjugate_sums
 from bidegree.exact import INCONCLUSIVE, Verdict
 from bidegree.generate import SplitMix64
 from bidegree.sufficient import Condition, Prepared
@@ -268,7 +269,7 @@ class TestCor5:
             assert count >= 1
             starts.append(len(expanded))
             expanded += [pair] * count
-        assert expanded == _canonical_pairs(seq)
+        assert expanded == sorted(seq.pairs(), reverse=True)
         for start, group_max in zip(starts, prep.suffix_group_max):
             assert group_max == max(max(p) for p in expanded[start:])
 
@@ -296,8 +297,9 @@ class TestMinimizer:
         assert len(vec) == n and sum(vec) == S
         assert all(m <= x <= M for x in vec)
         assert all(x >= y for x, y in zip(vec, vec[1:]))  # non-increasing
-        prof = bd.conjugate_profile(vec, n)
-        assert all(x >= y for x, y in zip(prof.counts, prof.counts[1:]))
+        cumulative = _conjugate_sums(vec, n)
+        counts = list(map(sub, cumulative[1:], cumulative))
+        assert all(x >= y for x, y in zip(counts, counts[1:]))
 
     @given(st.data())
     @settings(max_examples=150)
