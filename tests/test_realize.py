@@ -77,6 +77,15 @@ class TestRealizeExamples:
         assert matrix_of(real) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
         assert list(real.edges()) == [(0, 1), (1, 2), (2, 0)]
 
+    def test_bits_past_last_column_are_not_entries(self):
+        # sources 2 and 3 are columns a 2-node matrix does not have: their
+        # target lists are rejected, never read as entries
+        with pytest.raises(bd.DimensionMismatch):
+            bd.AdjacencyRealization(2, ((1,), (0,), (0,), (1,)), True)
+        real = bd.AdjacencyRealization(2, ((1,), (0,)), True)
+        assert [real.row_string(i) for i in range(2)] == ["01", "10"]
+        assert list(real.edges()) == naive_edges(real) == [(0, 1), (1, 0)]
+
     def test_not_graphic_returns_outcome(self):
         out = bd.realize(bd.new_sequence((2, 2, 2, 0), (4, 2, 0, 0)), True)
         assert isinstance(out, bd.CheckOutcome)
@@ -122,6 +131,16 @@ class TestVerifyRealization:
         ordered = bd.AdjacencyRealization(3, ((0, 1), (), (2,)), True)
         assert bd.verify_realization(ordered, bd.new_sequence((1, 1, 1), (2, 0, 1)))
 
+    def test_bits_past_last_column_fail(self):
+        # source 2 is a column a 2-node matrix does not have, so no such
+        # value reaches verify; without it the margins do not match
+        for targets in (((1,), (), (0,)), ((), (0,), (0,))):
+            with pytest.raises(bd.DimensionMismatch):
+                bd.AdjacencyRealization(2, targets, True)
+        seq = bd.new_sequence((1, 1), (1, 1))
+        in_range = bd.AdjacencyRealization(2, ((1,), ()), True)
+        assert bd.verify_realization(in_range, seq) is False
+
     def test_dimension_mismatch(self):
         real = bd.AdjacencyRealization(2, ((), ()), True)
         with pytest.raises(bd.DimensionMismatch):
@@ -135,13 +154,6 @@ class TestConstructor:
         for n, targets in ((2, ((1,),)), (1, ()), (3, ((), ()))):
             with pytest.raises(bd.DimensionMismatch):
                 bd.AdjacencyRealization(n, targets, True)
-
-    def test_source_past_the_last_column_is_rejected(self):
-        # a third or fourth target list names a source a 2-node matrix
-        # does not have
-        for targets in (((1,), (0,), (0,), (1,)), ((), (0,), (0,))):
-            with pytest.raises(bd.DimensionMismatch):
-                bd.AdjacencyRealization(2, targets, True)
 
     def test_negative_target_is_rejected(self):
         with pytest.raises(bd.DimensionMismatch, match="target -1"):
