@@ -13,12 +13,13 @@ stdout and stderr.
 
 Exit codes for ``check`` and ``realize``: 0 when every record is graphic,
 1 when any is not graphic, 2 when any is inconclusive (and none is
-non-graphic), 3 on input error.  Malformed records report the offending
-line number and poison the exit code with 3, but processing continues;
-so does a line that is not UTF-8 text and a record ``realize`` fails to
-build (an internal error).  An input file that cannot be read is an
-input error too: one ``error: ...`` line on stderr and exit 3, never a
-traceback.
+non-graphic), 3 on input error.  Every command exits 3 on a usage error
+too, after argparse's usage message, so 2 always means inconclusive.
+Malformed records report the offending line number and poison the exit
+code with 3, but processing continues; so does a line that is not UTF-8
+text and a record ``realize`` fails to build (an internal error).  An
+input file that cannot be read is an input error too: one ``error: ...``
+line on stderr and exit 3, never a traceback.
 A well-formed record whose in- and out-degrees sum differently is not an
 input error: unequal sums already disprove graphicality, so ``check`` and
 ``realize`` emit ``NOT_GRAPHIC sum-mismatch`` for it and count it like
@@ -516,7 +517,12 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:
+            raise  # --help exits 0
+        return 3  # a usage error is an input error, not "inconclusive"
     handler = {
         "check": _cmd_check,
         "bound": _cmd_bound,

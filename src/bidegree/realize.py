@@ -34,6 +34,7 @@ row for the dense form.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from operator import contains
@@ -45,7 +46,9 @@ from .exact import CheckOutcome, check_no_loops, check_with_loops
 __all__ = ["AdjacencyRealization", "realize", "verify_realization"]
 
 
-class AdjacencyRealization:
+class AdjacencyRealization(
+    namedtuple("AdjacencyRealization", "n targets loops_allowed")
+):
     """A 0-1 adjacency matrix in the caller's node order, kept sparse.
 
     ``targets[j]`` is the tuple of the nodes that ``j`` has an edge to, so
@@ -55,8 +58,7 @@ class AdjacencyRealization:
     the margins and, when ``loops_allowed`` is False, the empty diagonal
     are ``verify_realization``'s to check.
 
-    Equality and hashing read ``(n, targets, loops_allowed)``.  Instances
-    are immutable.
+    A namedtuple: it equals and hashes as ``(n, targets, loops_allowed)``.
 
     Raises
     ------
@@ -65,9 +67,9 @@ class AdjacencyRealization:
         ``[0, n)``.
     """
 
-    __slots__ = ("n", "targets", "loops_allowed")
+    __slots__ = ()
 
-    def __init__(self, n: int, targets, loops_allowed: bool):
+    def __new__(cls, n: int, targets, loops_allowed: bool):
         targets = tuple(map(tuple, targets))
         if len(targets) != n:
             raise DimensionMismatch(f"{len(targets)} target lists for n={n}")
@@ -76,36 +78,12 @@ class AdjacencyRealization:
         if low < 0 or high >= n:
             bad = low if low < 0 else high
             raise DimensionMismatch(f"target {bad} outside [0, {n})")
-        _set_n(self, n)
-        _set_targets(self, targets)
-        _set_loops(self, loops_allowed)
+        return super().__new__(cls, n, targets, loops_allowed)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.loops_allowed == other.loops_allowed
-            and self.targets == other.targets
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.targets, self.loops_allowed))
-
-    def __repr__(self):
-        return (
-            f"{type(self).__name__}(n={self.n!r}, targets={self.targets!r}, "
-            f"loops_allowed={self.loops_allowed!r})"
-        )
-
-    def __reduce__(self):
-        return type(self), (self.n, self.targets, self.loops_allowed)
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it past the shape check too
+        return cls(*iterable)
 
     def row_strings(self):
         """Yield every row as ``row_string`` gives it, built from the
@@ -135,12 +113,6 @@ class AdjacencyRealization:
             for dst in dsts:
                 yield (src, dst)
 
-
-# the slots' own setters: __init__ fills each slot once, past the
-# __setattr__ that keeps instances immutable
-_set_n = AdjacencyRealization.n.__set__
-_set_targets = AdjacencyRealization.targets.__set__
-_set_loops = AdjacencyRealization.loops_allowed.__set__
 
 _ZERO_ONE = bytes.maketrans(b"\0\1", b"01")
 

@@ -5,7 +5,7 @@ NOT_GRAPHIC.  Most read only ``seq.stats``, the summary that validation
 computed (node count ``n``, degree sum ``S``, minimum ``m``, maxima
 ``Ma``/``Mb``/``M``); the equal-vector check also compares the two
 vectors, and the heavy-tail check walks the canonical pair order as a
-count of distinct pairs, which :class:`Prepared` holds for it.  Its cost
+count of distinct pairs, which :func:`prepare` lists for it.  Its cost
 is an O(n) necessary test with no sort plus, only when that passes, the
 profile of distinct pairs.  The conditions, by the CLI code used to
 select them:
@@ -60,7 +60,6 @@ __all__ = [
     "Condition",
     "Certificate",
     "BoundTable",
-    "Prepared",
     "prepare",
     "kstar_with_loops",
     "kstar_no_loops",
@@ -102,39 +101,21 @@ class BoundTable(namedtuple("BoundTable", "n m total h")):
     __slots__ = ()
 
 
-class Prepared:
-    """The heavy-tail check's counted pair profile of one sequence.
-
-    ``pair_counts`` lists the distinct ``((in, out), count)`` pairs in
-    canonical order, and ``suffix_group_max[g]`` is the largest degree
-    among groups ``>= g``.  Equal pairs are interchangeable, so every
-    quantity :func:`check_cor5` reads is the same as on the full sorted
-    order.  The profile is built only when :func:`_cor5_may_fire` passes,
-    an O(n) necessary test that needs no sort; otherwise both are empty
-    and cor5 is inconclusive without a scan.  Built once, it makes
-    :func:`check_cor5` cost only the prefix it scans; every other check
-    reads ``seq.stats`` and ignores it.
-    """
-
-    def __init__(self, seq: BidegreeSequence):
-        self.pair_counts = []
-        self.suffix_group_max = []
-        if not _cor5_may_fire(seq):
-            return
-        self.pair_counts = sorted(
-            Counter(zip(seq.in_degrees, seq.out_degrees)).items(), reverse=True
-        )
-        suffix_max = list(
-            accumulate(
-                (max(pair) for pair, _ in reversed(self.pair_counts)), max
-            )
-        )
-        suffix_max.reverse()
-        self.suffix_group_max = suffix_max
-
-
-def prepare(seq: BidegreeSequence) -> Prepared:
-    return Prepared(seq)
+def prepare(seq: BidegreeSequence) -> list:
+    """cor5's counted pair profile: one row ``(x, y, count, M_rest)`` per
+    distinct (in, out) pair, in canonical order, with ``M_rest`` the
+    largest degree among it and the pairs after it.  Equal pairs are
+    interchangeable, so :func:`check_cor5` reads the same quantities as on
+    the full sorted order.  Empty unless :func:`_cor5_may_fire`, an O(n)
+    test with no sort, passes; every other check ignores it."""
+    if not _cor5_may_fire(seq):
+        return []
+    # ascending, so the running max is the max over the pairs after a row
+    counts = sorted(Counter(zip(seq.in_degrees, seq.out_degrees)).items())
+    suffix_max = accumulate((max(pair) for pair, _ in counts), max)
+    rows = [(x, y, count, M) for ((x, y), count), M in zip(counts, suffix_max)]
+    rows.reverse()
+    return rows
 
 
 def _ceil_isqrt(x: int) -> int:
@@ -192,7 +173,7 @@ def _mean_min_bound(n: int, S: int, m: int, offset: int) -> tuple[int, int]:
     return k, min((S - n * m) // k + m, n - offset)
 
 
-def check_thm2(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
+def check_thm2(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Equal-vector min/max certificate (graphic with loops).
 
     Applies only when every node's in-degree equals its out-degree (an
@@ -208,7 +189,7 @@ def check_thm2(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutc
     return INCONCLUSIVE
 
 
-def check_thm3(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
+def check_thm3(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Max-product certificate: ``Ma * Mb <= S + 1`` (graphic with loops)."""
     st = seq.stats
     if st.max_in * st.max_out <= st.total + 1:
@@ -218,7 +199,7 @@ def check_thm3(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutc
     return INCONCLUSIVE
 
 
-def check_thm4(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
+def check_thm4(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Max-product certificate ``(Ma + 1) * Mb <= S`` (graphic, no loops)."""
     st = seq.stats
     if (st.max_in + 1) * st.max_out <= st.total:
@@ -258,7 +239,7 @@ def _mean_min(seq, condition, offset) -> CheckOutcome:
     return INCONCLUSIVE
 
 
-def check_thm5(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
+def check_thm5(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Mean/min certificate (graphic with loops).
 
     Requires a positive minimum degree; certifies when the maximum degree
@@ -267,7 +248,7 @@ def check_thm5(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutc
     return _mean_min(seq, Condition.MEAN_MIN_LOOPS, 0)
 
 
-def check_thm6(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
+def check_thm6(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Mean/min certificate, loop-free variant (cap ``n - 1``)."""
     return _mean_min(seq, Condition.MEAN_MIN_NO_LOOPS, 1)
 
@@ -285,7 +266,7 @@ def _multiplicity(seq, condition, strict) -> CheckOutcome:
     return INCONCLUSIVE
 
 
-def check_cor2(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
+def check_cor2(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Multiplicity certificate (graphic with loops).
 
     Certifies when some integer ``k`` has ``M <= k`` and ``M*k <= S``;
@@ -295,7 +276,7 @@ def check_cor2(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutc
     return _multiplicity(seq, Condition.MULTIPLICITY_LOOPS, False)
 
 
-def check_cor3(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
+def check_cor3(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Strict multiplicity certificate (graphic, no loops): ``M < k``."""
     return _multiplicity(seq, Condition.MULTIPLICITY_NO_LOOPS, True)
 
@@ -303,7 +284,7 @@ def check_cor3(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutc
 def _cor5_may_fire(seq: BidegreeSequence) -> bool:
     """False only when :func:`check_cor5` cannot certify ``seq``.
 
-    At most two O(n) passes over the vectors and no sort; :class:`Prepared`
+    At most two O(n) passes over the vectors and no sort; :func:`prepare`
     runs it before building any profile.
     """
     st = seq.stats
@@ -346,7 +327,7 @@ def _cor5_may_fire(seq: BidegreeSequence) -> bool:
     return m * (n - R - 1) >= P
 
 
-def check_cor5(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutcome:
+def check_cor5(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Heavy-tail certificate (graphic with loops).
 
     Scans exception-set sizes ``R = 0, 1, 2, ...`` over the nodes of
@@ -357,19 +338,20 @@ def check_cor5(seq: BidegreeSequence, prep: Prepared | None = None) -> CheckOutc
     bound, and ``k <= M`` or ``k*m <= m*(n - R) - P``.  ``R = 0``
     coincides with the thm5 test.
 
-    The scan walks ``prep``'s counted pair profile, expanding a group only
-    as far as it gets.  Its cost is :class:`Prepared`'s O(n) prefilter
-    plus, when that passes, a profile of the distinct pairs; a sequence
-    the prefilter rejects has an empty profile and no scan.
+    The scan walks the rows of ``prep``, the counted pair profile
+    :func:`prepare` returns, expanding a row only as far as it gets.  Its
+    cost is the O(n) prefilter plus, when that passes, a profile of the
+    distinct pairs; a sequence the prefilter rejects has an empty profile
+    and no scan.
     """
     st = seq.stats
     n, S, m = st.n, st.total, st.min_degree
     if m < 1:
         return INCONCLUSIVE
     if prep is None:
-        prep = Prepared(seq)
+        prep = prepare(seq)
     R = P = Q = 0  # set-aside size, its in- and out-degree mass
-    for ((x, y), count), M_rest in zip(prep.pair_counts, prep.suffix_group_max):
+    for x, y, count, M_rest in prep:
         for _ in range(count):
             # this also stops the scan once P >= n*m: with m >= 1 and
             # R >= 0, m*(n - R - 1) <= m*(n - 1) < m*n <= P

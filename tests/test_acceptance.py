@@ -21,7 +21,7 @@ import pytest
 import bidegree as bd
 from bidegree.exact import Verdict
 from bidegree.generate import SplitMix64
-from bidegree.sufficient import Prepared
+from bidegree.sufficient import prepare
 from conftest import compositions, conjugate_sum_direct, equal_sum_vector_pairs
 
 
@@ -102,7 +102,7 @@ def test_c2_soundness_fuzz():
     total = 0
     for seq in _c2_corpus(rng):
         total += 1
-        prep = Prepared(seq)
+        prep = prepare(seq)
         loops_fired = [c for c in LOOPS_CHECKS if c(seq, prep).is_graphic]
         nl_fired = [c for c in NO_LOOPS_CHECKS if c(seq, prep).is_graphic]
         fired += len(loops_fired) + len(nl_fired)
@@ -398,15 +398,15 @@ def test_c8_constant_time_certificates_vs_linear_exact():
     """Sufficient checks are size-independent; the exact check is not.
 
     Medians over >= 100 repetitions, timing n=1e3 and n=1e6 alternately;
-    sufficient checks read the stats validation found, and cor5 a prepared
-    counted pair profile; the exact check runs cold.
+    sufficient checks read the stats validation found, and cor5 the pair
+    profile ``prepare`` built; the exact check runs cold.
     """
     checks = (bd.check_thm2, bd.check_thm3, bd.check_thm4, bd.check_thm5,
               bd.check_thm6, bd.check_cor2, bd.check_cor3, bd.check_cor5)
     cases = []
     for n in (10**3, 10**6):
         seq = _bench_sequence(n)
-        cases.append((seq, Prepared(seq)))
+        cases.append((seq, prepare(seq)))
 
     kernel_ratios = {}
     for chk in checks:
@@ -445,7 +445,7 @@ def test_c9_heavy_tail_regime():
     cor5_fired = 0
     for seed in range(1000):
         seq = bd.gen_powerlaw(corpus_n, 2.5, seed=seed)
-        prep = Prepared(seq)
+        prep = prepare(seq)
         thm5 = bd.check_thm5(seq, prep)
         cor5 = bd.check_cor5(seq, prep)
         if cor5.is_graphic:

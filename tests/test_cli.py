@@ -832,13 +832,13 @@ class TestBench:
         --method cor5`` and ``certify`` build it: one per record and
         repetition, none built outside the timed call."""
         built = []
+        real_prepare = sufficient.prepare
 
-        class CountedPrepared(sufficient.Prepared):
-            def __init__(self, seq):
-                built.append(seq)
-                super().__init__(seq)
+        def counted_prepare(seq):
+            built.append(seq)
+            return real_prepare(seq)
 
-        monkeypatch.setattr(sufficient, "Prepared", CountedPrepared)
+        monkeypatch.setattr(sufficient, "prepare", counted_prepare)
         seqs = [parse_record(line) for line in UNIFORM_N40.splitlines()]
         assert min(seq.stats.min_degree for seq in seqs) >= 1
         code, out, err = run_cli(["bench", "--repeat", "2"], UNIFORM_N40)
@@ -896,6 +896,42 @@ class TestBench:
                           if 100 * sum(y <= x for y in samples) >= 99 * size)
                 assert cli._median_p99(samples) == (
                     int(statistics.median(samples)), p99)
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 3, the input-error code, and
+    never 2, which ``check`` and ``realize`` give an inconclusive record."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--method", "bogus"],
+        ["bound", "--n", "x", "--m", "1", "--total", "3"],
+        ["generate", "--kind", "uniform", "--count", "many"],
+        ["generate", "--n", "5"],
+        ["realize", "--no-such-flag"],
+        ["bench", "--repeat", "x"],
+        [],
+    ], ids=["check-method", "bound-n", "generate-count", "generate-kind",
+            "realize-flag", "bench-repeat", "no-command"])
+    def test_usage_error_exits_3(self, argv, capsys):
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (3, "", "")
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("usage: ") and "error: " in printed.err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["check", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
+    def test_console_exit_code(self):
+        child = cli_child(["check", "--method", "bogus"],
+                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, out) == (3, b"")
+        assert b"invalid choice: 'bogus'" in err
 
 
 class TestInputErrors:

@@ -170,6 +170,29 @@ class TestConstructor:
         assert real == bd.AdjacencyRealization(2, ((1,), (0,)), False)
         assert bd.AdjacencyRealization(0, (), True).targets == ()
 
+    def test_make_and_replace_check_the_shape(self):
+        with pytest.raises(bd.DimensionMismatch, match="target 5"):
+            bd.AdjacencyRealization._make([2, [[5], []], True])
+        with pytest.raises(bd.DimensionMismatch, match="2 target lists"):
+            bd.AdjacencyRealization._make([1, [[0], []], True])
+        real = bd.AdjacencyRealization(2, [[1], [0]], False)
+        with pytest.raises(bd.DimensionMismatch, match="2 target lists"):
+            real._replace(n=1)
+        with pytest.raises(bd.DimensionMismatch, match="target 2"):
+            real._replace(targets=[[2], [0]])
+        twin = real._replace(targets=[[0, 1], []], loops_allowed=True)
+        assert twin == bd.AdjacencyRealization(2, ((0, 1), ()), True)
+        assert type(twin) is bd.AdjacencyRealization
+
+    def test_is_the_tuple_of_its_fields(self):
+        real = bd.AdjacencyRealization(2, [[1], [0]], False)
+        assert len(real) == 3
+        assert tuple(real) == (2, ((1,), (0,)), False) == real
+        assert hash(real) == hash((2, ((1,), (0,)), False))
+        assert repr(real) == (
+            "AdjacencyRealization(n=2, targets=((1,), (0,)), "
+            "loops_allowed=False)")
+
 
 class TestRowString:
     """``row_string(i)``, read one row at a time from the target lists, is

@@ -12,7 +12,7 @@ import bidegree as bd
 from bidegree.core import SequenceStats, _conjugate_sums
 from bidegree.exact import INCONCLUSIVE, Verdict
 from bidegree.generate import SplitMix64
-from bidegree.sufficient import Condition, Prepared
+from bidegree.sufficient import Condition, prepare
 from conftest import conjugate_sum_direct, equal_sum_vector_pairs, sequence_pairs
 
 
@@ -259,18 +259,17 @@ class TestCor5:
         most examples build a profile."""
         if seq is None:
             return
-        prep = Prepared(seq)
-        assert len(prep.suffix_group_max) == len(prep.pair_counts)
-        if not prep.pair_counts:
+        rows = prepare(seq)
+        if not rows:
             return
         expanded = []
         starts = []
-        for pair, count in prep.pair_counts:
+        for x, y, count, _ in rows:
             assert count >= 1
             starts.append(len(expanded))
-            expanded += [pair] * count
+            expanded += [(x, y)] * count
         assert expanded == sorted(seq.pairs(), reverse=True)
-        for start, group_max in zip(starts, prep.suffix_group_max):
+        for start, (_, _, _, group_max) in zip(starts, rows):
             assert group_max == max(max(p) for p in expanded[start:])
 
 
@@ -511,7 +510,7 @@ REFERENCE_NO_LOOPS_LADDER = (bd.check_thm4, bd.check_cor3, bd.check_thm6)
 
 def reference_certificate(seq, allow_loops):
     """Certificate of the first rung of the full ladder that fires, or None."""
-    prep = Prepared(seq)
+    prep = prepare(seq)
     ladder = REFERENCE_LOOPS_LADDER if allow_loops else REFERENCE_NO_LOOPS_LADDER
     for check in ladder:
         outcome = check(seq, prep)
@@ -654,7 +653,7 @@ class TestCor5Reference:
             if not bd.check_thm3(seq).is_graphic
             and not bd.check_thm5(seq).is_graphic
         ]
-        empty = [seq for seq in reach if not Prepared(seq).pair_counts]
+        empty = [seq for seq in reach if not prepare(seq)]
         assert (len(reach), len(empty)) == (30, 24)
 
     @pytest.mark.parametrize(
@@ -687,7 +686,7 @@ class TestCor5Reference:
     def test_empty_profile_never_certifies(self, seq):
         if seq is None:
             return
-        if not Prepared(seq).pair_counts:
+        if not prepare(seq):
             assert not reference_cor5(seq).is_graphic
 
 
@@ -712,7 +711,7 @@ class TestSoundness:
             M = rng.randint(m, n)
             S = rng.randint(n * m, n * M)
             seq = bd.gen_uniform(n, S, m, M, seed=rng.next_u64())
-            prep = Prepared(seq)
+            prep = prepare(seq)
             graphic_loops = bd.check_with_loops(seq).is_graphic
             graphic_nl = bd.check_no_loops(seq).is_graphic
             for chk in self.LOOPS_CHECKS:
