@@ -9,7 +9,8 @@ are ASCII ``[0-9]+``, so parsing round-trips: printing a parsed record
 reproduces the plain form byte for byte.
 ``check``, ``realize`` and ``bench`` read records from a positional input
 (a file, or ``-`` for stdin, the default); every command writes only to
-stdout and stderr.
+stdout and stderr, the streams ``main`` was given, argparse's help and
+usage messages included.
 
 Exit codes for ``check`` and ``realize``: 0 when every record is graphic,
 1 when any is not graphic, 2 when any is inconclusive (and none is
@@ -34,14 +35,19 @@ gives a process ended by SIGPIPE.
 
 ``generate`` takes its seed from ``--seed`` only, default 0; no command
 reads a seed from the environment.
+
+Each command imports only the modules it runs: the parser adds only the
+arguments of the command on the command line, and ``sufficient``,
+``generate`` and ``json`` are imported inside the functions that use
+them.  So ``realize`` loads ``core``, ``errors``, ``exact`` and
+``realize``; ``check``, ``bound`` and ``bench`` add ``sufficient``, and
+``generate`` adds ``generate`` too.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import re
 import sys
 import time
 from collections import Counter
@@ -57,19 +63,13 @@ from .exact import (
     check_with_loops,
     violated_indices,
 )
-from .generate import GENERATOR_KINDS, GeneratorSpec, generate_sequence
 from .realize import realize
-from .sufficient import Condition, bound_table, certify
 
 __all__ = ["main", "entry", "parse_record", "format_record"]
 
 # the characters a plain line may hold once its ends are stripped; only
 # a line the table missed is checked against it, to word its error
 _PLAIN_CHARS = str.maketrans("", "", "0123456789,;")
-# an entry with a leading zero, searched for with ',' put before every
-# entry: a pattern that starts with a literal is scanned for in C, one
-# that starts with an alternation is tried at every position (10x slower)
-_LEADING_ZERO = re.compile(",(0[0-9]+)")
 
 
 class _Decimals(dict):
@@ -117,6 +117,8 @@ def parse_record(line: str) -> BidegreeSequence:
     if not text:
         raise BidegreeError("empty record")
     if text.startswith("{"):
+        import json
+
         try:
             obj = json.loads(text)
         except RecursionError:
@@ -154,10 +156,15 @@ def _diagnose_plain(text: str) -> BidegreeSequence:
     int()'s digit limit, which keeps int()'s own message.  A line that
     breaks none of them is read with int(): the table missed only an
     entry past its limit, which validation rejects as past ``n``."""
+    import re
+
     stray = text.translate(_PLAIN_CHARS)
     if stray:
         raise BidegreeError(f"plain entries must be ASCII digits, got {stray[0]!r}")
-    padded = _LEADING_ZERO.search("," + text.replace(";", ","))
+    # an entry with a leading zero, searched for with ',' put before every
+    # entry: a pattern that starts with a literal is scanned for in C, one
+    # that starts with an alternation is tried at every position (10x slower)
+    padded = re.search(",(0[0-9]+)", "," + text.replace(";", ","))
     if padded:
         raise BidegreeError(
             f"plain entries must not have leading zeros, got {padded[1]!r}"
@@ -254,6 +261,8 @@ def _decider(method: str, loops: bool, fallback_exact: bool = False):
     nothing, so its call leaves every record inconclusive."""
     if method == "exact":
         return check_with_loops if loops else check_no_loops
+    from .sufficient import Condition, certify
+
     if method == "auto":
         return lambda seq: certify(seq, loops, fallback_exact)
     cond = Condition(method)
@@ -278,6 +287,8 @@ def _cmd_check(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_bound(args, stdin, stdout, stderr) -> int:
+    from .sufficient import bound_table
+
     try:
         table = bound_table(args.n, args.m, args.total)
     except BidegreeError as exc:
@@ -328,6 +339,8 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_generate(args, stdin, stdout, stderr) -> int:
+    from .generate import GeneratorSpec, generate_sequence
+
     if args.count < 0:
         stderr.write(f"error: --count must be at least 0, got {args.count}\n")
         return 3
@@ -401,6 +414,8 @@ def _bench_table(seqs, loops: bool, repeat: int) -> tuple[list, list]:
     """Time, on each record, every check the policy allows and the exact
     check, each as ``check --method`` calls it; return the report, header
     first, and the records the exact check found not graphic."""
+    from .sufficient import Condition
+
     labels = [
         cond.value for cond in Condition if loops or cond.certifies_no_loops
     ] + ["exact"]
@@ -451,65 +466,110 @@ def _add_loop_flags(parser):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bidegree",
-        description="Graphicality checks, realization, and generators for "
-        "directed bidegree sequences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _check_arguments(parser):
+    from .sufficient import Condition
 
-    p_check = sub.add_parser("check", help="decide graphicality per record")
-    p_check.add_argument("input", nargs="?", default="-", help="file or - for stdin")
-    _add_loop_flags(p_check)
-    p_check.add_argument(
+    parser.add_argument("input", nargs="?", default="-", help="file or - for stdin")
+    _add_loop_flags(parser)
+    parser.add_argument(
         "--method",
         choices=["exact", "auto"] + sorted(cond.value for cond in Condition),
         default="auto",
         help="exact check, one certificate, or the auto ladder",
     )
-    p_check.add_argument(
+    parser.add_argument(
         "--fallback-exact",
         action="store_true",
         help="with --method auto, settle inconclusive records exactly",
     )
 
-    p_bound = sub.add_parser("bound", help="largest certifiable max degree per condition")
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--m", type=int, required=True)
-    p_bound.add_argument("--total", type=int, required=True)
-    p_bound.add_argument("--format", choices=["text", "csv"], default="text")
 
-    p_realize = sub.add_parser("realize", help="construct adjacency matrices")
-    p_realize.add_argument("input", nargs="?", default="-")
-    _add_loop_flags(p_realize)
-    p_realize.add_argument("--format", choices=["dense", "edges"], default="dense")
+def _bound_arguments(parser):
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--total", type=int, required=True)
+    parser.add_argument("--format", choices=["text", "csv"], default="text")
 
-    p_gen = sub.add_parser("generate", help="emit generated records")
-    p_gen.add_argument("--kind", choices=GENERATOR_KINDS, required=True,
-                       help="generator family")
-    p_gen.add_argument("--n", type=int, help="node count")
-    p_gen.add_argument("--total", type=int, help="degree sum")
+
+def _realize_arguments(parser):
+    parser.add_argument("input", nargs="?", default="-")
+    _add_loop_flags(parser)
+    parser.add_argument("--format", choices=["dense", "edges"], default="dense")
+
+
+def _generate_arguments(parser):
+    from .generate import GENERATOR_KINDS
+
+    parser.add_argument("--kind", choices=GENERATOR_KINDS, required=True,
+                        help="generator family")
+    parser.add_argument("--n", type=int, help="node count")
+    parser.add_argument("--total", type=int, help="degree sum")
     # dest is GeneratorSpec's field name, metavar the flag's own
-    p_gen.add_argument("--min", dest="min_degree", metavar="MIN", type=int,
-                       help="minimum degree (uniform)")
-    p_gen.add_argument("--max", dest="max_degree", metavar="MAX", type=int,
-                       help="maximum degree (uniform/extremal)")
-    p_gen.add_argument("--exponent", type=float, help="power-law exponent (> 2)")
-    p_gen.add_argument("--Ma", dest="max_in", metavar="MA", type=int,
-                       help="maximum in-degree (counterexample1)")
-    p_gen.add_argument("--Mb", dest="max_out", metavar="MB", type=int,
-                       help="maximum out-degree (counterexample1)")
-    p_gen.add_argument("--count", type=int, default=1, help="records to emit")
-    p_gen.add_argument("--seed", type=int, default=0,
-                       help="base seed (record i uses seed+i)")
+    parser.add_argument("--min", dest="min_degree", metavar="MIN", type=int,
+                        help="minimum degree (uniform)")
+    parser.add_argument("--max", dest="max_degree", metavar="MAX", type=int,
+                        help="maximum degree (uniform/extremal)")
+    parser.add_argument("--exponent", type=float, help="power-law exponent (> 2)")
+    parser.add_argument("--Ma", dest="max_in", metavar="MA", type=int,
+                        help="maximum in-degree (counterexample1)")
+    parser.add_argument("--Mb", dest="max_out", metavar="MB", type=int,
+                        help="maximum out-degree (counterexample1)")
+    parser.add_argument("--count", type=int, default=1, help="records to emit")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="base seed (record i uses seed+i)")
 
-    p_bench = sub.add_parser("bench", help="coverage and timing over a corpus")
-    p_bench.add_argument("input", nargs="?", default="-", help="file or - for stdin")
-    _add_loop_flags(p_bench)
-    p_bench.add_argument("--repeat", type=int, default=1, help="timing repetitions")
-    p_bench.add_argument("--format", choices=["text", "csv"], default="text")
 
+def _bench_arguments(parser):
+    parser.add_argument("input", nargs="?", default="-", help="file or - for stdin")
+    _add_loop_flags(parser)
+    parser.add_argument("--repeat", type=int, default=1, help="timing repetitions")
+    parser.add_argument("--format", choices=["text", "csv"], default="text")
+
+
+# command -> (its help line, the call that adds its arguments, its handler)
+_COMMANDS = {
+    "check": ("decide graphicality per record", _check_arguments, _cmd_check),
+    "bound": ("largest certifiable max degree per condition", _bound_arguments,
+              _cmd_bound),
+    "realize": ("construct adjacency matrices", _realize_arguments, _cmd_realize),
+    "generate": ("emit generated records", _generate_arguments, _cmd_generate),
+    "bench": ("coverage and timing over a corpus", _bench_arguments, _cmd_bench),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that prints help to its ``stdout`` and usage
+    errors to its ``stderr``, not to ``sys.stdout`` and ``sys.stderr``; a
+    stream left None is argparse's own."""
+
+    def __init__(self, *, stdout=None, stderr=None, **kwargs):
+        super().__init__(**kwargs)
+        self.stdout, self.stderr = stdout, stderr
+
+    def _print_message(self, message, file=None):
+        # argparse passes sys.stdout for help, sys.stderr or None otherwise
+        stream = self.stdout if file is sys.stdout else self.stderr
+        super()._print_message(message, file if stream is None else stream)
+
+
+def build_parser(command=None, stdout=None, stderr=None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given a ``command``, a parser that
+    adds that command's arguments only, so that parsing its command line
+    imports only the modules the command runs.  The other commands keep
+    their names and help lines, so the top-level help and usage errors are
+    the same."""
+    streams = {"stdout": stdout, "stderr": stderr}
+    parser = _Parser(
+        prog="bidegree",
+        description="Graphicality checks, realization, and generators for "
+        "directed bidegree sequences.",
+        **streams,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_line, **streams)
+        if command in (None, name):
+            add_arguments(command_parser)
     return parser
 
 
@@ -517,20 +577,16 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option but --help, so a command comes first
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command, stdout, stderr).parse_args(argv)
     except SystemExit as exc:
         if exc.code != 2:
             raise  # --help exits 0
         return 3  # a usage error is an input error, not "inconclusive"
-    handler = {
-        "check": _cmd_check,
-        "bound": _cmd_bound,
-        "realize": _cmd_realize,
-        "generate": _cmd_generate,
-        "bench": _cmd_bench,
-    }[args.command]
-    return handler(args, stdin, stdout, stderr)
+    return _COMMANDS[args.command][2](args, stdin, stdout, stderr)
 
 
 def entry():

@@ -1,0 +1,94 @@
+"""What a fresh process loads: each CLI command imports only the modules
+it runs, and the package's exports resolve whatever was imported first."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import bidegree as bd
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
+
+# the modules the package imports at once; every command runs them
+EAGER = {"core", "errors", "exact", "realize"}
+
+# command line -> the submodules a child running it imports.  The child
+# runs ``-m bidegree.cli``, so the cli module itself runs as __main__.
+# ``check`` lists sufficient's conditions as --method's choices, so it
+# loads sufficient under every method.
+COMMAND_MODULES = {
+    "realize": EAGER,
+    "check --method exact": EAGER | {"sufficient"},
+    "check --method auto": EAGER | {"sufficient"},
+    "bound --n 4 --m 1 --total 4": EAGER | {"sufficient"},
+    "generate --kind uniform --n 4 --total 4 --min 1 --max 1 --count 0":
+        EAGER | {"generate", "sufficient"},
+}
+
+
+def child(argv):
+    return subprocess.run(
+        [sys.executable, *argv], env=dict(os.environ, PYTHONPATH=SRC),
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+
+
+def imported_modules(argv):
+    """The modules a child ``python -X importtime argv`` imports."""
+    run = child(["-X", "importtime", *argv])
+    assert run.returncode == 0, run.stderr
+    # each "import time:" line ends with the name of a module it imported
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in run.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_command_imports_only_its_modules(command):
+    imported = imported_modules(["-m", "bidegree.cli", *command.split()])
+    assert {name for name in imported if name.split(".")[0] == "bidegree"} == (
+        {"bidegree"} | {f"bidegree.{name}" for name in COMMAND_MODULES[command]})
+    # json is imported for a JSON record only
+    assert "json" not in imported - imported_modules(["-c", "pass"])
+
+
+# ``import bidegree.cli`` first, as the console script does: it imports
+# the submodule ``realize`` and its function under that name
+SURFACE_PROBE = """
+import importlib, json, sys
+import bidegree.cli
+import bidegree
+
+loaded = sorted(name for name in sys.modules if name.startswith("bidegree"))
+star = {}
+exec("from bidegree import *", star)
+modules = [importlib.import_module(f"bidegree.{name}") for name in
+           ("core", "errors", "exact", "generate", "realize", "sufficient")]
+print(json.dumps({
+    "loaded": loaded,
+    "realize_is_function": bidegree.realize is modules[4].realize,
+    "module_lists": [name for module in modules for name in module.__all__],
+    "all": bidegree.__all__,
+    "star_unbound": [name for module in modules for name in module.__all__
+                     if star.get(name) is not getattr(module, name)],
+    "dir": dir(bidegree),
+}))
+"""
+
+
+def test_package_surface_after_cli_import():
+    run = child(["-c", SURFACE_PROBE])
+    assert run.returncode == 0, run.stderr
+    facts = json.loads(run.stdout)
+    # neither import loads a lazy module
+    assert facts["loaded"] == [
+        "bidegree", "bidegree.cli", "bidegree.core", "bidegree.errors",
+        "bidegree.exact", "bidegree.realize"]
+    assert facts["realize_is_function"]
+    # each module's own list, in the package's order of modules
+    assert facts["all"] == facts["module_lists"]
+    assert facts["star_unbound"] == []
+    assert set(facts["all"]) <= set(facts["dir"])
