@@ -553,11 +553,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command=None, stdout=None, stderr=None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given a ``command``, a parser that
-    adds that command's arguments only, so that parsing its command line
-    imports only the modules the command runs.  The other commands keep
-    their names and help lines, so the top-level help and usage errors are
-    the same."""
+    """A parser that adds the arguments of ``command`` only, and of no
+    command when it is None, so that parsing a command line imports only
+    the modules its command runs.  Every command keeps its name and help
+    line, so the top-level help and usage errors, which never print a
+    command's arguments, are the same."""
     streams = {"stdout": stdout, "stderr": stderr}
     parser = _Parser(
         prog="bidegree",
@@ -568,7 +568,7 @@ def build_parser(command=None, stdout=None, stderr=None) -> argparse.ArgumentPar
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
         command_parser = sub.add_parser(name, help=help_line, **streams)
-        if command in (None, name):
+        if command == name:
             add_arguments(command_parser)
     return parser
 

@@ -32,7 +32,6 @@ __all__ = [
     "SequenceStats",
     "new_sequence",
     "stats",
-    "sort_canonical",
     "pad_bipartite",
 ]
 
@@ -130,10 +129,6 @@ class BidegreeSequence:
     def n(self) -> int:
         return len(self.in_degrees)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """Per-node (in-degree, out-degree) pairs in input order."""
-        return list(zip(self.in_degrees, self.out_degrees))
-
 
 # the slots' own setters: __init__ fills each slot once, past the
 # __setattr__ that keeps instances immutable, and faster than
@@ -188,17 +183,6 @@ def new_sequence(in_degrees, out_degrees) -> BidegreeSequence:
 def stats(seq: BidegreeSequence) -> SequenceStats:
     """Node count, degree sum, and min/max degrees, as validation found them."""
     return seq.stats
-
-
-def sort_canonical(seq: BidegreeSequence) -> BidegreeSequence:
-    """Jointly permute pairs so in-degrees are non-increasing.
-
-    Ties are broken by non-increasing out-degree, which keeps the result
-    deterministic; the pairing of ``a_i`` with ``b_i`` is preserved.
-    Idempotent.
-    """
-    a, b = zip(*sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True))
-    return BidegreeSequence(a, b)
 
 
 def pad_bipartite(row_sums, col_sums) -> BidegreeSequence:

@@ -147,7 +147,6 @@ def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[in
     out-degree, so the returned list is complete even though the scan is
     truncated there.
     """
-    assert sum(seq.in_degrees) == sum(seq.out_degrees)
     return [j for j, s in enumerate(_slack(seq, allow_loops)) if s < 0]
 
 
@@ -162,11 +161,7 @@ def _col_feasible(resid, next_row, n, allow_loops):
     return True
 
 
-def brute_force_exists(
-    seq: BidegreeSequence,
-    allow_loops: bool = True,
-    max_n: int | None = None,
-) -> bool:
+def brute_force_exists(seq: BidegreeSequence, allow_loops: bool = True) -> bool:
     """Ground-truth oracle: does any 0-1 matrix realize the margins?
 
     Enumerates matrices row by row (diagonal forced to zero when loops are
@@ -176,11 +171,9 @@ def brute_force_exists(
     Raises
     ------
     InstanceTooLarge
-        If ``seq.n`` exceeds the cap (default 4 with loops, 5 without).
+        If ``seq.n`` exceeds the cap, 4 with loops and 5 without.
     """
-    cap = max_n if max_n is not None else (
-        BRUTE_FORCE_CAP_LOOPS if allow_loops else BRUTE_FORCE_CAP_NO_LOOPS
-    )
+    cap = BRUTE_FORCE_CAP_LOOPS if allow_loops else BRUTE_FORCE_CAP_NO_LOOPS
     n = seq.n
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds brute-force cap {cap}")

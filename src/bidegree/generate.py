@@ -41,9 +41,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# what GeneratorSpec.kind may name, and ``generate --kind``'s choices
-GENERATOR_KINDS = ("uniform", "powerlaw", "counterexample1", "extremal")
-
 # next_u64s computes up to _CHUNK outputs in one integer z: output k
 # (from 0) is mix(state + (k+1)*gamma mod 2**64), held in bits
 # [128k, 128k + 64) ("lane k").  ONES holds 1 and STEPS (k+1)*gamma
@@ -281,6 +278,19 @@ def gen_extremal(n: int, total: int, max_degree: int) -> BidegreeSequence:
     return new_sequence(vec, vec)
 
 
+# kind -> (its generator, the spec fields it requires, the ones it may
+# take), passed to it in that order
+_GENERATORS = {
+    "uniform": (gen_uniform, ("n", "total", "min_degree", "max_degree"), ("seed",)),
+    "powerlaw": (gen_powerlaw, ("n", "exponent"), ("seed",)),
+    "counterexample1": (gen_counterexample1, ("max_in", "max_out"), ("n",)),
+    "extremal": (gen_extremal, ("n", "total", "max_degree"), ()),
+}
+
+# what GeneratorSpec.kind may name, and ``generate --kind``'s choices
+GENERATOR_KINDS = tuple(_GENERATORS)
+
+
 class GeneratorSpec(
     namedtuple(
         "GeneratorSpec",
@@ -309,28 +319,8 @@ class GeneratorSpec(
 
 def generate_sequence(spec: GeneratorSpec) -> BidegreeSequence:
     """Run the generator a :class:`GeneratorSpec` describes."""
-
-    def need(value, name):
-        if value is None:
+    generator, required, optional = _GENERATORS[spec.kind]
+    for name in required:
+        if getattr(spec, name) is None:
             raise InvalidParameters(f"{spec.kind} generator requires {name}")
-        return value
-
-    if spec.kind == "uniform":
-        return gen_uniform(
-            need(spec.n, "n"),
-            need(spec.total, "total"),
-            need(spec.min_degree, "min_degree"),
-            need(spec.max_degree, "max_degree"),
-            spec.seed,
-        )
-    if spec.kind == "powerlaw":
-        return gen_powerlaw(
-            need(spec.n, "n"), need(spec.exponent, "exponent"), spec.seed
-        )
-    if spec.kind == "counterexample1":
-        return gen_counterexample1(
-            need(spec.max_in, "max_in"), need(spec.max_out, "max_out"), spec.n
-        )
-    return gen_extremal(
-        need(spec.n, "n"), need(spec.total, "total"), need(spec.max_degree, "max_degree")
-    )
+    return generator(*(getattr(spec, name) for name in required + optional))

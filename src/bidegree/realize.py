@@ -53,28 +53,41 @@ class AdjacencyRealization(
 
     ``targets[j]`` is the tuple of the nodes that ``j`` has an edge to, so
     entry ``(i, j)`` is 1 exactly when ``i`` is in it; ``realize`` lists
-    each in increasing order.  The constructor checks only the shape, one
-    target list per node and every target in ``[0, n)``: order, repeats,
-    the margins and, when ``loops_allowed`` is False, the empty diagonal
-    are ``verify_realization``'s to check.
+    each in increasing order.  The constructor checks only the shape, an
+    int ``n``, one target list per node and every target an int in
+    ``[0, n)``: order, repeats, the margins and, when ``loops_allowed`` is
+    False, the empty diagonal are ``verify_realization``'s to check.
 
     A namedtuple: it equals and hashes as ``(n, targets, loops_allowed)``.
 
     Raises
     ------
     DimensionMismatch
-        If there are not ``n`` target lists, or a target is outside
-        ``[0, n)``.
+        If ``n`` is not an int, there are not ``n`` target lists, or a
+        target is not an int in ``[0, n)``.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, targets, loops_allowed: bool):
+        if not isinstance(n, int):
+            raise DimensionMismatch(f"node count {n!r} is not an integer")
         targets = tuple(map(tuple, targets))
         if len(targets) != n:
             raise DimensionMismatch(f"{len(targets)} target lists for n={n}")
-        low = min(chain.from_iterable(targets), default=0)
-        high = max(chain.from_iterable(targets), default=-1)
+        # a float, Fraction or Decimal target makes the sum of the targets
+        # one too, and a str target makes it fail
+        try:
+            integral = type(sum(chain.from_iterable(targets))) is int
+        except (TypeError, ArithmeticError):
+            integral = False
+        if not integral:
+            for x in chain.from_iterable(targets):
+                if not isinstance(x, int):
+                    raise DimensionMismatch(f"target {x!r} is not an integer")
+        # int targets: min/max over the at most n distinct ones, not all S
+        distinct = set(chain.from_iterable(targets))
+        low, high = min(distinct, default=0), max(distinct, default=-1)
         if low < 0 or high >= n:
             bad = low if low < 0 else high
             raise DimensionMismatch(f"target {bad} outside [0, {n})")

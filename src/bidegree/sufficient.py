@@ -61,8 +61,6 @@ __all__ = [
     "Certificate",
     "BoundTable",
     "prepare",
-    "kstar_with_loops",
-    "kstar_no_loops",
     "check_thm2",
     "check_thm3",
     "check_thm4",
@@ -71,8 +69,6 @@ __all__ = [
     "check_cor2",
     "check_cor3",
     "check_cor5",
-    "thm3_special_max",
-    "thm4_special_max",
     "minimizer_b_star",
     "bound_table",
     "certify",
@@ -130,46 +126,21 @@ def _graphic(condition: Condition, **parameters) -> CheckOutcome:
     )
 
 
-def _kstar(n: int, S: int, m: int, offset: int) -> tuple[int, bool]:
-    """``(ceil(c + sqrt(c^2 + S - 2*m*n)), True)`` with ``c = m + offset``,
-    or ``(1, False)`` when the discriminant is negative."""
+def _kstar(n: int, S: int, m: int, offset: int) -> int:
+    """Smallest prefix count whose mean/min inequality binds:
+    ``ceil(c + sqrt(c^2 + S - 2*m*n))`` with ``c = m + offset`` (0 with
+    loops, 1 without), or 1 when the discriminant is negative."""
     c = m + offset
     disc = c * c + S - 2 * m * n
     if disc < 0:
-        return 1, False
-    return c + _ceil_isqrt(disc), True
-
-
-def kstar_with_loops(n: int, S: int, m: int) -> tuple[int, bool]:
-    """Smallest prefix count whose mean/min inequality binds, with loops.
-
-    Returns ``(k, real)`` where ``k = ceil(m + sqrt(m^2 + S - 2*m*n))``
-    when the discriminant is nonnegative (``real`` True), and ``(1,
-    False)`` otherwise.
-
-    Raises
-    ------
-    InvalidStats
-        Unless ``1 <= m <= n`` and ``n*m <= S``.
-    """
-    if m < 1 or m > n or S < n * m:
-        raise InvalidStats(f"need 1 <= m <= n and n*m <= S, got n={n} S={S} m={m}")
-    return _kstar(n, S, m, 0)
-
-
-def kstar_no_loops(n: int, S: int, m: int) -> tuple[int, bool]:
-    """Loop-free analogue of :func:`kstar_with_loops` (offset ``m + 1``)."""
-    if m < 1 or m > n - 1 or S < n * m:
-        raise InvalidStats(
-            f"need 1 <= m <= n-1 and n*m <= S, got n={n} S={S} m={m}"
-        )
-    return _kstar(n, S, m, 1)
+        return 1
+    return c + _ceil_isqrt(disc)
 
 
 def _mean_min_bound(n: int, S: int, m: int, offset: int) -> tuple[int, int]:
     """``(k, Mmax)`` of the mean/min bound: offset 0 and cap ``n`` with
     loops (thm5), offset 1 and cap ``n - 1`` without (thm6)."""
-    k, _ = _kstar(n, S, m, offset)
+    k = _kstar(n, S, m, offset)
     return k, min((S - n * m) // k + m, n - offset)
 
 
@@ -210,19 +181,6 @@ def check_thm4(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
             S=st.total,
         )
     return INCONCLUSIVE
-
-
-def thm3_special_max(S: int) -> int:
-    """Largest symmetric maximum degree covered by thm3: ``isqrt(S + 1)``."""
-    return isqrt(S + 1)
-
-
-def thm4_special_max(S: int) -> int:
-    """Largest M with ``M * (M + 1) <= S``, in exact integers.
-
-    ``M*(M+1) <= S`` iff ``(2M+1)^2 <= 4S+1`` iff ``2M+1 <= isqrt(4S+1)``.
-    """
-    return (isqrt(4 * S + 1) - 1) // 2
 
 
 def _mean_min(seq, condition, offset) -> CheckOutcome:
@@ -358,7 +316,7 @@ def check_cor5(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
             if m * (n - R - 1) < P:
                 return INCONCLUSIVE
             if Q <= P:
-                k, _ = _kstar(n, S + R * m, m, 0)
+                k = _kstar(n, S + R * m, m, 0)
                 m_max = min((S - n * m - P + R * m) // k + m, n)
                 if M_rest <= m_max and (
                     k <= M_rest or k * m <= m * (n - R) - P
@@ -426,8 +384,10 @@ def bound_table(n: int, m: int, S: int) -> BoundTable:
     # floor((m+M)^2 / 4) <= m*n  iff  (m+M)^2 <= 4mn + 3, and m <= n keeps
     # isqrt(4mn + 3) >= m, so this is the exact threshold
     h[2] = min(isqrt(4 * m * n + 3) - m, n)
-    h[3] = min(thm3_special_max(S), n)
-    h[4] = min(thm4_special_max(S), n)
+    # thm3 and thm4 at Ma = Mb = M: M*M <= S+1 iff M <= isqrt(S+1), and
+    # M*(M+1) <= S iff (2M+1)^2 <= 4S+1 iff 2M+1 <= isqrt(4S+1)
+    h[3] = min(isqrt(S + 1), n)
+    h[4] = min((isqrt(4 * S + 1) - 1) // 2, n)
     if m >= 1:
         h[5] = _mean_min_bound(n, S, m, 0)[1]
         if m <= n - 1:

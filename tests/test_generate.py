@@ -334,3 +334,27 @@ class TestGeneratorSpec:
     def test_missing_parameter(self):
         with pytest.raises(bd.InvalidParameters):
             generate_sequence(GeneratorSpec(kind="uniform", n=4))
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("uniform", {"n": 6, "total": 12, "min_degree": 1, "max_degree": 4}),
+        ("powerlaw", {"n": 16, "exponent": 2.5}),
+        ("counterexample1", {"max_in": 2, "max_out": 4}),
+        ("extremal", {"n": 5, "total": 10, "max_degree": 3}),
+    ])
+    def test_missing_parameters_are_named_in_order(self, kind, fields):
+        """Each kind asks for its required fields one at a time, in the
+        generator's argument order."""
+        present = {}
+        for name, value in fields.items():
+            with pytest.raises(bd.InvalidParameters) as info:
+                generate_sequence(GeneratorSpec(kind=kind, **present))
+            assert str(info.value) == f"{kind} generator requires {name}"
+            present[name] = value
+        generate_sequence(GeneratorSpec(kind=kind, **present))
+
+    def test_optional_fields(self):
+        spec = GeneratorSpec(kind="counterexample1", max_in=3, max_out=4, n=7)
+        assert generate_sequence(spec) == bd.gen_counterexample1(3, 4, 7)
+        # extremal takes no seed, so one changes nothing
+        spec = GeneratorSpec(kind="extremal", n=5, total=10, max_degree=3, seed=9)
+        assert generate_sequence(spec) == bd.gen_extremal(5, 10, 3)

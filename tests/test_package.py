@@ -24,8 +24,10 @@ MODULES = [
 ]
 
 # bidegree.__all__ before each module's own list became the one source,
-# less ConjugateProfile, conjugate_profile and EntryOutOfRange, which were
-# removed as unused, and Prepared, now the plain list prepare returns
+# less ConjugateProfile, conjugate_profile, EntryOutOfRange,
+# kstar_with_loops, kstar_no_loops, thm3_special_max, thm4_special_max and
+# sort_canonical, which were removed as unused, and Prepared, now the plain
+# list prepare returns
 EARLIER_EXPORTS = """
     AdjacencyRealization BadExponent BidegreeError BidegreeSequence BoundTable
     Certificate CheckOutcome Condition DegreeExceedsN DimensionMismatch
@@ -34,10 +36,8 @@ EARLIER_EXPORTS = """
     SumMismatch Verdict bound_table brute_force_exists certify check_cor2
     check_cor3 check_cor5 check_no_loops check_thm2 check_thm3 check_thm4
     check_thm5 check_thm6 check_with_loops gen_counterexample1 gen_extremal
-    gen_powerlaw gen_uniform generate_sequence kstar_no_loops
-    kstar_with_loops minimizer_b_star new_sequence pad_bipartite prepare
-    realize sort_canonical stats thm3_special_max thm4_special_max
-    verify_realization violated_indices
+    gen_powerlaw gen_uniform generate_sequence minimizer_b_star new_sequence
+    pad_bipartite prepare realize stats verify_realization violated_indices
 """.split()
 
 
@@ -53,7 +53,7 @@ class TestExports:
         assert sorted(bd.__all__) == sorted(joined)
 
     def test_earlier_exports_are_kept(self):
-        assert len(EARLIER_EXPORTS) == 52
+        assert len(EARLIER_EXPORTS) == 47
         assert set(EARLIER_EXPORTS) <= set(bd.__all__)
 
     def test_realize_is_the_function(self):

@@ -1,4 +1,7 @@
+import re
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +166,22 @@ class TestConstructor:
         for bad in (3, 4):
             with pytest.raises(bd.DimensionMismatch, match=f"target {bad}"):
                 bd.AdjacencyRealization(3, ((0,), (bad, 1), ()), False)
+
+    def test_target_that_is_not_an_int_is_rejected(self):
+        # as validation rejects a degree entry that is not an int; 1.0
+        # after an int target 1 is caught too, though the two hash alike
+        for targets in ([[0.5], []], [[float("nan")], []], [["1"], []],
+                        [[Fraction(1)], []], [[Decimal(1)], []], [[[1]], []],
+                        [[1, 1.0], []], [[0], [3.0]]):
+            bad = [x for row in targets for x in row][-1]
+            with pytest.raises(bd.DimensionMismatch,
+                               match=re.escape(f"target {bad!r} is not")):
+                bd.AdjacencyRealization(2, targets, True)
+
+    def test_node_count_that_is_not_an_int_is_rejected(self):
+        for n in (2.0, "2", None):
+            with pytest.raises(bd.DimensionMismatch, match=re.escape(f"{n!r} is")):
+                bd.AdjacencyRealization(n, [[1], []], True)
 
     def test_any_iterables_become_tuples(self):
         real = bd.AdjacencyRealization(2, iter([[1], iter([0])]), False)

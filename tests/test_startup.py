@@ -35,10 +35,11 @@ def child(argv):
         stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
 
 
-def imported_modules(argv):
-    """The modules a child ``python -X importtime argv`` imports."""
+def imported_modules(argv, code=0):
+    """The modules a child ``python -X importtime argv`` imports; it must
+    exit with ``code``."""
     run = child(["-X", "importtime", *argv])
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == code, run.stderr
     # each "import time:" line ends with the name of a module it imported
     return {
         line.rsplit("|", 1)[1].strip()
@@ -53,6 +54,17 @@ def test_command_imports_only_its_modules(command):
         {"bidegree"} | {f"bidegree.{name}" for name in COMMAND_MODULES[command]})
     # json is imported for a JSON record only
     assert "json" not in imported - imported_modules(["-c", "pass"])
+
+
+# top-level help and usage never print a command's arguments, so the
+# parser adds none and no command's modules load
+@pytest.mark.parametrize("argv, code", [
+    ([], 3), (["--help"], 0), (["-h"], 0), (["bogus"], 3)],
+    ids=["no-command", "help", "h", "bogus"])
+def test_top_level_imports_no_command_module(argv, code):
+    imported = imported_modules(["-m", "bidegree.cli", *argv], code)
+    assert {name for name in imported if name.split(".")[0] == "bidegree"} == (
+        {"bidegree"} | {f"bidegree.{name}" for name in EAGER})
 
 
 # ``import bidegree.cli`` first, as the console script does: it imports

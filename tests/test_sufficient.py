@@ -1,6 +1,7 @@
 from collections import Counter
 from decimal import Decimal, getcontext
 from itertools import accumulate
+from math import isqrt
 from operator import sub
 from types import SimpleNamespace
 
@@ -12,8 +13,20 @@ import bidegree as bd
 from bidegree.core import SequenceStats, _conjugate_sums
 from bidegree.exact import INCONCLUSIVE, Verdict
 from bidegree.generate import SplitMix64
-from bidegree.sufficient import Condition, prepare
+from bidegree.sufficient import Condition, _kstar, prepare
 from conftest import conjugate_sum_direct, equal_sum_vector_pairs, sequence_pairs
+
+
+def reference_kstar(n, S, m, offset=0):
+    """``ceil(c + sqrt(c^2 + S - 2*m*n))`` for ``c = m + offset``, or 1 when
+    the discriminant is negative: ``c`` plus the least ``r >= 0`` with
+    ``r*r >= disc``.  Test-only reference."""
+    c = m + offset
+    disc = c * c + S - 2 * m * n
+    if disc < 0:
+        return 1
+    r = isqrt(disc)
+    return c + (r if r * r == disc else r + 1)
 
 
 def verify_certificate(outcome):
@@ -29,12 +42,9 @@ def verify_certificate(outcome):
         return (p["Ma"] + 1) * p["Mb"] <= p["S"]
     if cond in (Condition.MEAN_MIN_LOOPS, Condition.MEAN_MIN_NO_LOOPS):
         n, S, m = p["n"], p["S"], p["m"]
-        if cond is Condition.MEAN_MIN_LOOPS:
-            k, _ = bd.kstar_with_loops(n, S, m)
-            bound = min((S - n * m) // k + m, n)
-        else:
-            k, _ = bd.kstar_no_loops(n, S, m)
-            bound = min((S - n * m) // k + m, n - 1)
+        offset = 0 if cond is Condition.MEAN_MIN_LOOPS else 1
+        k = reference_kstar(n, S, m, offset)
+        bound = min((S - n * m) // k + m, n - offset)
         return p["k"] == k and p["Mmax"] == bound and p["M"] <= bound
     if cond is Condition.MULTIPLICITY_LOOPS:
         return p["M"] <= p["k"] and p["M"] * p["k"] <= p["S"]
@@ -55,27 +65,21 @@ def verify_certificate(outcome):
 
 
 class TestKstar:
+    """``_kstar`` with offset 0 (thm5, with loops) and 1 (thm6, without)."""
+
     def test_ten_node_value(self):
-        assert bd.kstar_with_loops(10, 40, 1) == (6, True)
+        assert _kstar(10, 40, 1, 0) == 6
 
     def test_negative_discriminant(self):
-        assert bd.kstar_with_loops(10, 40, 3) == (1, False)
+        assert _kstar(10, 40, 3, 0) == 1
 
     def test_perfect_square(self):
-        assert bd.kstar_with_loops(10, 40, 2) == (4, True)
+        assert _kstar(10, 40, 2, 0) == 4
 
     def test_no_loops_values(self):
-        assert bd.kstar_no_loops(10, 40, 1) == (7, True)
-        assert bd.kstar_no_loops(10, 40, 3) == (1, False)
-        assert bd.kstar_no_loops(100, 400, 2) == (6, True)
-
-    def test_invalid_stats(self):
-        with pytest.raises(bd.InvalidStats):
-            bd.kstar_with_loops(10, 40, 0)
-        with pytest.raises(bd.InvalidStats):
-            bd.kstar_with_loops(10, 5, 1)
-        with pytest.raises(bd.InvalidStats):
-            bd.kstar_no_loops(10, 100, 10)
+        assert _kstar(10, 40, 1, 1) == 7
+        assert _kstar(10, 40, 3, 1) == 1
+        assert _kstar(100, 400, 2, 1) == 6
 
     @given(st.data())
     @settings(max_examples=500)
@@ -85,11 +89,14 @@ class TestKstar:
         n = data.draw(st.integers(1, 10**9))
         m = data.draw(st.integers(1, n))
         S = data.draw(st.integers(n * m, n * n))
-        k, real = bd.kstar_with_loops(n, S, m)
-        disc = m * m + S - 2 * m * n
-        assert real == (disc >= 0)
-        if real:
-            kstar = Decimal(m) + Decimal(disc).sqrt()
+        offset = data.draw(st.integers(0, 1))
+        k = _kstar(n, S, m, offset)
+        c = m + offset
+        disc = c * c + S - 2 * m * n
+        if disc < 0:
+            assert k == 1
+        else:
+            kstar = Decimal(c) + Decimal(disc).sqrt()
             expected = int(kstar.to_integral_value(rounding="ROUND_CEILING"))
             assert k == expected
 
@@ -130,7 +137,7 @@ class TestThm3:
 
 class TestThm4:
     def test_special_case_max(self):
-        assert bd.thm4_special_max(40) == 5
+        assert bd.bound_table(10, 1, 40).h[4] == 5
         assert 5 * 6 <= 40 < 6 * 7
 
     def test_two_cycle(self):
@@ -178,7 +185,7 @@ class TestThm6:
     def test_ten_node_stats_inconclusive(self, ten_node_vector):
         out = bd.check_thm6(ten_node_vector)
         assert out.verdict is Verdict.INCONCLUSIVE
-        k, _ = bd.kstar_no_loops(10, 40, 1)
+        k = reference_kstar(10, 40, 1, offset=1)
         assert k == 7 and min(30 // 7 + 1, 9) == 5 < 6
 
     def test_min_equals_n_gate(self):
@@ -268,7 +275,7 @@ class TestCor5:
             assert count >= 1
             starts.append(len(expanded))
             expanded += [(x, y)] * count
-        assert expanded == sorted(seq.pairs(), reverse=True)
+        assert expanded == sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
         for start, (_, _, _, group_max) in zip(starts, rows):
             assert group_max == max(max(p) for p in expanded[start:])
 
@@ -401,10 +408,10 @@ class TestBoundTable:
             n = rng.randint(1, 10**9)
             m = rng.randint(1, min(n, 10**6))
             S = rng.randint(n * m, n * min(n, 10**7))
-            k, real = bd.kstar_with_loops(n, S, m)
+            k = _kstar(n, S, m, 0)
             disc = m * m + S - 2 * m * n
             if disc < 0:
-                assert (k, real) == (1, False)
+                assert k == 1
             else:
                 kstar = Decimal(m) + Decimal(disc).sqrt()
                 assert k == int(kstar.to_integral_value(rounding="ROUND_CEILING"))
@@ -426,7 +433,8 @@ class TestBoundTable:
         assert h[4] * (h[4] + 1) <= S
         if h[4] < n:
             assert (h[4] + 1) * (h[4] + 2) > S
-        M4 = bd.thm4_special_max(S)
+        # at n = S the cap n is above thm4's largest M, so h[4] is that M
+        M4 = bd.bound_table(max(S, 1), 0, S).h[4]
         assert M4 * (M4 + 1) <= S < (M4 + 1) * (M4 + 2)
 
 
@@ -480,7 +488,7 @@ def reference_cor5(seq):
             break
         if Q <= P:
             M_rest = suffix_max[R]
-            k, _ = bd.kstar_with_loops(n, S + R * m, m)
+            k = reference_kstar(n, S + R * m, m)
             m_max = min((S - n * m - P + R * m) // k + m, n)
             if M_rest <= m_max and (k <= M_rest or k * m <= m * (n - R) - P):
                 params = dict(R=R, P=P, k=k, Mmax=m_max, M=M_rest, m=m, n=n, S=S)
