@@ -8,9 +8,11 @@ sharpness frontier of the bounds.
 
 Each public name is listed once, in its own module's ``__all__``; the
 package re-exports them all.  It imports ``core``, ``errors``, ``exact``
-and ``realize``, which every command runs, at once, and ``sufficient`` and
-``generate`` on first access to a name it has not bound (PEP 562), so a
-command that runs neither does not load them.
+and ``realize`` at once, so that the function ``realize`` holds that name
+before any import of the submodule could bind it; ``check``, ``bound``,
+``generate`` and ``bench`` load ``realize`` for that alone.  It imports
+``sufficient`` and ``generate`` on first access to a name it has not bound
+(PEP 562), so a command that runs neither does not load them.
 """
 
 from . import core, errors, exact, realize as _realize

@@ -41,7 +41,7 @@ arguments of the command on the command line, and ``sufficient``,
 ``generate`` and ``json`` are imported inside the functions that use
 them.  So ``realize`` loads ``core``, ``errors``, ``exact`` and
 ``realize``; ``check``, ``bound`` and ``bench`` add ``sufficient``, and
-``generate`` adds ``generate`` too.
+``generate`` adds ``generate`` only.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import os
 import sys
 import time
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 
 from .core import BidegreeSequence, new_sequence
 from .errors import BidegreeError, SumMismatch
@@ -537,37 +537,20 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that prints help to its ``stdout`` and usage
-    errors to its ``stderr``, not to ``sys.stdout`` and ``sys.stderr``; a
-    stream left None is argparse's own."""
-
-    def __init__(self, *, stdout=None, stderr=None, **kwargs):
-        super().__init__(**kwargs)
-        self.stdout, self.stderr = stdout, stderr
-
-    def _print_message(self, message, file=None):
-        # argparse passes sys.stdout for help, sys.stderr or None otherwise
-        stream = self.stdout if file is sys.stdout else self.stderr
-        super()._print_message(message, file if stream is None else stream)
-
-
-def build_parser(command=None, stdout=None, stderr=None) -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
     """A parser that adds the arguments of ``command`` only, and of no
     command when it is None, so that parsing a command line imports only
     the modules its command runs.  Every command keeps its name and help
     line, so the top-level help and usage errors, which never print a
     command's arguments, are the same."""
-    streams = {"stdout": stdout, "stderr": stderr}
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="bidegree",
         description="Graphicality checks, realization, and generators for "
         "directed bidegree sequences.",
-        **streams,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        command_parser = sub.add_parser(name, help=help_line, **streams)
+        command_parser = sub.add_parser(name, help=help_line)
         if command == name:
             add_arguments(command_parser)
     return parser
@@ -581,7 +564,9 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     # the top level takes no option but --help, so a command comes first
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command, stdout, stderr).parse_args(argv)
+        # argparse prints help to sys.stdout and usage errors to sys.stderr
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         if exc.code != 2:
             raise  # --help exits 0

@@ -15,9 +15,7 @@ for its summary integers.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from itertools import accumulate, chain, islice, repeat, starmap
-from operator import sub
+from collections import namedtuple
 
 from .errors import (
     BidegreeError,
@@ -211,32 +209,3 @@ def pad_bipartite(row_sums, col_sums) -> BidegreeSequence:
     return new_sequence(
         rows + (0,) * (n - len(rows)), cols + (0,) * (n - len(cols))
     )
-
-
-# -- internal fast-path helpers -------------------------------------------
-#
-# The exact checks only ever need conjugate sums and sorted prefix sums up
-# to the maximum out-degree: beyond it the conjugate side saturates at the
-# degree sum, which every prefix is bounded by.  Both helpers take the
-# degree vector itself, count it once with a C-level ``Counter``, and build
-# only that much: an ``accumulate`` pipeline over ``range(limit)`` for the
-# conjugate sums, and the descending value groups cut at ``limit`` for the
-# prefix.  After the count each costs O(limit), plus a sort of the
-# distinct values for the prefix.
-
-
-def _conjugate_sums(vec, limit: int) -> list[int]:
-    """``F(j) = sum_i min(v_i, j)`` for ``j`` in ``[0..limit]``.
-
-    Step ``j`` adds ``#(v_i >= j) = len(vec) - #(v_i < j)``.
-    """
-    hist = Counter(vec)
-    below = accumulate(map(hist.get, range(limit), repeat(0)))
-    return list(accumulate(map(sub, repeat(len(vec)), below), initial=0))
-
-
-def _sorted_prefix(vec, limit: int) -> list[int]:
-    """First ``limit`` prefix sums of ``vec`` sorted descending, led by 0."""
-    groups = sorted(Counter(vec).items(), reverse=True)
-    desc = chain.from_iterable(starmap(repeat, groups))
-    return list(accumulate(islice(desc, limit), initial=0))

@@ -35,11 +35,11 @@ search) and reports whether any matches the margins.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
-from itertools import accumulate, combinations
+from collections import Counter, namedtuple
+from itertools import accumulate, chain, combinations, islice, repeat, starmap
 from operator import sub
 
-from .core import BidegreeSequence, _conjugate_sums, _sorted_prefix
+from .core import BidegreeSequence
 from .errors import InstanceTooLarge
 
 __all__ = [
@@ -93,6 +93,33 @@ def _outcome(slack: list) -> CheckOutcome:
     if witness is None:
         return GRAPHIC
     return CheckOutcome(Verdict.NOT_GRAPHIC, witness=witness)
+
+
+# The checks only ever need conjugate sums and sorted prefix sums up to
+# the maximum out-degree: beyond it the conjugate side saturates at the
+# degree sum, which every prefix is bounded by.  Both helpers take the
+# degree vector itself, count it once with a C-level ``Counter``, and build
+# only that much: an ``accumulate`` pipeline over ``range(limit)`` for the
+# conjugate sums, and the descending value groups cut at ``limit`` for the
+# prefix.  After the count each costs O(limit), plus a sort of the
+# distinct values for the prefix.
+
+
+def _conjugate_sums(vec, limit: int) -> list[int]:
+    """``F(j) = sum_i min(v_i, j)`` for ``j`` in ``[0..limit]``.
+
+    Step ``j`` adds ``#(v_i >= j) = len(vec) - #(v_i < j)``.
+    """
+    hist = Counter(vec)
+    below = accumulate(map(hist.get, range(limit), repeat(0)))
+    return list(accumulate(map(sub, repeat(len(vec)), below), initial=0))
+
+
+def _sorted_prefix(vec, limit: int) -> list[int]:
+    """First ``limit`` prefix sums of ``vec`` sorted descending, led by 0."""
+    groups = sorted(Counter(vec).items(), reverse=True)
+    desc = chain.from_iterable(starmap(repeat, groups))
+    return list(accumulate(islice(desc, limit), initial=0))
 
 
 def _slack(seq: BidegreeSequence, allow_loops: bool) -> list:

@@ -11,7 +11,8 @@ arithmetic with one 128-bit lane per draw; a batch equals as many
 The power-law sampler additionally evaluates its cumulative weights in
 IEEE double precision, so its byte-for-byte reproducibility is pinned to
 platforms with the same libm rounding (all common ones).  Outputs always
-satisfy sum(a) == sum(b) by construction.
+satisfy sum(a) == sum(b) by construction.  :func:`gen_extremal` takes
+:func:`minimizer_b_star`, the conjugate minimizer, for both vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from itertools import accumulate
 
 from .core import BidegreeSequence, new_sequence
 from .errors import BadExponent, Infeasible, InvalidParameters
-from .sufficient import minimizer_b_star
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -34,6 +34,7 @@ __all__ = [
     "gen_powerlaw",
     "gen_counterexample1",
     "gen_extremal",
+    "minimizer_b_star",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -154,10 +155,7 @@ def gen_uniform(
         Unless ``0 <= min <= max <= n`` and ``n*min <= total <= n*max``.
     """
     m, M = min_degree, max_degree
-    if not (0 <= m <= M <= n) or not (n * m <= total <= n * M):
-        raise Infeasible(
-            f"no vector over n={n} slots with min={m} max={M} sum={total}"
-        )
+    _require_feasible(n, total, m, M)
     rng = SplitMix64(seed)
     a, b = [m] * n, [m] * n
     _top_up(rng, a, M, total - n * m)
@@ -255,6 +253,35 @@ def gen_counterexample1(
     a += [0] * (n - len(a))
     b += [0] * (n - len(b))
     return new_sequence(a, b)
+
+
+def _require_feasible(n: int, S: int, m: int, M: int) -> None:
+    """Raise Infeasible unless ``0 <= m <= M <= n`` and ``n*m <= S <= n*M``."""
+    if not (0 <= m <= M <= n) or not (n * m <= S <= n * M):
+        raise Infeasible(
+            f"no vector over n={n} slots with min={m} max={M} sum={S}"
+        )
+
+
+def minimizer_b_star(n: int, S: int, M: int, m: int = 0) -> tuple:
+    """Out-degree vector minimizing every conjugate sum for given stats.
+
+    The unique shape with ``k`` leading entries ``M``, one remainder in
+    ``[m..M]``, and trailing entries ``m``, summing to ``S``.  Among all
+    vectors over ``n`` slots with entries in ``[m..M]`` and sum ``S``,
+    this one has the pointwise-smallest conjugate cumulative profile.
+
+    Raises
+    ------
+    Infeasible
+        Unless ``0 <= m <= M <= n`` and ``n*m <= S <= n*M``.
+    """
+    _require_feasible(n, S, m, M)
+    if S == n * M:  # so too when M == m, as then S == n*m
+        return (M,) * n
+    k = (S - n * m) // (M - m)  # below n, as S < n*M
+    r = S - k * M - (n - k - 1) * m
+    return (M,) * k + (r,) + (m,) * (n - k - 1)
 
 
 def gen_extremal(n: int, total: int, max_degree: int) -> BidegreeSequence:

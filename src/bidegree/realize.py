@@ -72,7 +72,10 @@ class AdjacencyRealization(
     def __new__(cls, n: int, targets, loops_allowed: bool):
         if not isinstance(n, int):
             raise DimensionMismatch(f"node count {n!r} is not an integer")
-        targets = tuple(map(tuple, targets))
+        try:
+            targets = tuple(map(tuple, targets))
+        except TypeError:  # targets, or a target list, is not iterable
+            raise DimensionMismatch(f"{targets!r} is not {n} target lists") from None
         if len(targets) != n:
             raise DimensionMismatch(f"{len(targets)} target lists for n={n}")
         # a float, Fraction or Decimal target makes the sum of the targets

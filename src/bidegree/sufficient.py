@@ -47,7 +47,7 @@ from itertools import accumulate
 from math import isqrt
 
 from .core import BidegreeSequence
-from .errors import Infeasible, InvalidStats
+from .errors import InvalidStats
 from .exact import (
     INCONCLUSIVE,
     CheckOutcome,
@@ -69,7 +69,6 @@ __all__ = [
     "check_cor2",
     "check_cor3",
     "check_cor5",
-    "minimizer_b_star",
     "bound_table",
     "certify",
 ]
@@ -336,32 +335,6 @@ def check_cor5(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
             P += x
             Q += y
     return INCONCLUSIVE
-
-
-def minimizer_b_star(n: int, S: int, M: int, m: int = 0) -> tuple:
-    """Out-degree vector minimizing every conjugate sum for given stats.
-
-    The unique shape with ``k`` leading entries ``M``, one remainder in
-    ``[m..M]``, and trailing entries ``m``, summing to ``S``.  Among all
-    vectors over ``n`` slots with entries in ``[m..M]`` and sum ``S``,
-    this one has the pointwise-smallest conjugate cumulative profile.
-
-    Raises
-    ------
-    Infeasible
-        Unless ``0 <= m <= M <= n`` and ``n*m <= S <= n*M``.
-    """
-    if not (0 <= m <= M <= n) or not (n * m <= S <= n * M):
-        raise Infeasible(
-            f"no vector over n={n} slots with min={m} max={M} sum={S}"
-        )
-    if M == m:
-        return (M,) * n
-    k = (S - n * m) // (M - m)
-    if k >= n:
-        return (M,) * n
-    r = S - k * M - (n - k - 1) * m
-    return (M,) * k + (r,) + (m,) * (n - k - 1)
 
 
 def bound_table(n: int, m: int, S: int) -> BoundTable:

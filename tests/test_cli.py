@@ -928,6 +928,25 @@ class TestUsageErrors:
         assert err.getvalue() == ""
         assert capfd.readouterr() == ("", "")
 
+    def test_process_streams_are_put_back(self):
+        # main swaps sys.stdout and sys.stderr while argparse runs only
+        before = sys.stdout, sys.stderr
+
+        def put_back():
+            return sys.stdout is before[0] and sys.stderr is before[1]
+
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"], stdout=out, stderr=err)
+        assert exc.value.code == 0
+        assert put_back()
+        assert out.getvalue().startswith("usage: bidegree ")
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["check", "--method", "bogus"], stdout=out, stderr=err) == 3
+        assert put_back()
+        assert err.getvalue().startswith("usage: bidegree check ")
+        assert "invalid choice: 'bogus'" in err.getvalue()
+
     def test_console_exit_code(self):
         child = cli_child(["check", "--method", "bogus"],
                           stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,

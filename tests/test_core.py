@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
-from bidegree.core import _conjugate_sums
+from bidegree.exact import _conjugate_sums
 from conftest import conjugate_sum_direct, sequence_pairs
 
 

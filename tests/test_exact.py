@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
-from bidegree.core import _conjugate_sums, _sorted_prefix
+from bidegree.exact import _conjugate_sums, _sorted_prefix
 from bidegree.exact import Verdict, _slack
 from bidegree.generate import SplitMix64
 from conftest import (

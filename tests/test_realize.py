@@ -158,6 +158,13 @@ class TestConstructor:
             with pytest.raises(bd.DimensionMismatch):
                 bd.AdjacencyRealization(n, targets, True)
 
+    def test_targets_that_are_not_lists_are_rejected(self):
+        # a value, or a target list, that is not iterable
+        for targets in ([5, 6], 5, [[0], 5], None):
+            with pytest.raises(bd.DimensionMismatch,
+                               match=re.escape(f"{targets!r} is not 2 target")):
+                bd.AdjacencyRealization(2, targets, True)
+
     def test_negative_target_is_rejected(self):
         with pytest.raises(bd.DimensionMismatch, match="target -1"):
             bd.AdjacencyRealization(3, ((0,), (2, -1), ()), True)

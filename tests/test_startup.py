@@ -25,7 +25,9 @@ COMMAND_MODULES = {
     "check --method auto": EAGER | {"sufficient"},
     "bound --n 4 --m 1 --total 4": EAGER | {"sufficient"},
     "generate --kind uniform --n 4 --total 4 --min 1 --max 1 --count 0":
-        EAGER | {"generate", "sufficient"},
+        EAGER | {"generate"},
+    # the kind that builds the conjugate minimizer
+    "generate --kind extremal --n 4 --total 4 --max 2": EAGER | {"generate"},
 }
 
 

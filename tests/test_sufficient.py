@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
-from bidegree.core import SequenceStats, _conjugate_sums
-from bidegree.exact import INCONCLUSIVE, Verdict
+from bidegree.core import SequenceStats
+from bidegree.exact import INCONCLUSIVE, Verdict, _conjugate_sums
 from bidegree.generate import SplitMix64
 from bidegree.sufficient import Condition, _kstar, prepare
 from conftest import conjugate_sum_direct, equal_sum_vector_pairs, sequence_pairs
