@@ -40,8 +40,9 @@ Each command imports only the modules it runs: the parser adds only the
 arguments of the command on the command line, and ``sufficient``,
 ``generate`` and ``json`` are imported inside the functions that use
 them.  So ``realize`` loads ``core``, ``errors``, ``exact`` and
-``realize``; ``check``, ``bound`` and ``bench`` add ``sufficient``, and
-``generate`` adds ``generate`` only.
+``realize``; ``check``, ``bound`` and ``bench`` add ``sufficient``
+(``check --method exact`` does not), and ``generate`` adds ``generate``
+only.
 """
 
 from __future__ import annotations
@@ -466,17 +467,31 @@ def _add_loop_flags(parser):
     )
 
 
-def _check_arguments(parser):
-    from .sufficient import Condition
+class _MethodChoices:
+    """``--method``'s choices: ``exact``, ``auto`` and the condition codes.
+    It answers ``exact`` and ``auto`` without importing ``sufficient``, and
+    reads ``Condition`` only to list the choices or to look up another
+    code, so ``check --method exact`` never loads the certificates."""
 
+    def __contains__(self, method):
+        return method in ("exact", "auto") or method in list(self)
+
+    def __iter__(self):
+        from .sufficient import Condition
+
+        return iter(["exact", "auto"] + sorted(cond.value for cond in Condition))
+
+
+def _check_arguments(parser):
     parser.add_argument("input", nargs="?", default="-", help="file or - for stdin")
     _add_loop_flags(parser)
-    parser.add_argument(
+    method = parser.add_argument(
         "--method",
-        choices=["exact", "auto"] + sorted(cond.value for cond in Condition),
         default="auto",
         help="exact check, one certificate, or the auto ladder",
     )
+    # set after add_argument, whose check of the metavar lists the choices
+    method.choices = _MethodChoices()
     parser.add_argument(
         "--fallback-exact",
         action="store_true",

@@ -17,15 +17,41 @@ co-indexed with the ``j`` largest in-degrees.  Here the scan extends to
 an out-degree equal to ``n`` (impossible without a loop) is rejected, and
 it is the only case where a witness of ``n`` can occur.
 
-Both checks count each vector once in O(n) and evaluate only the indices
-up to the maximum out-degree: no inequality with ``j`` beyond it can
-fail, because the conjugate side has already saturated at the full
-degree sum.  Both sort only the distinct in-degree values, O(n + d log d)
-for ``d`` distinct values.  The loop-free check also reads the
-out-degrees of the first ``M`` pairs in canonical order, ``M`` the
-maximum out-degree, so it sorts only the ``k`` pairs whose in-degree is
-at least the ``M``-th largest: O(n + k log k), with ``k = n`` only when
-no in-degree is smaller.
+Both checks decide a record at the ends of its in-degree groups.  Sort
+the in-degrees descending and let ``j_1 < j_2 < ... < j_d = n`` be the
+indices where a group of equal values ends, ``v_k`` the value of group
+``k``.  Only the ends with ``j_k <= limit`` need evaluating, ``limit`` the
+maximum out-degree (and at most ``n - 1`` with loops): no inequality with
+``j`` beyond it can fail, because the conjugate side has already
+saturated at the full degree sum.
+
+* With loops the slack ``s(j) = sum_i min(b_i, j) - sum_{i<=j} a_i`` is
+  concave between two consecutive ends: the first sum gains
+  ``#(b_i >= j)``, which never grows with ``j``, and the second gains the
+  same ``v_k`` at every step inside group ``k``.  A concave function
+  takes its minimum over an interval at one of its ends, and ``s(0) = 0``,
+  so ``s >= 0`` everywhere exactly when it holds at every group end.
+* Without loops, Berger (2014, "A note on the characterization of
+  digraphic sequences", Discrete Math. 314) shows that, with the pairs in
+  nonincreasing lexicographic order, the Fulkerson--Chen--Anstee system
+  holds exactly when its inequalities hold at the indices ``j < n`` where
+  the in-degree drops, ``a_j > a_{j+1}``, and at ``j = n``; these are the
+  group ends.  The first ``j_k`` pairs are the pairs with ``a_i >= v_k``
+  in any order of ties, so the diagonal correction at a group end,
+  ``c(j_k) = #(a_i >= v_k and b_i >= j_k)``, does not depend on the order
+  of ties either.  ``j = n`` fails exactly when some ``b_i = n``.
+
+The decision counts each vector once in O(n), sorts the ``d`` distinct
+in-degrees and the distinct out-degrees, O(d log d), and sweeps
+``sum_i min(b_i, j)`` over the out-degree histogram to each end.  Without
+loops ``c(j_k) <= min(j_k, #(b_i >= j_k))``, so an end whose with-loops
+slack covers that bound holds without reading a pair.  Only when some end
+does not, the last of them ``j_K``, does it read the ``j_K`` pairs of the
+groups up to it for the exact corrections, in O(n + j_K log d).  A record
+that fails goes to the full scan of every index ``j = 1..limit``, with
+the same counts.  The scan stays the one source of the witness (the
+first violated index, which can lie inside a group) and of
+``violated_indices``, which needs every index.
 
 ``brute_force_exists`` is an independent ground-truth oracle for tiny
 instances: it exhaustively enumerates 0-1 matrices (as a pruned row-wise
@@ -35,6 +61,7 @@ search) and reports whether any matches the margins.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from itertools import accumulate, chain, combinations, islice, repeat, starmap
 from operator import sub
@@ -95,42 +122,53 @@ def _outcome(slack: list) -> CheckOutcome:
     return CheckOutcome(Verdict.NOT_GRAPHIC, witness=witness)
 
 
-# The checks only ever need conjugate sums and sorted prefix sums up to
-# the maximum out-degree: beyond it the conjugate side saturates at the
+# The full scan only ever needs conjugate sums and sorted prefix sums up
+# to the maximum out-degree: beyond it the conjugate side saturates at the
 # degree sum, which every prefix is bounded by.  Both helpers take the
-# degree vector itself, count it once with a C-level ``Counter``, and build
-# only that much: an ``accumulate`` pipeline over ``range(limit)`` for the
+# count of the degree vector, which the checks make once, and build only
+# that much: an ``accumulate`` pipeline over ``range(limit)`` for the
 # conjugate sums, and the descending value groups cut at ``limit`` for the
-# prefix.  After the count each costs O(limit), plus a sort of the
-# distinct values for the prefix.
+# prefix.  Each costs O(limit), plus a sort of the distinct values for the
+# prefix.
 
 
-def _conjugate_sums(vec, limit: int) -> list[int]:
-    """``F(j) = sum_i min(v_i, j)`` for ``j`` in ``[0..limit]``.
+def _conjugate_sums(hist: Counter, n: int, limit: int) -> list[int]:
+    """``F(j) = sum_i min(v_i, j)`` for ``j`` in ``[0..limit]``, from the
+    count ``hist`` of the ``n`` values ``v``.
 
-    Step ``j`` adds ``#(v_i >= j) = len(vec) - #(v_i < j)``.
+    Step ``j`` adds ``#(v_i >= j) = n - #(v_i < j)``.
     """
-    hist = Counter(vec)
     below = accumulate(map(hist.get, range(limit), repeat(0)))
-    return list(accumulate(map(sub, repeat(len(vec)), below), initial=0))
+    return list(accumulate(map(sub, repeat(n), below), initial=0))
 
 
-def _sorted_prefix(vec, limit: int) -> list[int]:
-    """First ``limit`` prefix sums of ``vec`` sorted descending, led by 0."""
-    groups = sorted(Counter(vec).items(), reverse=True)
+def _sorted_prefix(hist: Counter, limit: int) -> list[int]:
+    """First ``limit`` prefix sums of the values counted in ``hist``,
+    sorted descending, led by 0."""
+    groups = sorted(hist.items(), reverse=True)
     desc = chain.from_iterable(starmap(repeat, groups))
     return list(accumulate(islice(desc, limit), initial=0))
 
 
-def _slack(seq: BidegreeSequence, allow_loops: bool) -> list:
-    """Capacity minus demand of the policy's inequality ``j``, for ``j`` in
-    ``[0..limit]``; graphic under the policy iff no entry is negative."""
-    a, b = seq.in_degrees, seq.out_degrees
-    limit = seq.stats.max_out  # without loops j = n when some b_i = n
+def _limit(seq: BidegreeSequence, allow_loops: bool) -> int:
+    """The last index whose inequality can fail: the maximum out-degree,
+    and at most ``n - 1`` with loops (without loops ``j = n`` fails when
+    some ``b_i = n``)."""
     if allow_loops:
-        limit = min(limit, seq.n - 1)
-    prefix = _sorted_prefix(a, limit)
-    slack = list(map(sub, _conjugate_sums(b, limit), prefix))
+        return min(seq.stats.max_out, seq.n - 1)
+    return seq.stats.max_out
+
+
+def _slack(
+    seq: BidegreeSequence, allow_loops: bool, ins: Counter, outs: Counter
+) -> list:
+    """Capacity minus demand of the policy's inequality ``j``, for ``j`` in
+    ``[0..limit]``, from the counts ``ins`` and ``outs`` of the in- and
+    out-degrees; graphic under the policy iff no entry is negative."""
+    a, b = seq.in_degrees, seq.out_degrees
+    limit = _limit(seq, allow_loops)
+    prefix = _sorted_prefix(ins, limit)
+    slack = list(map(sub, _conjugate_sums(outs, seq.n, limit), prefix))
     if allow_loops or limit == 0:
         return slack
     # diagonal correction c[j] = #(i <= j with b_i >= j) over the first
@@ -138,7 +176,7 @@ def _slack(seq: BidegreeSequence, allow_loops: bool) -> list:
     # [i..b_i]); each has an in-degree of at least t, the limit-th
     # largest, so they lead the sort of just those pairs
     t = prefix[limit] - prefix[limit - 1]
-    top = sorted([p for p in zip(a, b) if p[0] >= t], reverse=True)
+    top = sorted([(x, y) for x, y in zip(a, b) if x >= t], reverse=True)
     diff = [0] * (limit + 2)
     for i, (_, b_i) in enumerate(top[:limit], 1):
         if b_i >= i:
@@ -147,34 +185,98 @@ def _slack(seq: BidegreeSequence, allow_loops: bool) -> list:
     return list(map(sub, slack, accumulate(diff[: limit + 1])))
 
 
+def _group_ends_hold(
+    seq: BidegreeSequence, allow_loops: bool, ins: Counter, outs: Counter
+) -> bool:
+    """Whether the policy's inequality holds at every in-degree group end
+    ``j_k <= limit``, from the counts ``ins`` and ``outs`` of the in- and
+    out-degrees: exactly when ``seq`` is graphic under the policy (see the
+    module docstring)."""
+    n, limit = seq.n, _limit(seq, allow_loops)
+    if limit == n:
+        return False  # without loops j = n reads S <= S - #(b_i = n)
+    groups = sorted(ins.items(), reverse=True)
+    ends = list(accumulate(c for _, c in groups))
+    del ends[bisect_right(ends, limit) :]
+    # F(j) = sum_i min(b_i, j) is the sum of the out-degrees below j plus
+    # j for each of the `ge` others; the with-loops slack F(j) less the
+    # demand must cover the correction c(j), at most min(j, ge) without
+    # loops
+    ascending = iter(sorted(outs.items()))
+    out, count = next(ascending)
+    below = below_sum = demand = 0
+    tight = []  # (k, slack) at the loop-free ends the bound does not settle
+    for k, ((v, c), end) in enumerate(zip(groups, ends)):
+        demand += v * c
+        while out < end:  # an out-degree of at least end <= limit exists
+            below += count
+            below_sum += out * count
+            out, count = next(ascending)
+        ge = n - below
+        slack = below_sum + end * ge - demand
+        if slack < 0:
+            return False
+        if not allow_loops and slack < min(end, ge):
+            tight.append((k, slack))
+    if not tight:
+        return True
+    # c(j_k) = #(a_i >= v_k and b_i >= j_k): pair i with a_i in group g
+    # counts for g <= k < h, h the number of ends <= b_i, so c(j_k) is j_k
+    # less the pairs whose max(g, h) <= k; only the pairs of the groups up
+    # to the last tight end count
+    last = tight[-1][0]
+    rank = {v: k for k, (v, _) in enumerate(groups[: last + 1])}
+    t = groups[last][0]
+    stops = Counter(
+        [
+            max(rank[x], bisect_right(ends, y))
+            for x, y in zip(seq.in_degrees, seq.out_degrees)
+            if x >= t
+        ]
+    )
+    gone = list(accumulate(map(stops.get, range(last + 1), repeat(0))))
+    return all(slack >= ends[k] - gone[k] for k, slack in tight)
+
+
+def _check(seq: BidegreeSequence, allow_loops: bool) -> CheckOutcome:
+    """Count each vector once, decide at the group ends, and scan every
+    index only for the witness of a record that fails there."""
+    ins, outs = Counter(seq.in_degrees), Counter(seq.out_degrees)
+    if _group_ends_hold(seq, allow_loops, ins, outs):
+        return GRAPHIC
+    return _outcome(_slack(seq, allow_loops, ins, outs))
+
+
 def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
     """Decide whether ``seq`` is realizable allowing self-loops.
 
     Returns GRAPHIC, or NOT_GRAPHIC with the first violated index as
     witness.
     """
-    return _outcome(_slack(seq, True))
+    return _check(seq, True)
 
 
 def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:
     """Decide whether ``seq`` is realizable with a zero diagonal.
 
-    An in-degree equal to ``n`` fails at ``j = 1`` and an out-degree equal
-    to ``n`` fails at ``j = n``; no other sequence can produce a witness
-    of ``n``.
+    Returns GRAPHIC, or NOT_GRAPHIC with the first violated index as
+    witness.  An in-degree equal to ``n`` fails at ``j = 1`` and an
+    out-degree equal to ``n`` fails at ``j = n``; no other sequence can
+    produce a witness of ``n``.
     """
-    return _outcome(_slack(seq, False))
+    return _check(seq, False)
 
 
 def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[int]:
     """Every index at which the relevant inequality system fails.
 
     Empty exactly when the sequence is graphic under the given loop
-    policy.  Violations can only occur at indices up to the maximum
-    out-degree, so the returned list is complete even though the scan is
-    truncated there.
+    policy.  It reads the full scan of every index up to the maximum
+    out-degree, not only the group ends the checks decide at: violations
+    can only occur up to that index, so the list is complete.
     """
-    return [j for j, s in enumerate(_slack(seq, allow_loops)) if s < 0]
+    ins, outs = Counter(seq.in_degrees), Counter(seq.out_degrees)
+    return [j for j, s in enumerate(_slack(seq, allow_loops, ins, outs)) if s < 0]
 
 
 def _col_feasible(resid, next_row, n, allow_loops):

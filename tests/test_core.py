@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from operator import sub
 
@@ -205,7 +206,7 @@ def profile(vec, n):
     """``_conjugate_sums`` run to ``n``, with its increments: the
     cumulative sums ``F(j) = sum_i min(v_i, j)`` for ``j`` in ``[0..n]``,
     and ``#(v_i >= j)`` for ``j`` in ``[1..n]``."""
-    cumulative = _conjugate_sums(vec, n)
+    cumulative = _conjugate_sums(Counter(vec), len(vec), n)
     return cumulative, list(map(sub, cumulative[1:], cumulative))
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import accumulate
 from operator import sub
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import bidegree as bd
 from bidegree.exact import _conjugate_sums, _sorted_prefix
-from bidegree.exact import Verdict, _slack
+from bidegree.exact import Verdict, _group_ends_hold, _slack
 from bidegree.generate import SplitMix64
 from conftest import (
     anstee_lhs_direct,
@@ -108,12 +109,18 @@ def direct_violations(seq, allow_loops):
     ]
 
 
+def counted(seq):
+    """The counts of the in- and out-degrees, as the checks make them."""
+    return Counter(seq.in_degrees), Counter(seq.out_degrees)
+
+
 def reference_loops_slack(seq):
     """The with-loops slack as its own routine: conjugate sums minus the
     sorted in-degree prefix, up to ``min(max_out, n - 1)``."""
     limit = min(seq.stats.max_out, seq.n - 1)
-    conj = _conjugate_sums(seq.out_degrees, limit)
-    return list(map(sub, conj, _sorted_prefix(seq.in_degrees, limit)))
+    ins, outs = counted(seq)
+    conj = _conjugate_sums(outs, seq.n, limit)
+    return list(map(sub, conj, _sorted_prefix(ins, limit)))
 
 
 def reference_no_loops_slack(seq):
@@ -121,7 +128,7 @@ def reference_no_loops_slack(seq):
     order, up to ``max_out``."""
     pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
     limit = seq.stats.max_out
-    conj = _conjugate_sums(seq.out_degrees, limit)
+    conj = _conjugate_sums(Counter(seq.out_degrees), seq.n, limit)
     diff = [0] * (limit + 2)
     for i in range(1, limit + 1):
         b_i = pairs[i - 1][1]
@@ -134,8 +141,15 @@ def reference_no_loops_slack(seq):
 
 
 def assert_slack_matches_reference(seq):
-    assert _slack(seq, True) == reference_loops_slack(seq), seq
-    assert _slack(seq, False) == reference_no_loops_slack(seq), seq
+    """Both policies' slack equals its reference, and the group-end
+    decision is graphic exactly when no reference entry is negative."""
+    for loops, reference in (
+        (True, reference_loops_slack(seq)),
+        (False, reference_no_loops_slack(seq)),
+    ):
+        assert _slack(seq, loops, *counted(seq)) == reference, (seq, loops)
+        holds = _group_ends_hold(seq, loops, *counted(seq))
+        assert holds is (min(reference) >= 0), (seq, loops)
 
 
 class TestSlack:
@@ -191,9 +205,45 @@ class TestSlack:
     )
     def test_named_cases(self, a, b, slack, witness):
         seq = bd.new_sequence(a, b)
-        assert _slack(seq, False) == slack
+        assert _slack(seq, False, *counted(seq)) == slack
         assert_slack_matches_reference(seq)
         assert bd.check_no_loops(seq).witness == witness
+
+
+class TestGroupEnds:
+    """The checks decide at the ends of the in-degree groups and rescan
+    only a record that fails there, for its first violated index."""
+
+    @pytest.mark.parametrize(
+        "a, b, loops, witness",
+        [
+            # the first violated index lies inside the first group, which
+            # ends at 2, under either policy
+            ((3, 3, 0), (3, 0, 3), True, 1),
+            ((2, 2, 0), (2, 2, 0), False, 1),
+            # without loops the slack 0 at j = 1 does not cover the bound
+            # min(j, #(b_i >= j)) = 1, so the pair (1, 0) is read: c(1) = 0
+            ((1, 0), (0, 1), False, None),
+            # an in-degree-n group of two: graphic with loops only
+            ((3, 3, 0), (2, 2, 2), True, None),
+            ((3, 3, 0), (2, 2, 2), False, 1),
+            # heavy tail: a maximum out-degree of 40 over three distinct
+            # in-degrees (counterexample1 with Ma = 3, Mb = 40, n = 100);
+            # with loops the first group's end is the witness, without
+            # loops its first index
+            ((3,) * 39 + (1,) + (0,) * 60, (40, 40, 38) + (0,) * 97, True, 39),
+            ((3,) * 39 + (1,) + (0,) * 60, (40, 40, 38) + (0,) * 97, False, 1),
+        ],
+        ids=["inside-loops", "inside-no-loops", "tight-end-holds",
+             "in-degree-n-loops", "in-degree-n-no-loops", "heavy-tail-loops",
+             "heavy-tail-no-loops"],
+    )
+    def test_named_cases(self, a, b, loops, witness):
+        seq = bd.new_sequence(a, b)
+        check = bd.check_with_loops if loops else bd.check_no_loops
+        assert _group_ends_hold(seq, loops, *counted(seq)) is (witness is None)
+        assert check(seq).witness == witness
+        assert_slack_matches_reference(seq)
 
 
 class TestBruteForce:

@@ -17,11 +17,11 @@ EAGER = {"core", "errors", "exact", "realize"}
 
 # command line -> the submodules a child running it imports.  The child
 # runs ``-m bidegree.cli``, so the cli module itself runs as __main__.
-# ``check`` lists sufficient's conditions as --method's choices, so it
-# loads sufficient under every method.
+# ``check --method exact`` runs only the exact check; --method's choices
+# read sufficient's conditions only to list them or to meet another code.
 COMMAND_MODULES = {
     "realize": EAGER,
-    "check --method exact": EAGER | {"sufficient"},
+    "check --method exact": EAGER,
     "check --method auto": EAGER | {"sufficient"},
     "bound --n 4 --m 1 --total 4": EAGER | {"sufficient"},
     "generate --kind uniform --n 4 --total 4 --min 1 --max 1 --count 0":

@@ -303,7 +303,7 @@ class TestMinimizer:
         assert len(vec) == n and sum(vec) == S
         assert all(m <= x <= M for x in vec)
         assert all(x >= y for x, y in zip(vec, vec[1:]))  # non-increasing
-        cumulative = _conjugate_sums(vec, n)
+        cumulative = _conjugate_sums(Counter(vec), len(vec), n)
         counts = list(map(sub, cumulative[1:], cumulative))
         assert all(x >= y for x, y in zip(counts, counts[1:]))
 
