@@ -17,7 +17,7 @@ co-indexed with the ``j`` largest in-degrees.  Here the scan extends to
 an out-degree equal to ``n`` (impossible without a loop) is rejected, and
 it is the only case where a witness of ``n`` can occur.
 
-Both checks decide a record at the ends of its in-degree groups.  Sort
+Both checks first test a record at the ends of its in-degree groups.  Sort
 the in-degrees descending and let ``j_1 < j_2 < ... < j_d = n`` be the
 indices where a group of equal values ends, ``v_k`` the value of group
 ``k``.  Only the ends with ``j_k <= limit`` need evaluating, ``limit`` the
@@ -36,22 +36,20 @@ saturated at the full degree sum.
   nonincreasing lexicographic order, the Fulkerson--Chen--Anstee system
   holds exactly when its inequalities hold at the indices ``j < n`` where
   the in-degree drops, ``a_j > a_{j+1}``, and at ``j = n``; these are the
-  group ends.  The first ``j_k`` pairs are the pairs with ``a_i >= v_k``
-  in any order of ties, so the diagonal correction at a group end,
-  ``c(j_k) = #(a_i >= v_k and b_i >= j_k)``, does not depend on the order
-  of ties either.  ``j = n`` fails exactly when some ``b_i = n``.
+  group ends.  The diagonal correction ``c(j) = #(i <= j with b_i >= j)``
+  is at most ``min(j, #(b_i >= j))`` in any order of ties, so an end whose
+  with-loops slack covers that bound holds without reading a pair.
+  ``j = n`` fails exactly when some ``b_i = n``.
 
-The decision counts each vector once in O(n), sorts the ``d`` distinct
-in-degrees and the distinct out-degrees, O(d log d), and sweeps
-``sum_i min(b_i, j)`` over the out-degree histogram to each end.  Without
-loops ``c(j_k) <= min(j_k, #(b_i >= j_k))``, so an end whose with-loops
-slack covers that bound holds without reading a pair.  Only when some end
-does not, the last of them ``j_K``, does it read the ``j_K`` pairs of the
-groups up to it for the exact corrections, in O(n + j_K log d).  A record
-that fails goes to the full scan of every index ``j = 1..limit``, with
-the same counts.  The scan stays the one source of the witness (the
-first violated index, which can lie inside a group) and of
-``violated_indices``, which needs every index.
+The group-end test counts each vector once in O(n), sorts the ``d``
+distinct in-degrees and the distinct out-degrees, O(d log d), and sweeps
+``sum_i min(b_i, j)`` over the out-degree histogram to each end.  With
+loops it decides the record; without loops it is sufficient only, since
+an end that does not cover the bound may still hold.  A record it does
+not certify goes to the full scan of every index ``j = 1..limit``, with
+the same counts, which decides it exactly.  The scan stays the one source
+of the witness (the first violated index, which can lie inside a group)
+and of ``violated_indices``, which needs every index.
 
 ``brute_force_exists`` is an independent ground-truth oracle for tiny
 instances: it exhaustively enumerates 0-1 matrices (as a pruned row-wise
@@ -185,12 +183,13 @@ def _slack(
     return list(map(sub, slack, accumulate(diff[: limit + 1])))
 
 
-def _group_ends_hold(
+def _group_ends_certify(
     seq: BidegreeSequence, allow_loops: bool, ins: Counter, outs: Counter
 ) -> bool:
-    """Whether the policy's inequality holds at every in-degree group end
-    ``j_k <= limit``, from the counts ``ins`` and ``outs`` of the in- and
-    out-degrees: exactly when ``seq`` is graphic under the policy (see the
+    """Whether the group-end test certifies ``seq`` graphic under the
+    policy, from the counts ``ins`` and ``outs`` of the in- and
+    out-degrees: with loops exactly when it is graphic, without loops
+    only when every end covers the bound on its correction (see the
     module docstring)."""
     n, limit = seq.n, _limit(seq, allow_loops)
     if limit == n:
@@ -200,13 +199,11 @@ def _group_ends_hold(
     del ends[bisect_right(ends, limit) :]
     # F(j) = sum_i min(b_i, j) is the sum of the out-degrees below j plus
     # j for each of the `ge` others; the with-loops slack F(j) less the
-    # demand must cover the correction c(j), at most min(j, ge) without
-    # loops
+    # demand must cover the correction, at most min(j, ge) without loops
     ascending = iter(sorted(outs.items()))
     out, count = next(ascending)
     below = below_sum = demand = 0
-    tight = []  # (k, slack) at the loop-free ends the bound does not settle
-    for k, ((v, c), end) in enumerate(zip(groups, ends)):
+    for (v, c), end in zip(groups, ends):
         demand += v * c
         while out < end:  # an out-degree of at least end <= limit exists
             below += count
@@ -214,35 +211,16 @@ def _group_ends_hold(
             out, count = next(ascending)
         ge = n - below
         slack = below_sum + end * ge - demand
-        if slack < 0:
+        if slack < (0 if allow_loops else min(end, ge)):
             return False
-        if not allow_loops and slack < min(end, ge):
-            tight.append((k, slack))
-    if not tight:
-        return True
-    # c(j_k) = #(a_i >= v_k and b_i >= j_k): pair i with a_i in group g
-    # counts for g <= k < h, h the number of ends <= b_i, so c(j_k) is j_k
-    # less the pairs whose max(g, h) <= k; only the pairs of the groups up
-    # to the last tight end count
-    last = tight[-1][0]
-    rank = {v: k for k, (v, _) in enumerate(groups[: last + 1])}
-    t = groups[last][0]
-    stops = Counter(
-        [
-            max(rank[x], bisect_right(ends, y))
-            for x, y in zip(seq.in_degrees, seq.out_degrees)
-            if x >= t
-        ]
-    )
-    gone = list(accumulate(map(stops.get, range(last + 1), repeat(0))))
-    return all(slack >= ends[k] - gone[k] for k, slack in tight)
+    return True
 
 
 def _check(seq: BidegreeSequence, allow_loops: bool) -> CheckOutcome:
-    """Count each vector once, decide at the group ends, and scan every
-    index only for the witness of a record that fails there."""
+    """Count each vector once, certify at the group ends, and scan every
+    index only for a record the group ends do not certify."""
     ins, outs = Counter(seq.in_degrees), Counter(seq.out_degrees)
-    if _group_ends_hold(seq, allow_loops, ins, outs):
+    if _group_ends_certify(seq, allow_loops, ins, outs):
         return GRAPHIC
     return _outcome(_slack(seq, allow_loops, ins, outs))
 
@@ -272,7 +250,7 @@ def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[in
 
     Empty exactly when the sequence is graphic under the given loop
     policy.  It reads the full scan of every index up to the maximum
-    out-degree, not only the group ends the checks decide at: violations
+    out-degree, not only the group ends the checks test first: violations
     can only occur up to that index, so the list is complete.
     """
     ins, outs = Counter(seq.in_degrees), Counter(seq.out_degrees)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import bidegree as bd
 from bidegree.exact import _conjugate_sums, _sorted_prefix
-from bidegree.exact import Verdict, _group_ends_hold, _slack
+from bidegree.exact import Verdict, _group_ends_certify, _slack
 from bidegree.generate import SplitMix64
 from conftest import (
     anstee_lhs_direct,
@@ -141,15 +141,21 @@ def reference_no_loops_slack(seq):
 
 
 def assert_slack_matches_reference(seq):
-    """Both policies' slack equals its reference, and the group-end
-    decision is graphic exactly when no reference entry is negative."""
-    for loops, reference in (
-        (True, reference_loops_slack(seq)),
-        (False, reference_no_loops_slack(seq)),
+    """Both policies' slack equals its reference; the group-end test
+    certifies only graphic records, and all of them with loops; and each
+    check's verdict and witness are read off the reference."""
+    for loops, reference, check in (
+        (True, reference_loops_slack(seq), bd.check_with_loops),
+        (False, reference_no_loops_slack(seq), bd.check_no_loops),
     ):
         assert _slack(seq, loops, *counted(seq)) == reference, (seq, loops)
-        holds = _group_ends_hold(seq, loops, *counted(seq))
-        assert holds is (min(reference) >= 0), (seq, loops)
+        graphic = min(reference) >= 0
+        certified = _group_ends_certify(seq, loops, *counted(seq))
+        assert graphic if certified else not (loops and graphic), (seq, loops)
+        witness = next((j for j, s in enumerate(reference) if s < 0), None)
+        outcome = check(seq)
+        assert outcome.is_graphic is graphic, (seq, loops)
+        assert outcome.witness == witness, (seq, loops)
 
 
 class TestSlack:
@@ -211,37 +217,39 @@ class TestSlack:
 
 
 class TestGroupEnds:
-    """The checks decide at the ends of the in-degree groups and rescan
-    only a record that fails there, for its first violated index."""
+    """The checks certify at the ends of the in-degree groups and rescan
+    every record the group ends do not certify."""
 
     @pytest.mark.parametrize(
-        "a, b, loops, witness",
+        "a, b, loops, certified, witness",
         [
             # the first violated index lies inside the first group, which
             # ends at 2, under either policy
-            ((3, 3, 0), (3, 0, 3), True, 1),
-            ((2, 2, 0), (2, 2, 0), False, 1),
+            ((3, 3, 0), (3, 0, 3), True, False, 1),
+            ((2, 2, 0), (2, 2, 0), False, False, 1),
             # without loops the slack 0 at j = 1 does not cover the bound
-            # min(j, #(b_i >= j)) = 1, so the pair (1, 0) is read: c(1) = 0
-            ((1, 0), (0, 1), False, None),
+            # min(j, #(b_i >= j)) = 1, so the full scan finds it graphic
+            ((1, 0), (0, 1), False, False, None),
             # an in-degree-n group of two: graphic with loops only
-            ((3, 3, 0), (2, 2, 2), True, None),
-            ((3, 3, 0), (2, 2, 2), False, 1),
+            ((3, 3, 0), (2, 2, 2), True, True, None),
+            ((3, 3, 0), (2, 2, 2), False, False, 1),
             # heavy tail: a maximum out-degree of 40 over three distinct
             # in-degrees (counterexample1 with Ma = 3, Mb = 40, n = 100);
             # with loops the first group's end is the witness, without
             # loops its first index
-            ((3,) * 39 + (1,) + (0,) * 60, (40, 40, 38) + (0,) * 97, True, 39),
-            ((3,) * 39 + (1,) + (0,) * 60, (40, 40, 38) + (0,) * 97, False, 1),
+            ((3,) * 39 + (1,) + (0,) * 60, (40, 40, 38) + (0,) * 97, True,
+             False, 39),
+            ((3,) * 39 + (1,) + (0,) * 60, (40, 40, 38) + (0,) * 97, False,
+             False, 1),
         ],
-        ids=["inside-loops", "inside-no-loops", "tight-end-holds",
+        ids=["inside-loops", "inside-no-loops", "bound-not-covered",
              "in-degree-n-loops", "in-degree-n-no-loops", "heavy-tail-loops",
              "heavy-tail-no-loops"],
     )
-    def test_named_cases(self, a, b, loops, witness):
+    def test_named_cases(self, a, b, loops, certified, witness):
         seq = bd.new_sequence(a, b)
         check = bd.check_with_loops if loops else bd.check_no_loops
-        assert _group_ends_hold(seq, loops, *counted(seq)) is (witness is None)
+        assert _group_ends_certify(seq, loops, *counted(seq)) is certified
         assert check(seq).witness == witness
         assert_slack_matches_reference(seq)
 
