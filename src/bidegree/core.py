@@ -54,15 +54,16 @@ class BidegreeSequence:
 
     Entries may equal ``n`` (legal when loops are allowed); the loop-free
     checks treat an entry equal to ``n`` as immediately non-graphic rather
-    than rejecting it at construction.  ``stats`` is the summary that
-    validation computes on the way; equality, hashing and the repr read
-    only the two vectors.  Instances are immutable.
+    than rejecting it at construction.  Both vectors are frozen as tuples,
+    so a caller's list cannot change a validated sequence.  ``stats`` is
+    the summary that validation computes on the way; equality, hashing and
+    the repr read only the two vectors.  Instances are immutable.
     """
 
     __slots__ = ("in_degrees", "out_degrees", "stats")
 
-    def __init__(self, in_degrees: tuple[int, ...], out_degrees: tuple[int, ...]):
-        a, b = in_degrees, out_degrees
+    def __init__(self, in_degrees, out_degrees):
+        a, b = tuple(in_degrees), tuple(out_degrees)  # a tuple is kept as is
         if len(a) == 0 or len(b) == 0:
             raise LengthMismatch("degree vectors must be nonempty")
         if len(a) != len(b):
@@ -175,7 +176,7 @@ def new_sequence(in_degrees, out_degrees) -> BidegreeSequence:
     BidegreeError
         When an entry in range is not an integer.
     """
-    return BidegreeSequence(tuple(in_degrees), tuple(out_degrees))
+    return BidegreeSequence(in_degrees, out_degrees)
 
 
 def stats(seq: BidegreeSequence) -> SequenceStats:

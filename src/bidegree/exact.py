@@ -41,15 +41,16 @@ saturated at the full degree sum.
   with-loops slack covers that bound holds without reading a pair.
   ``j = n`` fails exactly when some ``b_i = n``.
 
-The group-end test counts each vector once in O(n), sorts the ``d``
-distinct in-degrees and the distinct out-degrees, O(d log d), and sweeps
+The checks count each vector once in O(n) and sort the ``d`` distinct
+in-degrees once, O(d log d), into descending groups that both tests
+read.  The group-end test sorts the distinct out-degrees and sweeps
 ``sum_i min(b_i, j)`` over the out-degree histogram to each end.  With
 loops it decides the record; without loops it is sufficient only, since
 an end that does not cover the bound may still hold.  A record it does
 not certify goes to the full scan of every index ``j = 1..limit``, with
-the same counts, which decides it exactly.  The scan stays the one source
-of the witness (the first violated index, which can lie inside a group)
-and of ``violated_indices``, which needs every index.
+the same groups and counts, which decides it exactly.  The scan stays
+the one source of the witness (the first violated index, which can lie
+inside a group) and of ``violated_indices``, which needs every index.
 
 ``brute_force_exists`` is an independent ground-truth oracle for tiny
 instances: it exhaustively enumerates 0-1 matrices (as a pruned row-wise
@@ -59,7 +60,6 @@ search) and reports whether any matches the margins.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections import Counter, namedtuple
 from itertools import accumulate, chain, combinations, islice, repeat, starmap
 from operator import sub
@@ -122,12 +122,10 @@ def _outcome(slack: list) -> CheckOutcome:
 
 # The full scan only ever needs conjugate sums and sorted prefix sums up
 # to the maximum out-degree: beyond it the conjugate side saturates at the
-# degree sum, which every prefix is bounded by.  Both helpers take the
-# count of the degree vector, which the checks make once, and build only
-# that much: an ``accumulate`` pipeline over ``range(limit)`` for the
-# conjugate sums, and the descending value groups cut at ``limit`` for the
-# prefix.  Each costs O(limit), plus a sort of the distinct values for the
-# prefix.
+# degree sum, which every prefix is bounded by.  It builds only that much,
+# in O(limit): an ``accumulate`` pipeline over ``range(limit)`` of the
+# out-degree count for the conjugate sums, and the descending in-degree
+# groups cut at ``limit`` for the prefix.
 
 
 def _conjugate_sums(hist: Counter, n: int, limit: int) -> list[int]:
@@ -140,14 +138,6 @@ def _conjugate_sums(hist: Counter, n: int, limit: int) -> list[int]:
     return list(accumulate(map(sub, repeat(n), below), initial=0))
 
 
-def _sorted_prefix(hist: Counter, limit: int) -> list[int]:
-    """First ``limit`` prefix sums of the values counted in ``hist``,
-    sorted descending, led by 0."""
-    groups = sorted(hist.items(), reverse=True)
-    desc = chain.from_iterable(starmap(repeat, groups))
-    return list(accumulate(islice(desc, limit), initial=0))
-
-
 def _limit(seq: BidegreeSequence, allow_loops: bool) -> int:
     """The last index whose inequality can fail: the maximum out-degree,
     and at most ``n - 1`` with loops (without loops ``j = n`` fails when
@@ -158,14 +148,16 @@ def _limit(seq: BidegreeSequence, allow_loops: bool) -> int:
 
 
 def _slack(
-    seq: BidegreeSequence, allow_loops: bool, ins: Counter, outs: Counter
+    seq: BidegreeSequence, allow_loops: bool, groups: list, outs: Counter
 ) -> list:
     """Capacity minus demand of the policy's inequality ``j``, for ``j`` in
-    ``[0..limit]``, from the counts ``ins`` and ``outs`` of the in- and
-    out-degrees; graphic under the policy iff no entry is negative."""
+    ``[0..limit]``, from the in-degree ``groups`` (value, count) in
+    descending order and the count ``outs`` of the out-degrees; graphic
+    under the policy iff no entry is negative."""
     a, b = seq.in_degrees, seq.out_degrees
     limit = _limit(seq, allow_loops)
-    prefix = _sorted_prefix(ins, limit)
+    desc = chain.from_iterable(starmap(repeat, groups))
+    prefix = list(accumulate(islice(desc, limit), initial=0))
     slack = list(map(sub, _conjugate_sums(outs, seq.n, limit), prefix))
     if allow_loops or limit == 0:
         return slack
@@ -184,26 +176,26 @@ def _slack(
 
 
 def _group_ends_certify(
-    seq: BidegreeSequence, allow_loops: bool, ins: Counter, outs: Counter
+    seq: BidegreeSequence, allow_loops: bool, groups: list, outs: Counter
 ) -> bool:
     """Whether the group-end test certifies ``seq`` graphic under the
-    policy, from the counts ``ins`` and ``outs`` of the in- and
-    out-degrees: with loops exactly when it is graphic, without loops
-    only when every end covers the bound on its correction (see the
-    module docstring)."""
+    policy, from the in-degree ``groups`` (value, count) in descending
+    order and the count ``outs`` of the out-degrees: with loops exactly
+    when it is graphic, without loops only when every end covers the
+    bound on its correction (see the module docstring)."""
     n, limit = seq.n, _limit(seq, allow_loops)
     if limit == n:
         return False  # without loops j = n reads S <= S - #(b_i = n)
-    groups = sorted(ins.items(), reverse=True)
-    ends = list(accumulate(c for _, c in groups))
-    del ends[bisect_right(ends, limit) :]
     # F(j) = sum_i min(b_i, j) is the sum of the out-degrees below j plus
     # j for each of the `ge` others; the with-loops slack F(j) less the
     # demand must cover the correction, at most min(j, ge) without loops
     ascending = iter(sorted(outs.items()))
     out, count = next(ascending)
-    below = below_sum = demand = 0
-    for (v, c), end in zip(groups, ends):
+    below = below_sum = demand = end = 0
+    for v, c in groups:
+        end += c
+        if end > limit:
+            break
         demand += v * c
         while out < end:  # an out-degree of at least end <= limit exists
             below += count
@@ -217,12 +209,14 @@ def _group_ends_certify(
 
 
 def _check(seq: BidegreeSequence, allow_loops: bool) -> CheckOutcome:
-    """Count each vector once, certify at the group ends, and scan every
-    index only for a record the group ends do not certify."""
-    ins, outs = Counter(seq.in_degrees), Counter(seq.out_degrees)
-    if _group_ends_certify(seq, allow_loops, ins, outs):
+    """Count each vector once and sort the in-degree groups once, certify
+    at the group ends, and scan every index only for a record the group
+    ends do not certify."""
+    groups = sorted(Counter(seq.in_degrees).items(), reverse=True)
+    outs = Counter(seq.out_degrees)
+    if _group_ends_certify(seq, allow_loops, groups, outs):
         return GRAPHIC
-    return _outcome(_slack(seq, allow_loops, ins, outs))
+    return _outcome(_slack(seq, allow_loops, groups, outs))
 
 
 def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
@@ -253,8 +247,9 @@ def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[in
     out-degree, not only the group ends the checks test first: violations
     can only occur up to that index, so the list is complete.
     """
-    ins, outs = Counter(seq.in_degrees), Counter(seq.out_degrees)
-    return [j for j, s in enumerate(_slack(seq, allow_loops, ins, outs)) if s < 0]
+    groups = sorted(Counter(seq.in_degrees).items(), reverse=True)
+    slack = _slack(seq, allow_loops, groups, Counter(seq.out_degrees))
+    return [j for j, s in enumerate(slack) if s < 0]
 
 
 def _col_feasible(resid, next_row, n, allow_loops):

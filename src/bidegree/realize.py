@@ -118,7 +118,15 @@ class AdjacencyRealization(
 
     def row_string(self, i: int) -> str:
         """Row ``i`` as a 0/1 character string, column 0 first: one
-        membership test per source, so ``O(n + S)`` for one row."""
+        membership test per source, so ``O(n + S)`` for one row.
+
+        Raises
+        ------
+        IndexError
+            If ``i`` is outside ``[0, n)``.
+        """
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} outside [0, {self.n})")
         hits = bytes(map(contains, self.targets, repeat(i)))
         return hits.translate(_ZERO_ONE).decode()
 

@@ -96,6 +96,19 @@ class TestRecords:
         plain = parse_record("2,1,0;1,1,1")
         as_json = parse_record(json.dumps({"in": [2, 1, 0], "out": [1, 1, 1]}))
         assert plain == as_json
+        # a generated corpus re-emitted as JSON records is decided as its
+        # plain form, under either policy
+        corpus = generated("--kind", "powerlaw", "--n", "50", "--exponent",
+                           "2.2", "--count", "100", "--seed", "8")
+        records = ""
+        for line in corpus.splitlines():
+            a, b = (list(map(int, side.split(","))) for side in line.split(";"))
+            records += json.dumps({"in": a, "out": b}) + "\n"
+        for policy in ("--loops", "--no-loops"):
+            from_plain = run_cli(["check", "--fallback-exact", policy], corpus)
+            assert len(from_plain[1].splitlines()) == 100
+            assert run_cli(["check", "--fallback-exact", policy], records) == (
+                from_plain)
 
     def test_whitespace_tolerated(self):
         assert parse_record("  1,1;1,1 \n").n == 2
@@ -453,15 +466,19 @@ class TestCheck:
             lines.append(format_record(bd.gen_uniform(n, S, 0, M, rng.next_u64())))
         stream = "\n".join(lines) + "\n"
         for policy in ("--loops", "--no-loops"):
-            _, auto_out, _ = run_cli(
+            auto_code, auto_out, _ = run_cli(
                 ["check", policy, "--method", "auto", "--fallback-exact"], stream
             )
-            _, exact_out, _ = run_cli(
+            exact_code, exact_out, _ = run_cli(
                 ["check", policy, "--method", "exact"], stream
             )
             auto_verdicts = [line.split()[0] for line in auto_out.splitlines()]
             exact_verdicts = [line.split()[0] for line in exact_out.splitlines()]
             assert auto_verdicts == exact_verdicts
+            assert auto_code == exact_code
+            # the corpus holds both verdicts, and records a rung certifies
+            assert "NOT_GRAPHIC" in auto_verdicts
+            assert re.search("^GRAPHIC thm", auto_out, re.M)
 
 
 # (check arguments, exit code, SHA-256 of stdout) over golden_corpus(),
@@ -642,6 +659,30 @@ class TestRealize:
         assert out == "01\n10\n\n00\n00\n"
         assert code == 0
 
+    @pytest.mark.parametrize("policy", ["--loops", "--no-loops"])
+    def test_edges_lay_out_as_the_dense_rows(self, policy):
+        """Each record's edge list, laid out as 0/1 rows, is its dense
+        matrix, on a corpus of graphic and non-graphic records, every
+        record with edges."""
+        corpus = generated("--kind", "powerlaw", "--n", "12", "--exponent",
+                           "2.1", "--count", "60", "--seed", "6")
+        code, dense, _ = run_cli(["realize", "--format", "dense", policy], corpus)
+        edges_code, edges, _ = run_cli(["realize", "--format", "edges", policy], corpus)
+        assert edges_code == code == 1
+        sizes = [len(line.split(";")[0].split(",")) for line in corpus.splitlines()]
+        rebuilt = []
+        for n, block in zip(sizes, edges.split("\n\n"), strict=True):
+            lines = block.splitlines()
+            if not lines[0].startswith("NOT_GRAPHIC"):
+                rows = [["0"] * n for _ in range(n)]
+                for line in lines:
+                    src, dst = map(int, line.split())
+                    rows[dst][src] = "1"
+                lines = ["".join(row) for row in rows]
+            rebuilt.append("".join(line + "\n" for line in lines))
+        assert "\n".join(rebuilt) == dense
+        assert any("1" in block for block in rebuilt)
+
     def test_sum_mismatch_record(self):
         code, out, _ = run_cli(["realize"], "2,1;1,1\n")
         assert code == 1
@@ -746,10 +787,10 @@ class TestBench:
         lines = out.splitlines()
         assert lines[0] == "check,certified,inconclusive,not_graphic,coverage,median_ns,p99_ns"
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
-        assert set(rows) == {
+        assert [line.split(",")[0] for line in lines[1:]] == [
             "thm2", "thm3", "thm4", "thm5", "thm6", "cor2", "cor3", "cor5",
             "exact",
-        }
+        ]
         exact_graphic = int(rows["exact"][1])
         for code_name in ("thm2", "thm3", "thm4", "thm5", "thm6", "cor2",
                           "cor3", "cor5"):
@@ -1046,11 +1087,22 @@ class TestInputErrors:
         (",1;0,1", "plain entries must not be empty"),
         ("1;1,", "plain entries must not be empty"),
         ("1;1;1", "plain record needs exactly one ';'"),
+        ("2,1", "plain record needs ';' between in- and out-degrees"),
+        ("01;1", "plain entries must not have leading zeros, got '01'"),
+        ("\u00b2;1", "plain entries must be ASCII digits, got '\u00b2'"),
+        ("1;\u0661", "plain entries must be ASCII digits, got '\u0661'"),
+        ("+1;1", "plain entries must be ASCII digits, got '+'"),
+        ("1_0;1", "plain entries must be ASCII digits, got '_'"),
+        ("1 1;1", "plain entries must be ASCII digits, got ' '"),
+        ("3,0;1,2", "in-degree entry 3 exceeds node count 2"),
+        ("1,1;1", "in-degree length 2 != out-degree length 1"),
     ], ids=["lone-semicolon", "empty-in-last", "empty-in-first", "empty-out-last",
-            "two-semicolons"])
+            "two-semicolons", "no-semicolon", "leading-zero", "superscript",
+            "arabic-indic", "sign", "underscore", "inner-space", "over-n",
+            "lengths"])
     def test_plain_record_shape(self, line, message):
-        """An empty entry or a second ';' is one malformed record, with a
-        message of its own rather than int()'s."""
+        """A malformed plain line is one malformed record, with a message
+        of its own rather than int()'s."""
         with pytest.raises(bd.BidegreeError) as info:
             parse_record(line)
         assert str(info.value) == message
@@ -1239,6 +1291,28 @@ def test_one_write_per_output_line(argv):
         assert len(out.writes) == 100
     if "edges" in argv:
         assert len(out.writes) < len(lines)
+
+
+@pytest.mark.parametrize("argv", [["check"], ["realize", "--format", "edges"]],
+                         ids=["check", "realize-edges"])
+def test_stdout_bytes_do_not_depend_on_buffering(argv, monkeypatch):
+    """A child writes the same stdout bytes, and exits alike, whether its
+    stdout is buffered or not."""
+    corpus = generated("--kind", "powerlaw", "--n", "60", "--exponent", "2.5",
+                       "--count", "40", "--seed", "4").encode()
+    runs = []
+    for unbuffered in (None, "1"):
+        with monkeypatch.context() as env:
+            if unbuffered:
+                env.setenv("PYTHONUNBUFFERED", unbuffered)
+            else:
+                env.delenv("PYTHONUNBUFFERED", raising=False)
+            child = cli_child(argv, stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = child.communicate(corpus, timeout=120)
+        runs.append((child.returncode, out, err))
+    assert runs[0][1]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("argv,stdin,count", [

@@ -22,6 +22,22 @@ class TestNewSequence:
         assert hash(twin) == hash(seq)
         assert repr(seq) == "BidegreeSequence(in_degrees=(1, 1), out_degrees=(1, 1))"
 
+    def test_constructor_freezes_its_vectors(self):
+        """Lists given to the constructor are kept as tuples: the sequence
+        hashes, equals the ``new_sequence`` of the same lists, and no
+        change to a list reaches a validated sequence."""
+        a, b = [1, 1], [1, 1]
+        seq = bd.BidegreeSequence(a, b)
+        assert (seq.in_degrees, seq.out_degrees) == ((1, 1), (1, 1))
+        assert seq == bd.new_sequence(a, b)
+        assert hash(seq) == hash(bd.new_sequence(a, b))
+        a.append(7)
+        with pytest.raises(AttributeError):
+            seq.in_degrees.append(7)
+        assert bd.check_with_loops(seq).is_graphic
+        # a tuple is kept as the same object
+        assert bd.BidegreeSequence(seq.in_degrees, b).in_degrees is seq.in_degrees
+
     def test_sum_mismatch(self):
         with pytest.raises(bd.SumMismatch):
             bd.new_sequence((2, 1), (1, 1))

@@ -1,17 +1,16 @@
 from collections import Counter
 from itertools import accumulate
-from operator import sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
-from bidegree.exact import _conjugate_sums, _sorted_prefix
 from bidegree.exact import Verdict, _group_ends_certify, _slack
 from bidegree.generate import SplitMix64
 from conftest import (
     anstee_lhs_direct,
+    conjugate_sum_direct,
     equal_sum_vector_pairs,
     loops_inequality_holds_direct,
     no_loops_inequality_holds_direct,
@@ -110,17 +109,18 @@ def direct_violations(seq, allow_loops):
 
 
 def counted(seq):
-    """The counts of the in- and out-degrees, as the checks make them."""
-    return Counter(seq.in_degrees), Counter(seq.out_degrees)
+    """The in-degree groups (value, count) in descending order and the
+    count of the out-degrees, as the checks make them."""
+    groups = sorted(Counter(seq.in_degrees).items(), reverse=True)
+    return groups, Counter(seq.out_degrees)
 
 
 def reference_loops_slack(seq):
-    """The with-loops slack as its own routine: conjugate sums minus the
-    sorted in-degree prefix, up to ``min(max_out, n - 1)``."""
-    limit = min(seq.stats.max_out, seq.n - 1)
-    ins, outs = counted(seq)
-    conj = _conjugate_sums(outs, seq.n, limit)
-    return list(map(sub, conj, _sorted_prefix(ins, limit)))
+    """The with-loops slack from its definition: each conjugate sum minus
+    the sum of the ``j`` largest in-degrees, up to ``min(max_out, n - 1)``."""
+    b, limit = seq.out_degrees, min(seq.stats.max_out, seq.n - 1)
+    prefix = accumulate(sorted(seq.in_degrees, reverse=True)[:limit], initial=0)
+    return [conjugate_sum_direct(b, j) - s for j, s in enumerate(prefix)]
 
 
 def reference_no_loops_slack(seq):
@@ -128,7 +128,7 @@ def reference_no_loops_slack(seq):
     order, up to ``max_out``."""
     pairs = sorted(zip(seq.in_degrees, seq.out_degrees), reverse=True)
     limit = seq.stats.max_out
-    conj = _conjugate_sums(Counter(seq.out_degrees), seq.n, limit)
+    conj = [conjugate_sum_direct(seq.out_degrees, j) for j in range(limit + 1)]
     diff = [0] * (limit + 2)
     for i in range(1, limit + 1):
         b_i = pairs[i - 1][1]
@@ -216,6 +216,12 @@ class TestSlack:
         assert bd.check_no_loops(seq).witness == witness
 
 
+def counterexample1(ma, mb, n=None):
+    """The in- and out-degrees of ``gen_counterexample1(ma, mb, n)``."""
+    seq = bd.gen_counterexample1(ma, mb, n)
+    return seq.in_degrees, seq.out_degrees
+
+
 class TestGroupEnds:
     """The checks certify at the ends of the in-degree groups and rescan
     every record the group ends do not certify."""
@@ -241,10 +247,23 @@ class TestGroupEnds:
              False, 39),
             ((3,) * 39 + (1,) + (0,) * 60, (40, 40, 38) + (0,) * 97, False,
              False, 1),
+            # more of counterexample1 (Ma, Mb, n): the witness is Mb - 1
+            # with loops and 1 without
+            (*counterexample1(3, 5), True, False, 4),
+            (*counterexample1(3, 5), False, False, 1),
+            (*counterexample1(4, 3, 6), True, False, 2),
+            (*counterexample1(4, 3, 6), False, False, 1),
+            (*counterexample1(7, 9, 20), True, False, 8),
+            (*counterexample1(7, 9, 20), False, False, 1),
+            (*counterexample1(12, 10, 30), True, False, 9),
+            (*counterexample1(12, 10, 30), False, False, 1),
         ],
         ids=["inside-loops", "inside-no-loops", "bound-not-covered",
              "in-degree-n-loops", "in-degree-n-no-loops", "heavy-tail-loops",
-             "heavy-tail-no-loops"],
+             "heavy-tail-no-loops", "cx1-3-5-loops", "cx1-3-5-no-loops",
+             "cx1-4-3-6-loops", "cx1-4-3-6-no-loops", "cx1-7-9-20-loops",
+             "cx1-7-9-20-no-loops", "cx1-12-10-30-loops",
+             "cx1-12-10-30-no-loops"],
     )
     def test_named_cases(self, a, b, loops, certified, witness):
         seq = bd.new_sequence(a, b)

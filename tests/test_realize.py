@@ -247,6 +247,13 @@ class TestRowString:
             assert all(set(row) <= {"0", "1"} and len(row) == n for row in rows)
             done += 1
 
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_row_outside_the_matrix(self, i):
+        real = bd.realize(bd.new_sequence((1, 1), (1, 1)), False)
+        assert [real.row_string(0), real.row_string(1)] == ["01", "10"]
+        with pytest.raises(IndexError, match=rf"^row {i} outside \[0, 2\)$"):
+            real.row_string(i)
+
 
 class TestRealizeAgreement:
     @pytest.mark.parametrize("n,loops", [(1, True), (2, True), (3, True),
