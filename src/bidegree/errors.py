@@ -11,7 +11,6 @@ __all__ = [
     "NegativeDegree",
     "DegreeExceedsN",
     "SumMismatch",
-    "InstanceTooLarge",
     "Infeasible",
     "InvalidStats",
     "InvalidParameters",
@@ -38,10 +37,6 @@ class DegreeExceedsN(BidegreeError):
 
 class SumMismatch(BidegreeError):
     """Sum of in-degrees differs from sum of out-degrees."""
-
-
-class InstanceTooLarge(BidegreeError):
-    """Instance exceeds the brute-force enumeration cap."""
 
 
 class Infeasible(BidegreeError):

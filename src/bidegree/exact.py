@@ -52,20 +52,19 @@ the same groups and counts, which decides it exactly.  The scan stays
 the one source of the witness (the first violated index, which can lie
 inside a group) and of ``violated_indices``, which needs every index.
 
-``brute_force_exists`` is an independent ground-truth oracle for tiny
-instances: it exhaustively enumerates 0-1 matrices (as a pruned row-wise
-search) and reports whether any matches the margins.
+``brute_force_exists`` is an independent ground-truth oracle with no size
+limit: it builds a 0-1 matrix with the margins as a polynomial max flow,
+one one at a time along augmenting paths, and says whether all fit.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter, namedtuple
-from itertools import accumulate, chain, combinations, islice, repeat, starmap
+from collections import Counter, deque, namedtuple
+from itertools import accumulate, chain, islice, repeat, starmap
 from operator import sub
 
 from .core import BidegreeSequence
-from .errors import InstanceTooLarge
 
 __all__ = [
     "Verdict",
@@ -74,12 +73,7 @@ __all__ = [
     "check_no_loops",
     "violated_indices",
     "brute_force_exists",
-    "BRUTE_FORCE_CAP_LOOPS",
-    "BRUTE_FORCE_CAP_NO_LOOPS",
 ]
-
-BRUTE_FORCE_CAP_LOOPS = 4
-BRUTE_FORCE_CAP_NO_LOOPS = 5
 
 
 class Verdict(enum.Enum):
@@ -252,61 +246,49 @@ def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[in
     return [j for j, s in enumerate(slack) if s < 0]
 
 
-def _col_feasible(resid, next_row, n, allow_loops):
-    rows_left = n - next_row
-    for j, r in enumerate(resid):
-        cap = rows_left
-        if not allow_loops and j >= next_row:
-            cap -= 1
-        if r > cap:
-            return False
-    return True
-
-
 def brute_force_exists(seq: BidegreeSequence, allow_loops: bool = True) -> bool:
     """Ground-truth oracle: does any 0-1 matrix realize the margins?
 
-    Enumerates matrices row by row (diagonal forced to zero when loops are
-    disallowed), pruning branches whose residual column sums can no longer
-    be met.  Deterministic; intended for tests and tiny instances only.
-
-    Raises
-    ------
-    InstanceTooLarge
-        If ``seq.n`` exceeds the cap, 4 with loops and 5 without.
+    A max flow from rows (row ``i`` needs ``a_i`` ones) to columns (column
+    ``j`` takes ``b_j``) places one one at a time along a breadth-first
+    augmenting path.  A row moves into a column where it has no one (not
+    its own without loops); a column with spare load ends the path, and a
+    full one passes the search on to the rows holding a one in it, each
+    of which would give that one up.  One failure decides: a row with no
+    augmenting path never gains one after later augmentations (the
+    standard lemma for Kuhn's matching algorithm), so the flow cannot
+    reach ``S``.  It calls none of the checks above, so it stays
+    independent of the inequalities it arbitrates.
     """
-    cap = BRUTE_FORCE_CAP_LOOPS if allow_loops else BRUTE_FORCE_CAP_NO_LOOPS
-    n = seq.n
-    if n > cap:
-        raise InstanceTooLarge(f"n={n} exceeds brute-force cap {cap}")
-    a = seq.in_degrees
-    resid = list(seq.out_degrees)
-    memo: dict = {}
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True  # sums match by construction, so residuals are zero
-        key = (i, tuple(resid))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cols = [
-            j
-            for j in range(n)
-            if resid[j] > 0 and (allow_loops or j != i)
-        ]
-        found = False
-        if len(cols) >= a[i]:
-            for combo in combinations(cols, a[i]):
-                for j in combo:
-                    resid[j] -= 1
-                if _col_feasible(resid, i + 1, n, allow_loops) and rec(i + 1):
-                    found = True
-                for j in combo:
-                    resid[j] += 1
-                if found:
-                    break
-        memo[key] = found
-        return found
-
-    return rec(0)
+    n, b = seq.n, seq.out_degrees
+    cell = [[0] * n for _ in range(n)]
+    load = [0] * n
+    for i, a_i in enumerate(seq.in_degrees):
+        for _ in range(a_i):
+            gives_up = {i: None}  # row reached -> the column it gives up
+            moved_by = {}  # column reached -> the row that moves into it
+            queue, end = deque([i]), None
+            while queue and end is None:
+                r = queue.popleft()
+                for j in range(n):
+                    if j in moved_by or cell[r][j] or (j == r and not allow_loops):
+                        continue
+                    moved_by[j] = r
+                    if load[j] < b[j]:
+                        end = j
+                        break
+                    for k in range(n):
+                        if cell[k][j] and k not in gives_up:
+                            gives_up[k] = j
+                            queue.append(k)
+            if end is None:
+                return False
+            load[end] += 1
+            j = end
+            while j is not None:
+                r = moved_by[j]
+                cell[r][j] = 1
+                j = gives_up[r]
+                if j is not None:
+                    cell[r][j] = 0
+    return True

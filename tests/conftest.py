@@ -5,13 +5,14 @@ summation, definition-level inequality evaluation) so tests never compare
 the library against itself.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 import bidegree as bd
+from bidegree.generate import SplitMix64
 
 settings.register_profile("repeatable", deadline=None, derandomize=True)
 settings.load_profile("repeatable")
@@ -53,6 +54,36 @@ def equal_sum_vector_pairs(n, emax):
         for a in group:
             for b in group:
                 yield a, b
+
+
+def equal_sum_pair_multisets(n, emax):
+    """All records of ``n`` pairs over [0..emax] with equal sums, one per
+    multiset of pairs: permuting the pairs jointly permutes the rows and
+    columns of a realization, so it never changes a verdict."""
+    cells = list(product(range(emax + 1), repeat=2))
+    for pairs in combinations_with_replacement(cells, n):
+        a, b = zip(*pairs)
+        if sum(a) == sum(b):
+            yield a, b
+
+
+def random_records(seed, count, n_lo, n_hi):
+    """``count`` seeded (a, b) records with ``n`` in [n_lo..n_hi].
+
+    Each vector draws its entries below its own random maximum; the one
+    with the smaller sum then gains units at random entries below ``n``.
+    """
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        n = rng.randint(n_lo, n_hi)
+        a, b = ([rng.randint(0, top) for _ in range(n)]
+                for top in (rng.randint(0, n), rng.randint(0, n)))
+        low, high = sorted((a, b), key=sum)
+        while sum(low) < sum(high):
+            i = rng.randbelow(n)
+            if low[i] < n:
+                low[i] += 1
+        yield a, b
 
 
 def compositions(total, slots, cap):

@@ -13,6 +13,7 @@ costs at most a derived 2 units (4 without loops).
 """
 
 import time
+from collections import Counter
 from itertools import product
 from statistics import median
 
@@ -22,7 +23,13 @@ import bidegree as bd
 from bidegree.exact import Verdict
 from bidegree.generate import SplitMix64
 from bidegree.sufficient import prepare
-from conftest import compositions, conjugate_sum_direct, equal_sum_vector_pairs
+from conftest import (
+    compositions,
+    conjugate_sum_direct,
+    equal_sum_pair_multisets,
+    equal_sum_vector_pairs,
+    random_records,
+)
 
 
 def report(tag, ok, detail=""):
@@ -33,31 +40,41 @@ def report(tag, ok, detail=""):
 # -- C1 ---------------------------------------------------------------------
 
 
-def test_c1_oracle_equivalence_exhaustive():
-    """Exact checks agree with matrix enumeration on every tiny instance."""
-    t0 = time.perf_counter()
-    mismatches = []
-    checked = 0
+def _c1_records():
+    """(sweep, loops, a, b) for every record C1 decides."""
     for n in range(1, 5):
         for a, b in equal_sum_vector_pairs(n, n):
-            seq = bd.new_sequence(a, b)
-            checked += 1
-            if bd.check_with_loops(seq).is_graphic != bd.brute_force_exists(
-                seq, True
-            ):
-                mismatches.append(("loops", a, b))
-    for n in range(1, 5):
+            yield "n<=4", True, a, b
         for a, b in equal_sum_vector_pairs(n, n - 1):
-            seq = bd.new_sequence(a, b)
-            checked += 1
-            if bd.check_no_loops(seq).is_graphic != bd.brute_force_exists(
-                seq, False
-            ):
-                mismatches.append(("no-loops", a, b))
+            yield "n<=4", False, a, b
+    # entries up to 5 reach the loop-free rule at j = n (an out-degree n)
+    for a, b in equal_sum_pair_multisets(5, 5):
+        yield "n=5", True, a, b
+        yield "n=5", False, a, b
+    for a, b in random_records(20260601, 20_000, 6, 12):
+        yield "n=6..12", True, a, b
+        yield "n=6..12", False, a, b
+
+
+def test_c1_oracle_equivalence_exhaustive():
+    """Exact checks agree with the max-flow oracle on every record with
+    n <= 4, every pair multiset at n = 5 and 20k seeded records at
+    n = 6..12, under both loop policies."""
+    t0 = time.perf_counter()
+    mismatches = []
+    checked = Counter()
+    for sweep, loops, a, b in _c1_records():
+        seq = bd.new_sequence(a, b)
+        check = bd.check_with_loops if loops else bd.check_no_loops
+        checked[sweep] += 1
+        if check(seq).is_graphic != bd.brute_force_exists(seq, loops):
+            mismatches.append((loops, a, b))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 60
+    counts = ", ".join(f"{sweep}: {count}" for sweep, count in checked.items())
     report("C1 oracle equivalence", ok,
-           f"({checked} sequences, {len(mismatches)} disagreements, {elapsed:.1f}s)")
+           f"({counts} decisions, {len(mismatches)} disagreements, "
+           f"{elapsed:.1f}s)")
     assert not mismatches
     assert elapsed < 60
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
+from bidegree import exact
 from bidegree.exact import Verdict, _group_ends_certify, _slack
 from bidegree.generate import SplitMix64
 from conftest import (
@@ -274,27 +275,62 @@ class TestGroupEnds:
 
 
 class TestBruteForce:
+    """The oracle's answers with loops and without, on tiny records and
+    above the sizes the matrix enumeration it replaced allowed (4 with
+    loops, 5 without)."""
+
+    ABOVE_THE_OLD_CAPS = {
+        "five-cycle": (bd.new_sequence((1,) * 5, (1,) * 5), True, True),
+        "cx1-3-5": (bd.gen_counterexample1(3, 5), False, False),
+        "cx1-4-3-6": (bd.gen_counterexample1(4, 3, n=6), False, False),
+        "cx1-7-9-20": (bd.gen_counterexample1(7, 9, n=20), False, False),
+        "extremal-8-20-4": (bd.gen_extremal(8, 20, 4), True, True),
+        "extremal-12-35-5": (bd.gen_extremal(12, 35, 5), True, True),
+    }
+    CASES = {
+        "two-cycle": (bd.new_sequence((1, 1), (1, 1)), True, True),
+        "counterexample": (
+            bd.new_sequence((2, 2, 2, 0), (4, 2, 0, 0)), False, False
+        ),
+        "single-loop": (bd.new_sequence((1,), (1,)), True, False),
+        **ABOVE_THE_OLD_CAPS,
+    }
+
+    def assert_answers(self, name):
+        seq, loops, no_loops = self.CASES[name]
+        assert bd.brute_force_exists(seq, True) is loops
+        assert bd.brute_force_exists(seq, False) is no_loops
+
     def test_two_cycle(self):
-        assert bd.brute_force_exists(bd.new_sequence((1, 1), (1, 1)), False)
+        self.assert_answers("two-cycle")
 
     def test_counterexample(self):
-        seq = bd.new_sequence((2, 2, 2, 0), (4, 2, 0, 0))
-        assert not bd.brute_force_exists(seq, True)
+        self.assert_answers("counterexample")
 
     def test_single_loop(self):
-        assert bd.brute_force_exists(bd.new_sequence((1,), (1,)), True)
+        self.assert_answers("single-loop")
 
-    def test_cap(self):
-        seq = bd.new_sequence((1,) * 5, (1,) * 5)
-        with pytest.raises(bd.InstanceTooLarge):
-            bd.brute_force_exists(seq, allow_loops=True)
+    @pytest.mark.parametrize("name", ABOVE_THE_OLD_CAPS)
+    def test_no_cap(self, name):
+        self.assert_answers(name)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_independent_of_the_checks(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle called the decision code")
+
+        for helper in ("_slack", "_group_ends_certify", "check_with_loops",
+                       "check_no_loops"):
+            monkeypatch.setattr(exact, helper, refuse)
+        self.assert_answers(name)
 
 
 class TestOracleAgreement:
     """Definition-level ground truth on exhaustively enumerable sizes.
 
-    The full sweep (n <= 4) lives in the acceptance suite; this is a fast
-    unit-sized version.
+    The full sweep lives in the acceptance suite's C1: every record with
+    n <= 4, every pair multiset at n = 5 and 20k seeded records at
+    n = 6..12.  This is a fast unit-sized version.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -377,17 +413,13 @@ class TestProperties:
             bd.check_no_loops(seq).verdict is bd.check_no_loops(shuffled).verdict
         )
 
-    @given(sequence_pairs(max_n=4, max_degree=4))
+    @given(sequence_pairs(max_n=12))
     @settings(max_examples=250)
     def test_brute_force_matches_checks(self, seq):
         if seq is None:
             return
         assert bd.brute_force_exists(seq, True) == bd.check_with_loops(seq).is_graphic
-        if seq.n <= 4:
-            assert (
-                bd.brute_force_exists(seq, False)
-                == bd.check_no_loops(seq).is_graphic
-            )
+        assert bd.brute_force_exists(seq, False) == bd.check_no_loops(seq).is_graphic
 
     @given(sequence_pairs(max_n=12))
     @settings(max_examples=200)

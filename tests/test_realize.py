@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import bidegree as bd
 from bidegree.exact import Verdict
 from bidegree.generate import SplitMix64
-from conftest import equal_sum_vector_pairs, sequence_pairs
+from conftest import equal_sum_vector_pairs, random_records, sequence_pairs
 
 
 def matrix_of(real):
@@ -291,6 +291,21 @@ class TestRealizeAgreement:
                     naive_row_string(result, i) for i in range(seq.n)
                 ]
                 assert list(result.edges()) == naive_edges(result)
+
+    def test_matches_the_flow_oracle(self):
+        """On 2000 seeded records with n <= 20, ``realize`` returns a
+        verified matrix exactly when the max-flow oracle, which shares no
+        code with it, builds one, and NOT_GRAPHIC otherwise.  Without
+        loops this pins the tie-break the greedy wiring depends on."""
+        for a, b in random_records(20260603, 2000, 1, 20):
+            seq = bd.new_sequence(a, b)
+            for loops in (True, False):
+                result = bd.realize(seq, loops)
+                if bd.brute_force_exists(seq, loops):
+                    assert isinstance(result, bd.AdjacencyRealization)
+                    assert bd.verify_realization(result, seq), (a, b, loops)
+                else:
+                    assert result.verdict is Verdict.NOT_GRAPHIC, (a, b, loops)
 
     def test_fuzz_medium_sizes(self):
         rng = SplitMix64(7)

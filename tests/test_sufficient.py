@@ -14,7 +14,12 @@ from bidegree.core import SequenceStats
 from bidegree.exact import INCONCLUSIVE, Verdict, _conjugate_sums
 from bidegree.generate import SplitMix64
 from bidegree.sufficient import Condition, _kstar, prepare
-from conftest import conjugate_sum_direct, equal_sum_vector_pairs, sequence_pairs
+from conftest import (
+    conjugate_sum_direct,
+    equal_sum_vector_pairs,
+    random_records,
+    sequence_pairs,
+)
 
 
 def reference_kstar(n, S, m, offset=0):
@@ -460,6 +465,23 @@ class TestCertify:
         assert out.verdict is Verdict.INCONCLUSIVE
         out = bd.certify(seq, allow_loops=False, fallback_exact=True)
         assert out.verdict is Verdict.NOT_GRAPHIC
+
+    def test_graphic_outcomes_are_realizable(self):
+        """Every certificate the ladder gives on 10k seeded records is
+        confirmed by the max-flow oracle, which shares no code with it."""
+        fired = Counter()
+        for a, b in random_records(20260602, 10_000, 1, 12):
+            seq = bd.new_sequence(a, b)
+            for loops in (True, False):
+                out = bd.certify(seq, allow_loops=loops)
+                if out.is_graphic:
+                    fired[out.certificate.condition] += 1
+                    assert bd.brute_force_exists(seq, loops), (a, b, loops)
+        assert fired.keys() >= {
+            Condition.MAX_PRODUCT_LOOPS,
+            Condition.MAX_PRODUCT_NO_LOOPS,
+            Condition.MEAN_MIN_LOOPS,
+        }
 
     def test_never_not_graphic_without_fallback(self):
         rng = SplitMix64(4)
