@@ -6,7 +6,13 @@ Records are one bidegree sequence per line, in either the plain form
 at ``\\n``, in a file and on stdin alike: a ``\\r\\n`` ending is fine, and
 a bare ``\\r`` is part of its line.  Blank lines are skipped.  Plain entries
 are ASCII ``[0-9]+``, so parsing round-trips: printing a parsed record
-reproduces the plain form byte for byte.
+reproduces the plain form byte for byte.  A plain line is read once:
+:func:`bidegree.core.from_entries` counts each side's entry strings in one
+C-level pass, looks up only the distinct ones in a table of canonical
+decimal text, and validates the record from those counts, which the
+exact checks read too; the vectors are decoded only if something reads
+them.  ``bench`` rebuilds each record from its vectors,
+so what it times is what a library caller's sequence costs.
 ``check``, ``realize`` and ``bench`` read records from a positional input
 (a file, or ``-`` for stdin, the default); every command writes only to
 stdout and stderr, the streams ``main`` was given, argparse's help and
@@ -54,7 +60,7 @@ import time
 from collections import Counter
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 
-from .core import BidegreeSequence, new_sequence
+from .core import BidegreeSequence, from_entries, new_sequence
 from .errors import BidegreeError, SumMismatch
 from .exact import (
     INCONCLUSIVE,
@@ -138,13 +144,9 @@ def parse_record(line: str) -> BidegreeSequence:
         table.limit = n
     # every entry a hit: the line is canonical entries in [0..n], with one
     # ';' (a second one stays inside an entry of the right side).  A miss
-    # costs only time, as the diagnosis reads a well-formed line too.  Each
-    # side's list of entry strings is gone before the other side is split.
-    decimal = table.__getitem__
+    # costs only time, as the diagnosis reads a well-formed line too.
     try:
-        return new_sequence(
-            tuple(map(decimal, left.split(","))), tuple(map(decimal, right.split(",")))
-        )
+        return from_entries(left.split(","), right.split(","), table.__getitem__)
     except KeyError:
         pass  # diagnosed past the handler, so its error chains to no KeyError
     return _diagnose_plain(text)
@@ -196,11 +198,7 @@ def _outcome_line(outcome: CheckOutcome, method_label: str) -> str:
         cert = outcome.certificate
         if cert is None:
             return "GRAPHIC exact"
-        params = " ".join(
-            f"{key}={cert.parameters[key]}"
-            for key in cert.condition.echo
-        )
-        return f"GRAPHIC {cert.condition.value} {params}"
+        return cert.condition.line.format_map(cert.parameters)
     if outcome.verdict is Verdict.NOT_GRAPHIC:
         return f"NOT_GRAPHIC exact j={outcome.witness}"
     return f"INCONCLUSIVE {method_label}"
@@ -378,7 +376,13 @@ def _cmd_bench(args, stdin, stdout, stderr) -> int:
         stderr.write(f"error: --repeat must be at least 1, got {args.repeat}\n")
         return 3
     seen: set = set()
-    seqs = [seq for _, seq in _records(args.input, stdin, stderr, seen)]
+    # each record as a sequence built from its vectors, as a library caller
+    # builds one: the exact row counts its own degrees, no later row reads
+    # vectors an earlier row decoded, and no record keeps its entry strings
+    seqs = [
+        None if seq is None else new_sequence(seq.in_degrees, seq.out_degrees)
+        for _, seq in _records(args.input, stdin, stderr, seen)
+    ]
     if 3 in seen:
         return 3
     mismatched = seqs.count(None)

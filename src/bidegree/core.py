@@ -11,11 +11,24 @@ sums are ints, every entry is, and it takes ``min``/``max`` over the set
 of each vector's distinct values, which degree vectors hold few of.  It
 keeps what it found as ``seq.stats``, so no later layer rescans a record
 for its summary integers.
+
+A record read from text comes through :func:`from_entries` instead, as
+the entry strings of each side.  It counts each side's strings in one
+C-level pass and looks up only the distinct ones.  Validation then reads
+only the counts (``n``, ``S`` as the sum of value times count, min/max
+over the distinct values), and on any failure decodes the vectors and
+validates them as above, so every error keeps its type and message.
+Such a sequence keeps its counts, which :func:`degree_counts` hands to
+the exact checks, and decodes its vectors only when they are first read,
+dropping the entry strings then; a record that the five integers settle
+never builds them.  Any other sequence is counted by
+:func:`degree_counts` on each call.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, _count_elements, namedtuple
+from operator import itemgetter, mul
 
 from .errors import (
     BidegreeError,
@@ -57,10 +70,16 @@ class BidegreeSequence:
     than rejecting it at construction.  Both vectors are frozen as tuples,
     so a caller's list cannot change a validated sequence.  ``stats`` is
     the summary that validation computes on the way; equality, hashing and
-    the repr read only the two vectors.  Instances are immutable.
+    the repr read only the two vectors.  Instances are immutable: a
+    sequence from :func:`from_entries` decodes its vectors on first read,
+    and two threads that race there build equal tuples.
     """
 
-    __slots__ = ("in_degrees", "out_degrees", "stats")
+    # _vectors: (in_degrees, out_degrees), or None until a sequence from
+    # from_entries decodes its _entries, the entry strings of each side;
+    # _counts: that sequence's (counts, values) per side (see _counted),
+    # else None
+    __slots__ = ("_vectors", "_entries", "_counts", "stats")
 
     def __init__(self, in_degrees, out_degrees):
         a, b = tuple(in_degrees), tuple(out_degrees)  # a tuple is kept as is
@@ -88,8 +107,9 @@ class BidegreeSequence:
             raise SumMismatch(
                 f"sum of in-degrees {total} != sum of out-degrees {total_out}"
             )
-        _set_in(self, a)
-        _set_out(self, b)
+        _set_vectors(self, (a, b))
+        _set_entries(self, None)
+        _set_counts(self, None)
         _set_stats(
             self,
             SequenceStats(
@@ -125,15 +145,33 @@ class BidegreeSequence:
         return type(self), (self.in_degrees, self.out_degrees)
 
     @property
+    def in_degrees(self) -> tuple:
+        return (self._vectors or self._decode())[0]
+
+    @property
+    def out_degrees(self) -> tuple:
+        return (self._vectors or self._decode())[1]
+
+    @property
     def n(self) -> int:
-        return len(self.in_degrees)
+        return self.stats.n
+
+    def _decode(self) -> tuple:
+        # the vectors are set before the entries are dropped, so a thread
+        # that finds no entries finds the vectors
+        entries = self._entries
+        if entries is not None:
+            _set_vectors(self, tuple(map(_decoded, entries, self._counts)))
+            _set_entries(self, None)
+        return self._vectors
 
 
 # the slots' own setters: __init__ fills each slot once, past the
 # __setattr__ that keeps instances immutable, and faster than
 # object.__setattr__, which looks the name up on every call
-_set_in = BidegreeSequence.in_degrees.__set__
-_set_out = BidegreeSequence.out_degrees.__set__
+_set_vectors = BidegreeSequence._vectors.__set__
+_set_entries = BidegreeSequence._entries.__set__
+_set_counts = BidegreeSequence._counts.__set__
 _set_stats = BidegreeSequence.stats.__set__
 
 
@@ -177,6 +215,77 @@ def new_sequence(in_degrees, out_degrees) -> BidegreeSequence:
         When an entry in range is not an integer.
     """
     return BidegreeSequence(in_degrees, out_degrees)
+
+
+def _counted(entries: list, decode) -> tuple:
+    """``(counts, values)`` of a side's entry strings: a dict from each
+    distinct string to its count, made in one C-level pass (``Counter``'s
+    own helper, without its Python-level set-up), and the values ``decode``
+    gives those strings, in the dict's order."""
+    counts = {}
+    _count_elements(counts, entries)
+    return counts, list(map(decode, counts))
+
+
+def _decoded(entries: list, counted: tuple) -> tuple:
+    """The vector of a side's entry strings, from their :func:`_counted`."""
+    counts, values = counted
+    value = dict(zip(counts, values))
+    if len(entries) < 2:  # itemgetter of one key returns no tuple
+        return tuple(map(value.__getitem__, entries))
+    # itemgetter over a plain dict reads about twice as fast as a map
+    return itemgetter(*entries)(value)
+
+
+def from_entries(a: list, b: list, decode) -> BidegreeSequence:
+    """Validate a sequence from the entry strings of its in-degrees ``a``
+    and out-degrees ``b``, through the counts of each side's strings.
+
+    ``decode`` maps an entry string to its int, and is called once per
+    distinct string; whatever it raises propagates.  A record that passes
+    keeps its counts and decodes its vectors when they are first read; any
+    other is decoded and validated as vectors, which raises the error
+    :func:`new_sequence` raises, in the same order.
+    """
+    a_counted, b_counted = _counted(a, decode), _counted(b, decode)
+    (a_counts, a_values), (b_counts, b_values) = a_counted, b_counted
+    n = len(a)
+    if 0 < n == len(b):
+        total = sum(map(mul, a_values, a_counts.values()))
+        min_in, max_in, min_out, max_out = (
+            min(a_values), max(a_values), min(b_values), max(b_values)
+        )
+        if (
+            min(min_in, min_out) >= 0
+            and max(max_in, max_out) <= n
+            and total == sum(map(mul, b_values, b_counts.values()))
+        ):
+            seq = object.__new__(BidegreeSequence)
+            _set_vectors(seq, None)
+            _set_entries(seq, (a, b))
+            _set_counts(seq, (a_counted, b_counted))
+            _set_stats(
+                seq,
+                SequenceStats(
+                    n, total, min(min_in, min_out), max_in, max_out,
+                    max(max_in, max_out),
+                ),
+            )
+            return seq
+    return BidegreeSequence(_decoded(a, a_counted), _decoded(b, b_counted))
+
+
+def degree_counts(seq: BidegreeSequence) -> tuple:
+    """Dicts from each in-degree and each out-degree to its count: those
+    a sequence from :func:`from_entries` was validated from, else a count
+    of its vectors, made on each call."""
+    if seq._counts is None:
+        return Counter(seq.in_degrees), Counter(seq.out_degrees)
+    (a_counts, a_values), (b_counts, b_values) = seq._counts
+    return (
+        dict(zip(a_values, a_counts.values())),
+        dict(zip(b_values, b_counts.values())),
+    )
 
 
 def stats(seq: BidegreeSequence) -> SequenceStats:

@@ -41,9 +41,12 @@ saturated at the full degree sum.
   with-loops slack covers that bound holds without reading a pair.
   ``j = n`` fails exactly when some ``b_i = n``.
 
-The checks count each vector once in O(n) and sort the ``d`` distinct
-in-degrees once, O(d log d), into descending groups that both tests
-read.  The group-end test sorts the distinct out-degrees and sweeps
+The checks read the count of each vector's values from
+:func:`~bidegree.core.degree_counts`: a record parsed from text was
+validated from those counts and hands them over, and any other sequence
+is counted there once, in O(n).  They sort the ``d`` distinct in-degrees
+once, O(d log d), into descending groups that both tests read.  The
+group-end test sorts the distinct out-degrees and sweeps
 ``sum_i min(b_i, j)`` over the out-degree histogram to each end.  With
 loops it decides the record; without loops it is sufficient only, since
 an end that does not cover the bound may still hold.  A record it does
@@ -60,11 +63,11 @@ one one at a time along augmenting paths, and says whether all fit.
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque, namedtuple
+from collections import deque, namedtuple
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import sub
 
-from .core import BidegreeSequence
+from .core import BidegreeSequence, degree_counts
 
 __all__ = [
     "Verdict",
@@ -122,7 +125,7 @@ def _outcome(slack: list) -> CheckOutcome:
 # groups cut at ``limit`` for the prefix.
 
 
-def _conjugate_sums(hist: Counter, n: int, limit: int) -> list[int]:
+def _conjugate_sums(hist: dict, n: int, limit: int) -> list[int]:
     """``F(j) = sum_i min(v_i, j)`` for ``j`` in ``[0..limit]``, from the
     count ``hist`` of the ``n`` values ``v``.
 
@@ -142,13 +145,12 @@ def _limit(seq: BidegreeSequence, allow_loops: bool) -> int:
 
 
 def _slack(
-    seq: BidegreeSequence, allow_loops: bool, groups: list, outs: Counter
+    seq: BidegreeSequence, allow_loops: bool, groups: list, outs: dict
 ) -> list:
     """Capacity minus demand of the policy's inequality ``j``, for ``j`` in
     ``[0..limit]``, from the in-degree ``groups`` (value, count) in
     descending order and the count ``outs`` of the out-degrees; graphic
     under the policy iff no entry is negative."""
-    a, b = seq.in_degrees, seq.out_degrees
     limit = _limit(seq, allow_loops)
     desc = chain.from_iterable(starmap(repeat, groups))
     prefix = list(accumulate(islice(desc, limit), initial=0))
@@ -160,7 +162,8 @@ def _slack(
     # [i..b_i]); each has an in-degree of at least t, the limit-th
     # largest, so they lead the sort of just those pairs
     t = prefix[limit] - prefix[limit - 1]
-    top = sorted([(x, y) for x, y in zip(a, b) if x >= t], reverse=True)
+    pairs = zip(seq.in_degrees, seq.out_degrees)
+    top = sorted([(x, y) for x, y in pairs if x >= t], reverse=True)
     diff = [0] * (limit + 2)
     for i, (_, b_i) in enumerate(top[:limit], 1):
         if b_i >= i:
@@ -170,7 +173,7 @@ def _slack(
 
 
 def _group_ends_certify(
-    seq: BidegreeSequence, allow_loops: bool, groups: list, outs: Counter
+    seq: BidegreeSequence, allow_loops: bool, groups: list, outs: dict
 ) -> bool:
     """Whether the group-end test certifies ``seq`` graphic under the
     policy, from the in-degree ``groups`` (value, count) in descending
@@ -203,11 +206,11 @@ def _group_ends_certify(
 
 
 def _check(seq: BidegreeSequence, allow_loops: bool) -> CheckOutcome:
-    """Count each vector once and sort the in-degree groups once, certify
-    at the group ends, and scan every index only for a record the group
-    ends do not certify."""
-    groups = sorted(Counter(seq.in_degrees).items(), reverse=True)
-    outs = Counter(seq.out_degrees)
+    """Read each vector's count once and sort the in-degree groups once,
+    certify at the group ends, and scan every index only for a record the
+    group ends do not certify."""
+    ins, outs = degree_counts(seq)
+    groups = sorted(ins.items(), reverse=True)
     if _group_ends_certify(seq, allow_loops, groups, outs):
         return GRAPHIC
     return _outcome(_slack(seq, allow_loops, groups, outs))
@@ -241,8 +244,8 @@ def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[in
     out-degree, not only the group ends the checks test first: violations
     can only occur up to that index, so the list is complete.
     """
-    groups = sorted(Counter(seq.in_degrees).items(), reverse=True)
-    slack = _slack(seq, allow_loops, groups, Counter(seq.out_degrees))
+    ins, outs = degree_counts(seq)
+    slack = _slack(seq, allow_loops, sorted(ins.items(), reverse=True), outs)
     return [j for j, s in enumerate(slack) if s < 0]
 
 

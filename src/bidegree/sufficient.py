@@ -373,8 +373,10 @@ class Condition(enum.Enum):
 
     ``value`` is the CLI method code, ``check`` the check function,
     ``certifies_no_loops`` whether the certificate guarantees a
-    zero-diagonal realization, and ``echo`` the certificate parameters a
-    GRAPHIC output line shows.  Defined after the checks it holds.
+    zero-diagonal realization, ``echo`` the certificate parameters a
+    GRAPHIC output line shows, and ``line`` that line as a template for
+    ``str.format_map`` over the parameters, such as ``"GRAPHIC thm3
+    Ma={Ma} Mb={Mb}"``.  Defined after the checks it holds.
     """
 
     ZZ = "thm2", check_thm2, False, ("m", "M")
@@ -392,6 +394,7 @@ class Condition(enum.Enum):
         member.check = check
         member.certifies_no_loops = certifies_no_loops
         member.echo = echo
+        member.line = f"GRAPHIC {code} " + " ".join(f"{k}={{{k}}}" for k in echo)
         return member
 
 
