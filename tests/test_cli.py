@@ -8,6 +8,7 @@ import statistics
 import subprocess
 import sys
 import threading
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -483,12 +484,15 @@ class TestCheck:
 
 # (check arguments, exit code, SHA-256 of stdout) over golden_corpus(),
 # computed before the certify ladders were pruned to the rungs that can fire
-# first; the output of every method must stay byte-identical.
+# first; the output of every method must stay byte-identical.  The one
+# exception is ``--loops --method auto --fallback-exact``, re-derived when
+# the fallback ladder dropped cor5: test_fallback_lines_differ_only_at_cor5
+# pins the lines that changed.
 GOLDEN_CHECK_OUTPUT = [
     ("--loops --method auto", 1,
      "a19442e778218ff55cd320bb68107c187f5d92168103ba9b1078db2d6b85df12"),
     ("--loops --method auto --fallback-exact", 1,
-     "0fa0007d65ed028c7cef35366b0f17ccbaa56e236790516d0405129eafc7839e"),
+     "0a6ae1c56be6e5e8b43fbd9b488d2568928d47319fb7f7f2af5200a9027509de"),
     ("--loops --method thm2", 1,
      "5587460643b3d97a55a0098f7645933d04d0fc687411b348344b5e5845724a83"),
     ("--loops --method thm3", 1,
@@ -578,6 +582,31 @@ class TestGoldenOutput:
         assert err == ""
         assert got_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("policy", ["--loops", "--no-loops"])
+    def test_fallback_lines_differ_only_at_cor5(self, policy):
+        """With the exact fallback, a record the ladder certifies keeps the
+        line it gets without the fallback, unless cor5 certified it: cor5
+        is skipped, so the line is thm2's where thm2 certifies the record
+        and the exact check's otherwise.  An inconclusive record gets the
+        exact check's line."""
+        lines = {
+            method: run_cli(["check", policy, *method.split()],
+                            golden_corpus())[1].splitlines()
+            for method in ("--method auto --fallback-exact", "--method auto",
+                           "--method thm2", "--method exact")
+        }
+        changed = Counter()
+        for fallback, auto, thm2, exact in zip(*lines.values()):
+            if auto.startswith("GRAPHIC cor5 "):
+                want = thm2 if thm2.startswith("GRAPHIC ") else exact
+                changed[want.split()[1]] += 1
+            else:
+                want = exact if auto.startswith("INCONCLUSIVE ") else auto
+            assert fallback == want
+        # the corpus holds cor5 records of both kinds, with loops only
+        assert changed == (Counter(thm2=2, exact=16) if policy == "--loops"
+                           else Counter())
 
     @pytest.mark.parametrize("corpus,args,code,digest", GOLDEN_REALIZE_OUTPUT)
     def test_realize_output_is_byte_identical(self, corpus, args, code, digest):

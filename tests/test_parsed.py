@@ -85,16 +85,20 @@ def test_seeded_fuzz_records():
 
 @pytest.mark.parametrize("loops", [True, False])
 def test_power_law_records(loops):
-    """Heavy tails reach thm5, cor5, thm6 and the exact fallback."""
-    fired = set()
+    """Heavy tails reach thm5, thm6 and the exact fallback, and cor5
+    without the fallback, which skips it."""
+    fired = {False: set(), True: set()}
     for seed in range(40):
         seq = bd.gen_powerlaw(300, 2.3, seed=seed)
         assert_agree(seq.in_degrees, seq.out_degrees)
-        outcome = bd.certify(parse_record(format_record(seq)), loops, True)
-        fired.add(outcome.certificate.condition.value
-                  if outcome.certificate else outcome.verdict.value)
-    assert fired >= ({"thm5", "cor5", "GRAPHIC"} if loops
-                     else {"thm6", "GRAPHIC"})
+        for fallback in (False, True):
+            outcome = bd.certify(parse_record(format_record(seq)), loops, fallback)
+            fired[fallback].add(outcome.certificate.condition.value
+                                if outcome.certificate else outcome.verdict.value)
+    assert fired[True] >= ({"thm5", "GRAPHIC"} if loops else {"thm6", "GRAPHIC"})
+    assert "cor5" not in fired[True]
+    if loops:
+        assert "cor5" in fired[False]
 
 
 def test_counterexample_records_are_not_graphic_with_a_witness():
@@ -205,6 +209,25 @@ class TestVectorsOnDemand:
         code, out, err = _run_check(lines, "--method", "exact")
         assert (code, err) == (1, "")
         assert out.splitlines()[-2:] == ["NOT_GRAPHIC exact j=3", "GRAPHIC exact"]
+
+    def test_fallback_ladder_decodes_no_vectors(self, monkeypatch):
+        """thm2 tests ``Ma == Mb`` before it compares the vectors, so on
+        power-law records with ``Ma != Mb`` neither thm2 nor the ladder
+        with the exact fallback decodes them, whichever rung decides."""
+        seqs = [bd.gen_powerlaw(300, 2.3, seed=seed) for seed in range(40)]
+        seqs = [seq for seq in seqs if seq.stats.max_in != seq.stats.max_out]
+        want = [bd.check_with_loops(seq).verdict for seq in seqs]
+        lines = [format_record(seq) for seq in seqs]
+        assert any(bd.certify(seq).certificate.condition.value == "cor5"
+                   for seq in seqs if bd.certify(seq).is_graphic)
+
+        def decoded(*args):
+            raise AssertionError("vectors decoded")
+
+        monkeypatch.setattr(core, "_decoded", decoded)
+        for line, verdict in zip(lines, want):
+            assert bd.check_thm2(parse_record(line)).verdict is bd.Verdict.INCONCLUSIVE
+            assert bd.certify(parse_record(line), True, True).verdict is verdict
 
     def test_entry_strings_are_dropped_once_decoded(self):
         seq = parse_record("2,1,0;1,1,1")

@@ -538,11 +538,14 @@ REFERENCE_LOOPS_LADDER = (
 REFERENCE_NO_LOOPS_LADDER = (bd.check_thm4, bd.check_cor3, bd.check_thm6)
 
 
-def reference_certificate(seq, allow_loops):
-    """Certificate of the first rung of the full ladder that fires, or None."""
+def reference_certificate(seq, allow_loops, fallback_exact=False):
+    """Certificate of the first rung of the full ladder that fires, or None;
+    with the exact fallback, of the full ladder without cor5."""
     prep = prepare(seq)
     ladder = REFERENCE_LOOPS_LADDER if allow_loops else REFERENCE_NO_LOOPS_LADDER
     for check in ladder:
+        if fallback_exact and check is bd.check_cor5:
+            continue
         outcome = check(seq, prep)
         if outcome.is_graphic:
             return outcome.certificate
@@ -551,7 +554,9 @@ def reference_certificate(seq, allow_loops):
 
 class TestPrunedLadder:
     """``certify`` picks the same condition with the same parameters as the
-    full ladders, so the dropped rungs never fired first."""
+    full ladders, so the dropped rungs never fired first.  With the exact
+    fallback it picks those of the full ladders without cor5, and where no
+    rung fires it returns the policy's exact outcome, witness included."""
 
     @staticmethod
     def first_fired(seqs):
@@ -561,6 +566,12 @@ class TestPrunedLadder:
                 cert = bd.certify(seq, allow_loops=loops).certificate
                 assert cert == reference_certificate(seq, loops), (seq, loops)
                 fired[loops][cert.condition.value if cert else None] += 1
+                cert = reference_certificate(seq, loops, fallback_exact=True)
+                want = (
+                    bd.CheckOutcome(Verdict.GRAPHIC, certificate=cert) if cert
+                    else (bd.check_with_loops if loops else bd.check_no_loops)(seq)
+                )
+                assert bd.certify(seq, loops, True) == want, (seq, loops)
         return fired
 
     def test_exhaustive_small(self):
