@@ -3,6 +3,8 @@ no child is started."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,33 @@ def test_summary_of_runs_round_trips_through_json():
     ("1-3", [1, 2, 3]), ("7", [7]), ("1-2,9", [1, 2, 9])])
 def test_seed_list(text, seeds):
     assert bench_record.seed_list(text) == seeds
+
+
+def test_main_writes_a_record_from_each_run(tmp_path, monkeypatch):
+    """main with the children replaced by the captured stdout and a clean
+    git checkout."""
+    calls = []
+
+    def run(argv, cwd=None, **kwargs):
+        calls.append(argv)
+        out = CAPTURED if "perfbench/run.py" in argv else ""
+        if argv[-2:] == ["rev-parse", "HEAD"]:
+            out = "0123abcd\n"
+        return subprocess.CompletedProcess(argv, 0, out, "")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    out = tmp_path / "BENCH_7.json"
+    assert bench_record.main(["--pr", "7", "--seeds", "uniform-n100=1-2",
+                              "--seconds", "5", "--root", str(ROOT),
+                              "--out", str(out)]) == 0
+    assert [argv[1:] for argv in calls if "perfbench/run.py" in argv] == [
+        ["perfbench/run.py", "--workload", "uniform-n100", "--seed", str(seed),
+         "--seconds", "5.0"] for seed in (1, 2)]
+    record = json.loads(out.read_text())
+    assert (record["pr"], record["commit"], record["dirty"]) == (7, "0123abcd", False)
+    assert record["python"] == sys.version
+    assert record["corpora"]["uniform-n100"]["records"] == 1000
+    workload = record["workloads"]["uniform-n100"]
+    assert [run["seed"] for run in workload["runs"]] == [1, 2]
+    assert workload["metrics"]["peak_rss_mb"] == {
+        "median": 28.234375, "q1": 28.234375, "q3": 28.234375, "runs": 2}

@@ -3,9 +3,10 @@
 Runs ``perfbench/run.py`` of a checkout as a child, once per workload and
 seed, one run at a time.  Its stdout ends in the JSON result; the lines
 above carry the raw figures and the two exact/auto ``gate:`` ratios.  The
-file holds the commit, the Python version, each run's scaled and raw
-metrics and gate ratios, and per workload the median, quartiles and run
-count of each metric and the median of each gate ratio.  From the
+file holds the commit, the Python version, the corpus pins, each run's
+scaled and raw metrics and gate ratios, and per workload the median,
+quartiles and run count of each metric and the median of each gate
+ratio.  From the
 repository root:
 
     python3 tools/bench_record.py --pr 26 --seeds powerlaw-n2000=1-10 \\
@@ -97,7 +98,8 @@ def main(argv=None) -> int:
     dirty = _git(root, "status", "--porcelain", "--", "src", "perfbench")
     record = {"pr": args.pr, "commit": _git(root, "rev-parse", "HEAD"),
               "dirty": bool(dirty), "python": sys.version,
-              "seconds": args.seconds, "workloads": workloads}
+              "seconds": args.seconds, "workloads": workloads,
+              "corpora": json.loads((root / "perfbench" / "corpora.json").read_text())}
     out = args.out or Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
