@@ -1,12 +1,12 @@
 """Constant-time sufficient certificates for graphicality.
 
 Each check either certifies graphicality or reports INCONCLUSIVE, never
-NOT_GRAPHIC.  All but cor5 decide from ``seq.stats``, the summary that
-validation computed (node count ``n``, degree sum ``S``, minimum ``m``,
-maxima ``Ma``/``Mb``/``M``); thm2 also compares the two vectors when
-``Ma == Mb``.  The heavy-tail check walks the pairs as a count of
-distinct pairs, which :func:`prepare` lists for it.  The conditions, by
-the CLI code used to select them:
+NOT_GRAPHIC.  Most read only ``seq.stats``, the summary that validation
+computed (node count ``n``, degree sum ``S``, minimum ``m``, maxima
+``Ma``/``Mb``/``M``); the equal-vector check also compares the two
+vectors when ``Ma == Mb``, and the heavy-tail check walks the canonical
+pair order as a count of distinct pairs, which :func:`prepare` lists for
+it.  The conditions, by the CLI code used to select them:
 
 ======  ========================  =======================================
 code    certifies                 condition
@@ -25,8 +25,8 @@ cor5    graphic with loops        thm5 after setting aside the R largest
 ======  ========================  =======================================
 
 All square roots are exact integer square roots; ``ceil(m + sqrt(D))`` is
-computed as ``m + isqrt(D - 1) + 1``, or ``m`` at ``D = 0``, so
-boundary cases never depend on floating point.
+computed as ``m + isqrt(D)`` plus one unless ``D`` is a perfect square,
+so boundary cases never depend on floating point.
 
 A certificate that applies without loops also applies with loops (a
 zero-diagonal realization is a realization).  :func:`certify` tries only
@@ -35,7 +35,7 @@ thm4, thm6 without.  Every other condition implies a rung tried before
 it (cor2 and cor3 imply thm3 and thm4, thm4 implies thm3, thm6 implies
 thm5, and cor5 at ``R = 0`` implies thm5); the proofs are at the ladder
 tuples.  With the exact fallback the loops ladder is thm3, thm5, thm2:
-cor5, which reads the pairs, runs only without fallback.
+cor5's O(n) test and pair profile cost more than the exact check.
 """
 
 from __future__ import annotations
@@ -112,6 +112,12 @@ def prepare(seq: BidegreeSequence) -> list:
     return rows
 
 
+def _ceil_isqrt(x: int) -> int:
+    """Exact ceiling of sqrt(x) for x >= 0."""
+    r = isqrt(x)
+    return r if r * r == x else r + 1
+
+
 def _graphic(condition: Condition, **parameters) -> CheckOutcome:
     return CheckOutcome(
         Verdict.GRAPHIC, certificate=Certificate(condition, parameters)
@@ -126,8 +132,7 @@ def _kstar(n: int, S: int, m: int, offset: int) -> int:
     disc = c * c + S - 2 * m * n
     if disc < 0:
         return 1
-    # ceil(sqrt(D)) is isqrt(D - 1) + 1 for D >= 1, and 0 at D = 0
-    return c + (isqrt(disc - 1) + 1 if disc else 0)
+    return c + _ceil_isqrt(disc)
 
 
 def _mean_min_bound(n: int, S: int, m: int, offset: int) -> tuple[int, int]:
@@ -140,9 +145,8 @@ def _mean_min_bound(n: int, S: int, m: int, offset: int) -> tuple[int, int]:
 def check_thm2(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Equal-vector min/max certificate (graphic with loops).
 
-    Applies only when every node's in-degree equals its out-degree, an
-    elementwise test made only when ``Ma == Mb``.  Certifies when
-    ``floor((m+M)^2/4) <= m*n``.
+    Applies only when ``Ma == Mb`` and ``a == b`` elementwise, before or
+    after canonical sorting; certifies when ``floor((m+M)^2/4) <= m*n``.
     """
     st = seq.stats
     if st.max_in != st.max_out or seq.in_degrees != seq.out_degrees:
@@ -153,23 +157,27 @@ def check_thm2(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     return INCONCLUSIVE
 
 
-def _max_product(seq, condition, offset) -> CheckOutcome:
-    """thm3 (offset 0) or thm4 (offset 1): ``(Ma + offset) * Mb <= S + 1 -
-    offset``."""
-    st = seq.stats
-    if (st.max_in + offset) * st.max_out <= st.total + 1 - offset:
-        return _graphic(condition, Ma=st.max_in, Mb=st.max_out, S=st.total)
-    return INCONCLUSIVE
-
-
 def check_thm3(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Max-product certificate: ``Ma * Mb <= S + 1`` (graphic with loops)."""
-    return _max_product(seq, Condition.MAX_PRODUCT_LOOPS, 0)
+    st = seq.stats
+    if st.max_in * st.max_out <= st.total + 1:
+        return _graphic(
+            Condition.MAX_PRODUCT_LOOPS, Ma=st.max_in, Mb=st.max_out, S=st.total
+        )
+    return INCONCLUSIVE
 
 
 def check_thm4(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Max-product certificate ``(Ma + 1) * Mb <= S`` (graphic, no loops)."""
-    return _max_product(seq, Condition.MAX_PRODUCT_NO_LOOPS, 1)
+    st = seq.stats
+    if (st.max_in + 1) * st.max_out <= st.total:
+        return _graphic(
+            Condition.MAX_PRODUCT_NO_LOOPS,
+            Ma=st.max_in,
+            Mb=st.max_out,
+            S=st.total,
+        )
+    return INCONCLUSIVE
 
 
 def _mean_min(seq, condition, offset) -> CheckOutcome:
@@ -286,8 +294,10 @@ def check_cor5(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     coincides with the thm5 test.
 
     The scan walks the rows of ``prep``, the counted pair profile
-    :func:`prepare` returns (empty when its O(n) prefilter rules cor5
-    out), expanding a row only as far as it gets.
+    :func:`prepare` returns, expanding a row only as far as it gets.  Its
+    cost is the O(n) prefilter plus, when that passes, a profile of the
+    distinct pairs; a sequence the prefilter rejects has an empty profile
+    and no scan.
     """
     st = seq.stats
     n, S, m = st.n, st.total, st.min_degree
@@ -361,28 +371,26 @@ class Condition(enum.Enum):
 
     ``value`` is the CLI method code, ``check`` the check function,
     ``certifies_no_loops`` whether the certificate guarantees a
-    zero-diagonal realization, ``cheap`` whether it decides from the
-    stats (all but cor5), ``echo`` the certificate parameters a GRAPHIC
-    output line shows, and ``line`` that line as a template for
+    zero-diagonal realization, ``echo`` the certificate parameters a
+    GRAPHIC output line shows, and ``line`` that line as a template for
     ``str.format_map`` over the parameters, such as ``"GRAPHIC thm3
     Ma={Ma} Mb={Mb}"``.  Defined after the checks it holds.
     """
 
-    ZZ = "thm2", check_thm2, False, True, ("m", "M")
-    MAX_PRODUCT_LOOPS = "thm3", check_thm3, False, True, ("Ma", "Mb")
-    MAX_PRODUCT_NO_LOOPS = "thm4", check_thm4, True, True, ("Ma", "Mb")
-    MEAN_MIN_LOOPS = "thm5", check_thm5, False, True, ("k", "Mmax")
-    MEAN_MIN_NO_LOOPS = "thm6", check_thm6, True, True, ("k", "Mmax")
-    MULTIPLICITY_LOOPS = "cor2", check_cor2, False, True, ("k", "M")
-    MULTIPLICITY_NO_LOOPS = "cor3", check_cor3, True, True, ("k", "M")
-    HEAVY_TAIL = "cor5", check_cor5, False, False, ("R", "P", "k", "Mmax")
+    ZZ = "thm2", check_thm2, False, ("m", "M")
+    MAX_PRODUCT_LOOPS = "thm3", check_thm3, False, ("Ma", "Mb")
+    MAX_PRODUCT_NO_LOOPS = "thm4", check_thm4, True, ("Ma", "Mb")
+    MEAN_MIN_LOOPS = "thm5", check_thm5, False, ("k", "Mmax")
+    MEAN_MIN_NO_LOOPS = "thm6", check_thm6, True, ("k", "Mmax")
+    MULTIPLICITY_LOOPS = "cor2", check_cor2, False, ("k", "M")
+    MULTIPLICITY_NO_LOOPS = "cor3", check_cor3, True, ("k", "M")
+    HEAVY_TAIL = "cor5", check_cor5, False, ("R", "P", "k", "Mmax")
 
-    def __new__(cls, code, check, certifies_no_loops, cheap, echo):
+    def __new__(cls, code, check, certifies_no_loops, echo):
         member = object.__new__(cls)
         member._value_ = code
         member.check = check
         member.certifies_no_loops = certifies_no_loops
-        member.cheap = cheap
         member.echo = echo
         member.line = f"GRAPHIC {code} " + " ".join(f"{k}={{{k}}}" for k in echo)
         return member
@@ -399,17 +407,11 @@ class Condition(enum.Enum):
 #   cor5 at R = 0 is thm5 (same k, same bound) plus a side condition, so
 #     cor5 fires first only at some R >= 1.
 # thm2 stays: at mean = 3*min its bound can exceed thm5's.
-# With the exact fallback only the cheap rungs run: a rung that reads the
-# pairs (cor5) costs more than the exact check it would save.  Skipping a
-# rung changes which certificate a record gets, never its verdict, since
-# the exact check decides every record the ladder leaves open.
-_LADDERS = {
-    (loops, fallback): tuple(
-        c.check for c in map(Condition, codes.split()) if c.cheap or not fallback
-    )
-    for loops, codes in ((True, "thm3 thm5 cor5 thm2"), (False, "thm4 thm6"))
-    for fallback in (False, True)
-}
+# Keyed by (loops, fallback).  The fallback skips cor5: reading the pairs
+# costs more than the exact check it could save, which keeps verdicts sound.
+_LADDERS = {(True, False): (check_thm3, check_thm5, check_cor5, check_thm2)}
+_LADDERS[True, True] = tuple(c for c in _LADDERS[True, False] if c is not check_cor5)
+_LADDERS[False, False] = _LADDERS[False, True] = (check_thm4, check_thm6)
 
 
 def certify(
@@ -420,10 +422,9 @@ def certify(
     """Run the certificates that can fire first, cheapest first.
 
     Returns the first GRAPHIC outcome with its certificate.  When every
-    certificate is inconclusive, falls back to the exact check if
-    requested (the only way this function can return NOT_GRAPHIC);
-    otherwise returns INCONCLUSIVE.  The ladder is thm3, thm5, cor5, thm2
-    with loops and thm4, thm6 without; with the fallback, cor5 is skipped.
+    rung is inconclusive, falls back to the exact check if requested (the
+    only way to return NOT_GRAPHIC), else returns INCONCLUSIVE.  With the
+    fallback the loops ladder is thm3, thm5, thm2: cor5 runs only without.
     """
     for check in _LADDERS[bool(allow_loops), bool(fallback_exact)]:
         outcome = check(seq)

@@ -65,14 +65,15 @@ def test_main_writes_a_record_from_each_run(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record.subprocess, "run", run)
     out = tmp_path / "BENCH_7.json"
     assert bench_record.main(["--pr", "7", "--seeds", "uniform-n100=1-2",
-                              "--seconds", "5", "--root", str(ROOT),
+                              "--root", str(ROOT),
                               "--out", str(out)]) == 0
     assert [argv[1:] for argv in calls if "perfbench/run.py" in argv] == [
         ["perfbench/run.py", "--workload", "uniform-n100", "--seed", str(seed),
-         "--seconds", "5.0"] for seed in (1, 2)]
+         "--seconds", str(bench_record.SECONDS)] for seed in (1, 2)]
     record = json.loads(out.read_text())
     assert (record["pr"], record["commit"], record["dirty"]) == (7, "0123abcd", False)
     assert record["python"] == sys.version
+    assert record["seconds"] == bench_record.SECONDS == 30
     assert record["corpora"]["uniform-n100"]["records"] == 1000
     workload = record["workloads"]["uniform-n100"]
     assert [run["seed"] for run in workload["runs"]] == [1, 2]

@@ -1,13 +1,12 @@
 """Record benchmark runs in a ``BENCH_<PR>.json`` file.
 
 Runs ``perfbench/run.py`` of a checkout as a child, once per workload and
-seed, one run at a time.  Its stdout ends in the JSON result; the lines
-above carry the raw figures and the two exact/auto ``gate:`` ratios.  The
-file holds the commit, the Python version, the corpus pins, each run's
-scaled and raw metrics and gate ratios, and per workload the median,
-quartiles and run count of each metric and the median of each gate
-ratio.  From the
-repository root:
+seed, one run at a time, each for ``SECONDS``.  Its stdout ends in the
+JSON result; the lines above carry the raw figures and the two exact/auto
+``gate:`` ratios.  The file holds the commit, the Python version, the
+corpus pins, each run's scaled and raw metrics and gate ratios, and per
+workload the median, quartiles and run count of each metric and the
+median of each gate ratio.  From the repository root:
 
     python3 tools/bench_record.py --pr 26 --seeds powerlaw-n2000=1-10 \\
         --seeds uniform-n100=1-3 --seeds realize-n1000=1-3
@@ -27,6 +26,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+# every run lasts this long, so files of different trees compare
+SECONDS = 30
 RAW = re.compile(r"^(\S+)\s+\S+ \S+\s+\(raw (\S+)\)$", re.M)
 GATE = re.compile(r"^gate: check exact/auto time, (\w+): (\S+) ", re.M)
 
@@ -77,7 +78,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seeds", action="append", required=True,
                         metavar="WORKLOAD=SEEDS", help="e.g. powerlaw-n2000=1-10")
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--root", type=Path, default=Path("."))
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
         runs = []
         for seed in seed_list(seeds):
             argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(args.seconds)]
+                    "--seed", str(seed), "--seconds", str(SECONDS)]
             child = subprocess.run(argv, cwd=root, capture_output=True,
                                    text=True, check=True)
             runs.append({"seed": seed, **parse_run(child.stdout)})
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
     dirty = _git(root, "status", "--porcelain", "--", "src", "perfbench")
     record = {"pr": args.pr, "commit": _git(root, "rev-parse", "HEAD"),
               "dirty": bool(dirty), "python": sys.version,
-              "seconds": args.seconds, "workloads": workloads,
+              "seconds": SECONDS, "workloads": workloads,
               "corpora": json.loads((root / "perfbench" / "corpora.json").read_text())}
     out = args.out or Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
