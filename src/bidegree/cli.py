@@ -11,7 +11,10 @@ reproduces the plain form byte for byte.  A plain line is read once:
 C-level pass, looks up only the distinct ones in a table of canonical
 decimal text, and validates the record from those counts, which the
 exact checks read too; the vectors are decoded only if something reads
-them.  ``bench`` rebuilds each record from its vectors,
+them.  :func:`format_record` writes the other way through a table of
+``str(i)`` for ``i`` up to the largest maximum degree it has formatted,
+so the table is never longer than the largest record it wrote.
+``bench`` rebuilds each record from its vectors,
 so what it times is what a library caller's sequence costs.
 ``check``, ``realize`` and ``bench`` read records from a positional input
 (a file, or ``-`` for stdin, the default); every command writes only to
@@ -183,13 +186,23 @@ def _diagnose_plain(text: str) -> BidegreeSequence:
     return new_sequence(map(int, left.split(",")), map(int, right.split(",")))
 
 
+# str(i) at index i, for i up to the largest max degree format_record has
+# seen, so never longer than the largest record it formatted; grown by
+# rebinding a new list, so a thread never reads a half-built one
+_TEXTS = ["0"]
+
+
 def format_record(seq: BidegreeSequence) -> str:
     """Plain-form record line for a sequence.  Entries print as ints, so
     a ``bool`` entry prints as 0 or 1 and the line parses back."""
-    return (
-        ",".join(map(int.__repr__, seq.in_degrees))
-        + ";"
-        + ",".join(map(int.__repr__, seq.out_degrees))
+    global _TEXTS
+    texts = _TEXTS
+    size = seq.stats.max_degree + 1
+    if len(texts) < size:
+        texts = _TEXTS = texts + list(map(str, range(len(texts), size)))
+    text = texts.__getitem__
+    return ",".join(map(text, seq.in_degrees)) + ";" + ",".join(
+        map(text, seq.out_degrees)
     )
 
 

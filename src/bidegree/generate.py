@@ -10,7 +10,14 @@ arithmetic with one 128-bit lane per draw; a batch equals as many
 :meth:`SplitMix64.next_u64` calls, so the stream is the sequential one.
 The power-law sampler additionally evaluates its cumulative weights in
 IEEE double precision, so its byte-for-byte reproducibility is pinned to
-platforms with the same libm rounding (all common ones).  Outputs always
+platforms with the same libm rounding (all common ones).  It keeps the
+weight table of the last ``(n, exponent)`` it sampled, with the least
+draw ``R1`` whose ``u = (r >> 11) * 2.0**-53 * W`` reaches the first
+cumulative weight; a draw below ``R1`` is degree 1 by one integer
+compare.  That is the float test's answer: ``r >> 11`` is below
+``2**53``, so it converts exactly, the power-of-two scale is exact, and
+one rounded multiply by ``W > 0`` never decreases, so ``u`` is monotone
+in ``r`` and ``u < cum[0]`` exactly when ``r < R1``.  Outputs always
 satisfy sum(a) == sum(b) by construction.  :func:`gen_extremal` takes
 :func:`minimizer_b_star`, the conjugate minimizer, for both vectors.
 """
@@ -182,25 +189,53 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
         raise BadExponent(f"exponent must exceed 2, got {exponent}")
     if n < 2:
         raise InvalidParameters("power-law generation needs n >= 2")
-    rng = SplitMix64(seed)
-    cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))
-    total_weight = cum[-1]
+    _, cum, total_weight, first_end = _powerlaw_table(n, exponent)
     # u is random() * total_weight, as the sequential sampler computed it;
     # bisecting below n - 1 is min(bisect_right(cum, u) + 1, n), as cum
     # never decreases.  Most draws land in the first bucket (P(d = 1) is
-    # 1/zeta(exponent), 0.75 at 2.5), so u < cum[0] is tested first and
-    # the bisect starts past it.
-    first = cum[0]
+    # 1/zeta(exponent), 0.75 at 2.5), so r < R1 is tested first and the
+    # bisect starts past it.
+    rng = SplitMix64(seed)
     degrees = [
         1
-        if (u := (r >> 11) * 2.0**-53 * total_weight) < first
-        else bisect_right(cum, u, 1, n - 1) + 1
+        if r < first_end
+        else bisect_right(cum, (r >> 11) * 2.0**-53 * total_weight, 1, n - 1) + 1
         for r in rng.next_u64s(2 * n)
     ]
     a, b = degrees[:n], degrees[n:]
-    lo, hi = (a, b) if sum(a) < sum(b) else (b, a)
-    _top_up(rng, lo, n, sum(hi) - sum(lo))
+    excess = sum(a) - sum(b)
+    _top_up(rng, b if excess > 0 else a, n, abs(excess))
     return new_sequence(a, b)
+
+
+# ((n, exponent, its type), cum, total weight, R1) of the last
+# gen_powerlaw call; rebound whole, never mutated, so a thread reads one
+# table or another
+_table = None
+
+
+def _powerlaw_table(n: int, exponent: float) -> tuple:
+    """The cumulative weights of ``x**-exponent`` on ``[1..n]``, their
+    total ``W`` and ``R1``, the least 64-bit draw ``r`` whose
+    ``u = (r >> 11) * 2.0**-53 * W`` reaches the first weight (``2**64``
+    if none does), kept for the last ``(n, exponent)`` asked for.  The key
+    holds the exponent's type, since an equal exponent of another type
+    (a ``Decimal``) can give other weights or none."""
+    global _table
+    table = _table
+    key = n, exponent, type(exponent)
+    if table is None or table[0] != key:
+        cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))
+        first, total = cum[0], cum[-1]
+        # u is monotone in k = r >> 11 (module docstring): step from an
+        # estimate, off by a few units at most, to the least k with u >= first
+        k = min(int(first / total * 2**53), 2**53)
+        while k and (k - 1) * 2.0**-53 * total >= first:
+            k -= 1
+        while k < 2**53 and k * 2.0**-53 * total < first:
+            k += 1
+        table = _table = key, cum, total, k << 11
+    return table
 
 
 def _top_up(rng: SplitMix64, vec: list, cap: int, amount: int) -> None:

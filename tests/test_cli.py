@@ -174,6 +174,79 @@ class TestRecords:
         assert parse_record(format_record(seq)) == seq
 
 
+def int_repr_line(seq):
+    """The plain line written with ``int.__repr__`` for every entry."""
+    return (",".join(map(int.__repr__, seq.in_degrees)) + ";"
+            + ",".join(map(int.__repr__, seq.out_degrees)))
+
+
+def count_up(top):
+    """A record of max degree ``top`` holding every value in [0..top]."""
+    return bd.new_sequence(range(top + 1), range(top, -1, -1))
+
+
+class TestFormatRecord:
+    """format_record reads each entry's text from a table that grows to
+    the largest max degree it has formatted; each line is int.__repr__'s."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self, monkeypatch):
+        monkeypatch.setattr(cli, "_TEXTS", ["0"])
+
+    def test_bool_entries(self):
+        for seq in (bd.new_sequence([True, 0], [0, True]),
+                    bd.new_sequence([True, False, 2], [1, True, True])):
+            assert format_record(seq) == int_repr_line(seq)
+        assert format_record(bd.new_sequence([True, 0], [0, True])) == "1,0;0,1"
+
+    def test_entry_equal_to_n(self):
+        for n in (1, 2, 10, 100):
+            seq = bd.new_sequence([n] + [0] * (n - 1), [1] * n)
+            line = format_record(seq)
+            assert line == int_repr_line(seq)
+            assert line.replace(";", ",").split(",")[0] == str(n)
+
+    def test_growing_maxima(self):
+        """Each record past the largest max so far grows the table to its
+        own max, no further; smaller records after it read the same table."""
+        largest = 0
+        for top in (0, 1, 2, 9, 10, 11, 5, 99, 100, 3, 101, 999, 1000, 40):
+            seq = count_up(top)
+            assert format_record(seq) == int_repr_line(seq)
+            largest = max(largest, top)
+            assert cli._TEXTS == [str(i) for i in range(largest + 1)]
+
+    def test_threads_format_different_maxima(self):
+        """Threads that format records of different maxima at once, each
+        growing the table, all write int.__repr__'s lines."""
+        seqs = [count_up(top) for top in (3, 70, 700, 9, 2000, 150)]
+        want = [int_repr_line(seq) for seq in seqs]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                cli._TEXTS = ["0"]
+                barrier = threading.Barrier(len(seqs), timeout=60)
+                seen = []
+
+                def write(i):
+                    barrier.wait()
+                    seen.extend((i, format_record(seqs[i])) for _ in range(5))
+
+                threads = [threading.Thread(target=write, args=(i,))
+                           for i in range(len(seqs))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 5 * len(seqs)
+                for i, line in seen:
+                    assert line == want[i]
+        finally:
+            sys.setswitchinterval(switch)
+
+
 _LEADING_ZERO = re.compile(",(0[0-9]+)")
 
 
@@ -568,6 +641,9 @@ GOLDEN_GENERATE_OUTPUT = [
      "58608921698ce69f98af9ca39ef9a3038aafa901a5535c83740eeeffc7e874a8"),
     ("--kind powerlaw --n 2 --exponent 10 --count 50 --seed -7",
      "9eb1e897bc1d995029b00680cb095fca31fcb84bf58064a6eb1b05a6b747a0ea"),
+    # the benchmark's powerlaw-n2000 shape
+    ("--kind powerlaw --n 2000 --exponent 2.5 --count 10 --seed 5",
+     "96ac73168bb99d7be4fbb83a0bb954cd3daf0545adb279f120b4ef9ff7371e57"),
     ("--kind counterexample1 --Ma 5 --Mb 7 --n 12 --count 3",
      "7b8302c73ae49c1db8bd390beed0224dcf7d591ec3467f94fc516eafb3b63b90"),
     ("--kind extremal --n 30 --total 80 --max 9 --count 2",

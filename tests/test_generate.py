@@ -1,5 +1,8 @@
+import math
 import struct
 from bisect import bisect_right
+from decimal import Decimal
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -212,13 +215,64 @@ class TestGeneratorReference:
             assert bd.gen_uniform(*args, seed) == reference_uniform(*args, seed)
 
     @pytest.mark.parametrize(
-        "n, exponent", [(2, 2.1), (2, 10.0), (3, 2.1), (700, 2.2), (600, 10.0)]
+        "n, exponent",
+        [(2, 2.1), (2, 10.0), (3, 2.1), (700, 2.2), (600, 10.0), (3, 1e4)],
     )
     def test_powerlaw_edge_cases(self, n, exponent):
         for seed in (0, 1, -1, 2**64 - 1, 2**70 + 5):
             assert bd.gen_powerlaw(n, exponent, seed) == reference_powerlaw(
                 n, exponent, seed
             )
+
+    def test_powerlaw_table_hits_and_misses(self, monkeypatch):
+        """Calls that replace the kept weight table (a new n, exponent or
+        exponent type, as 3 then 3.0) and calls that reuse it (the second
+        seed of each) give the reference sequence."""
+        monkeypatch.setattr(generate, "_table", None)
+        calls = [(2000, 2.5), (700, 2.2), (2000, 2.5), (64, 3), (64, 3.0), (2, 10.0)]
+        for n, exponent in calls:
+            kept = generate._table
+            for seed in (n, -n):
+                assert bd.gen_powerlaw(n, exponent, seed) == reference_powerlaw(
+                    n, exponent, seed
+                ), (n, exponent, seed)
+                assert generate._table[0] == (n, exponent, type(exponent))
+                assert (generate._table is kept) is (seed < 0)
+                kept = generate._table
+
+    def test_powerlaw_table_never_changes_an_outcome(self, monkeypatch):
+        """An exponent equal to the kept one but of another type builds its
+        own weights: a Fraction gives the float's sequence, a Decimal fails
+        as it does with no table kept."""
+        want = reference_powerlaw(5, 2.5, 1)
+        for warm in (False, True):
+            monkeypatch.setattr(generate, "_table", None)
+            if warm:
+                bd.gen_powerlaw(5, 2.5, 0)
+            assert bd.gen_powerlaw(5, Fraction(5, 2), 1) == want
+            with pytest.raises(TypeError):
+                bd.gen_powerlaw(5, Decimal("2.5"), 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 2000])
+    @pytest.mark.parametrize(
+        "exponent",
+        [math.nextafter(2.0, 3.0), 2.001, 2.5, math.nextafter(2.5, 2.0), 9.999,
+         10.0, 1e4],
+    )
+    def test_first_bucket_end_is_exact(self, n, exponent):
+        """R1 is the least draw whose u, as the reference computes it,
+        reaches the first cumulative weight; 2**64 when no draw does, as
+        past an exponent of about 1074 every weight but the first is 0."""
+        _, cum, total, first_end = generate._powerlaw_table(n, exponent)
+        assert cum == list(accumulate(x ** -exponent for x in range(1, n + 1)))
+        assert total == cum[-1]
+
+        def u(r):
+            return (r >> 11) * 2.0**-53 * total
+
+        assert 0 < first_end <= 2**64
+        assert u(first_end - 1) < cum[0] <= u(first_end)
+        assert (first_end == 2**64) is (exponent == 1e4)
 
     def test_top_up_stops_at_the_last_draw(self):
         """After placing its units, the batched top-up leaves the stream
