@@ -197,7 +197,6 @@ class TestFormatRecord:
         for seq in (bd.new_sequence([True, 0], [0, True]),
                     bd.new_sequence([True, False, 2], [1, True, True])):
             assert format_record(seq) == int_repr_line(seq)
-        assert format_record(bd.new_sequence([True, 0], [0, True])) == "1,0;0,1"
 
     def test_entry_equal_to_n(self):
         for n in (1, 2, 10, 100):
