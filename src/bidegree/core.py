@@ -19,10 +19,10 @@ only the counts (``n``, ``S`` as the sum of value times count, min/max
 over the distinct values), and on any failure decodes the vectors and
 validates them as above, so every error keeps its type and message.
 Such a sequence keeps its counts, which :func:`degree_counts` hands to
-the exact checks and :func:`equal_sides` compares, and decodes its
-vectors only when they are first read, dropping the entry strings then;
-a record that the five integers settle never builds them.  Any other
-sequence is counted by :func:`degree_counts` on each call.
+the exact checks, and decodes its vectors only when they are first read,
+dropping the entry strings then; a record that the five integers settle
+never builds them.  Any other sequence is counted by
+:func:`degree_counts` on each call.
 """
 
 from __future__ import annotations
@@ -242,9 +242,7 @@ def from_entries(a: list, b: list, decode) -> BidegreeSequence:
     and out-degrees ``b``, through the counts of each side's strings.
 
     ``decode`` maps an entry string to its int, and is called once per
-    distinct string; whatever it raises propagates.  Distinct strings must
-    give distinct ints, as canonical text does: :func:`equal_sides`
-    compares the strings.  A record that passes
+    distinct string; whatever it raises propagates.  A record that passes
     keeps its counts and decodes its vectors when they are first read; any
     other is decoded and validated as vectors, which raises the error
     :func:`new_sequence` raises, in the same order.
@@ -288,18 +286,6 @@ def degree_counts(seq: BidegreeSequence) -> tuple:
         dict(zip(a_values, a_counts.values())),
         dict(zip(b_values, b_counts.values())),
     )
-
-
-def equal_sides(seq: BidegreeSequence) -> bool:
-    """Whether the in- and out-degree vectors are equal.  A sequence from
-    :func:`from_entries` that has not decoded them compares its two sides'
-    counts, then their entry strings, which are canonical text, so equal
-    strings are equal ints; any other compares its vectors."""
-    entries = seq._entries  # read once: a decode in another thread drops it
-    if entries is None:
-        return seq.in_degrees == seq.out_degrees
-    (a_counts, _), (b_counts, _) = seq._counts
-    return a_counts == b_counts and entries[0] == entries[1]
 
 
 def stats(seq: BidegreeSequence) -> SequenceStats:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 
 from .core import BidegreeSequence, new_sequence
@@ -189,7 +190,7 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
         raise BadExponent(f"exponent must exceed 2, got {exponent}")
     if n < 2:
         raise InvalidParameters("power-law generation needs n >= 2")
-    _, cum, total_weight, first_end = _powerlaw_table(n, exponent)
+    cum, total_weight, first_end = _powerlaw_table(n, exponent)
     # u is random() * total_weight, as the sequential sampler computed it;
     # bisecting below n - 1 is min(bisect_right(cum, u) + 1, n), as cum
     # never decreases.  Most draws land in the first bucket (P(d = 1) is
@@ -208,34 +209,26 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
     return new_sequence(a, b)
 
 
-# ((n, exponent, its type), cum, total weight, R1) of the last
-# gen_powerlaw call; rebound whole, never mutated, so a thread reads one
-# table or another
-_table = None
-
-
+@lru_cache(maxsize=1, typed=True)
 def _powerlaw_table(n: int, exponent: float) -> tuple:
     """The cumulative weights of ``x**-exponent`` on ``[1..n]``, their
     total ``W`` and ``R1``, the least 64-bit draw ``r`` whose
     ``u = (r >> 11) * 2.0**-53 * W`` reaches the first weight (``2**64``
-    if none does), kept for the last ``(n, exponent)`` asked for.  The key
-    holds the exponent's type, since an equal exponent of another type
-    (a ``Decimal``) can give other weights or none."""
-    global _table
-    table = _table
-    key = n, exponent, type(exponent)
-    if table is None or table[0] != key:
-        cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))
-        first, total = cum[0], cum[-1]
-        # u is monotone in k = r >> 11 (module docstring): step from an
-        # estimate, off by a few units at most, to the least k with u >= first
-        k = min(int(first / total * 2**53), 2**53)
-        while k and (k - 1) * 2.0**-53 * total >= first:
-            k -= 1
-        while k < 2**53 and k * 2.0**-53 * total < first:
-            k += 1
-        table = _table = key, cum, total, k << 11
-    return table
+    if none does), kept for the last ``(n, exponent)`` asked for.  The
+    cache is typed, since an equal exponent of another type (a
+    ``Decimal``) can give other weights or none.  The kept weights cost
+    about 32 bytes a node until a call at another ``(n, exponent)`` or
+    ``_powerlaw_table.cache_clear()``."""
+    cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))
+    first, total = cum[0], cum[-1]
+    # u is monotone in k = r >> 11 (module docstring): step from an
+    # estimate, off by a few units at most, to the least k with u >= first
+    k = min(int(first / total * 2**53), 2**53)
+    while k and (k - 1) * 2.0**-53 * total >= first:
+        k -= 1
+    while k < 2**53 and k * 2.0**-53 * total < first:
+        k += 1
+    return cum, total, k << 11
 
 
 def _top_up(rng: SplitMix64, vec: list, cap: int, amount: int) -> None:

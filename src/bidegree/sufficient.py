@@ -4,8 +4,7 @@ Each check either certifies graphicality or reports INCONCLUSIVE, never
 NOT_GRAPHIC.  Most read only ``seq.stats``, the summary that validation
 computed (node count ``n``, degree sum ``S``, minimum ``m``, maxima
 ``Ma``/``Mb``/``M``); the equal-vector check also compares the two
-sides when ``Ma == Mb`` (a parsed record's counts and entry strings,
-without decoding them), and the heavy-tail check walks the canonical
+vectors when ``Ma == Mb``, and the heavy-tail check walks the canonical
 pair order as a count of distinct pairs, which :func:`prepare` lists for
 it.  The conditions, by the CLI code used to select them:
 
@@ -46,7 +45,7 @@ from collections import Counter, namedtuple
 from itertools import accumulate
 from math import isqrt
 
-from .core import BidegreeSequence, equal_sides
+from .core import BidegreeSequence
 from .errors import InvalidStats
 from .exact import (
     INCONCLUSIVE,
@@ -150,7 +149,7 @@ def check_thm2(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     after canonical sorting; certifies when ``floor((m+M)^2/4) <= m*n``.
     """
     st = seq.stats
-    if st.max_in != st.max_out or not equal_sides(seq):
+    if st.max_in != st.max_out or seq.in_degrees != seq.out_degrees:
         return INCONCLUSIVE
     m, M = st.min_degree, st.max_degree
     if (m + M) ** 2 // 4 <= m * st.n:

@@ -165,6 +165,9 @@ class TestRecords:
         seq = bd.new_sequence([True, 0], [0, True])
         assert format_record(seq) == "1,0;0,1"
         assert parse_record(format_record(seq)) == seq
+        seq = bd.new_sequence([True, False, 2], [1, True, True])
+        assert format_record(seq) == "1,0,2;1,1,1"
+        assert parse_record(format_record(seq)) == seq
 
     @given(sequence_pairs(max_n=8))
     @settings(max_examples=100)
@@ -192,11 +195,6 @@ class TestFormatRecord:
     @pytest.fixture(autouse=True)
     def fresh_table(self, monkeypatch):
         monkeypatch.setattr(cli, "_TEXTS", ["0"])
-
-    def test_bool_entries(self):
-        for seq in (bd.new_sequence([True, 0], [0, True]),
-                    bd.new_sequence([True, False, 2], [1, True, True])):
-            assert format_record(seq) == int_repr_line(seq)
 
     def test_entry_equal_to_n(self):
         for n in (1, 2, 10, 100):

@@ -224,29 +224,27 @@ class TestGeneratorReference:
                 n, exponent, seed
             )
 
-    def test_powerlaw_table_hits_and_misses(self, monkeypatch):
+    def test_powerlaw_table_hits_and_misses(self):
         """Calls that replace the kept weight table (a new n, exponent or
         exponent type, as 3 then 3.0) and calls that reuse it (the second
         seed of each) give the reference sequence."""
-        monkeypatch.setattr(generate, "_table", None)
+        table = generate._powerlaw_table
+        table.cache_clear()
         calls = [(2000, 2.5), (700, 2.2), (2000, 2.5), (64, 3), (64, 3.0), (2, 10.0)]
-        for n, exponent in calls:
-            kept = generate._table
+        for i, (n, exponent) in enumerate(calls):
             for seed in (n, -n):
                 assert bd.gen_powerlaw(n, exponent, seed) == reference_powerlaw(
                     n, exponent, seed
                 ), (n, exponent, seed)
-                assert generate._table[0] == (n, exponent, type(exponent))
-                assert (generate._table is kept) is (seed < 0)
-                kept = generate._table
+            assert table.cache_info()[:2] == (i + 1, i + 1)  # hits, misses
 
-    def test_powerlaw_table_never_changes_an_outcome(self, monkeypatch):
+    def test_powerlaw_table_never_changes_an_outcome(self):
         """An exponent equal to the kept one but of another type builds its
         own weights: a Fraction gives the float's sequence, a Decimal fails
         as it does with no table kept."""
         want = reference_powerlaw(5, 2.5, 1)
         for warm in (False, True):
-            monkeypatch.setattr(generate, "_table", None)
+            generate._powerlaw_table.cache_clear()
             if warm:
                 bd.gen_powerlaw(5, 2.5, 0)
             assert bd.gen_powerlaw(5, Fraction(5, 2), 1) == want
@@ -263,7 +261,7 @@ class TestGeneratorReference:
         """R1 is the least draw whose u, as the reference computes it,
         reaches the first cumulative weight; 2**64 when no draw does, as
         past an exponent of about 1074 every weight but the first is 0."""
-        _, cum, total, first_end = generate._powerlaw_table(n, exponent)
+        cum, total, first_end = generate._powerlaw_table(n, exponent)
         assert cum == list(accumulate(x ** -exponent for x in range(1, n + 1)))
         assert total == cum[-1]
 

@@ -11,7 +11,6 @@ the error, type and message, the vectors raise.
 import copy
 import io
 import pickle
-import random
 import sys
 import threading
 
@@ -212,37 +211,24 @@ class TestVectorsOnDemand:
         assert out.splitlines()[-2:] == ["NOT_GRAPHIC exact j=3", "GRAPHIC exact"]
 
     def test_fallback_ladder_decodes_no_vectors(self, monkeypatch):
-        """thm2 tests ``Ma == Mb`` first, then compares a parsed record's
-        two sides by their counts and entry strings, so neither thm2 nor
-        the ladder with the exact fallback decodes a power-law record with
-        ``Ma != Mb``, with ``a == b``, or with ``b`` a shuffle of ``a``,
-        whichever rung decides; each gets the outcomes of the record built
-        from its vectors."""
-        rng = random.Random(27)
+        """thm2 tests ``Ma == Mb`` before it compares the vectors, so on
+        power-law records with ``Ma != Mb`` neither thm2 nor the ladder
+        with the exact fallback decodes them, whichever rung decides."""
         seqs = [bd.gen_powerlaw(300, 2.3, seed=seed) for seed in range(40)]
-        unequal = [seq for seq in seqs if seq.stats.max_in != seq.stats.max_out]
+        seqs = [seq for seq in seqs if seq.stats.max_in != seq.stats.max_out]
+        want = [bd.check_with_loops(seq).verdict for seq in seqs]
+        lines = [format_record(seq) for seq in seqs]
         # without the fallback cor5 certifies some, decoding them
-        certificates = [bd.certify(seq).certificate for seq in unequal]
+        certificates = [bd.certify(seq).certificate for seq in seqs]
         assert any(c and c.condition is bd.Condition.HEAVY_TAIL for c in certificates)
-        cases = unequal + [
-            bd.new_sequence(seq.in_degrees, other)
-            for seq in seqs
-            for other in (seq.in_degrees, rng.sample(seq.in_degrees, seq.n))
-        ]
-        want = [(bd.check_thm2(seq), bd.certify(seq, True, True)) for seq in cases]
-        # thm2 certifies some a == b records, the others reach its bound
-        assert any(thm2.verdict is bd.Verdict.GRAPHIC for thm2, _ in want)
-        assert sum(seq.in_degrees != seq.out_degrees for seq in cases) == len(
-            unequal) + len(seqs)
-        lines = [format_record(seq) for seq in cases]
 
         def decoded(*args):
             raise AssertionError("vectors decoded")
 
         monkeypatch.setattr(core, "_decoded", decoded)
-        for line, (thm2, outcome) in zip(lines, want):
-            assert bd.check_thm2(parse_record(line)) == thm2
-            assert bd.certify(parse_record(line), True, True) == outcome
+        for line, verdict in zip(lines, want):
+            assert bd.check_thm2(parse_record(line)).verdict is bd.Verdict.INCONCLUSIVE
+            assert bd.certify(parse_record(line), True, True).verdict is verdict
 
     def test_entry_strings_are_dropped_once_decoded(self):
         seq = parse_record("2,1,0;1,1,1")
