@@ -45,13 +45,21 @@ gives a process ended by SIGPIPE.
 ``generate`` takes its seed from ``--seed`` only, default 0; no command
 reads a seed from the environment.
 
-Each command imports only the modules it runs: the parser adds only the
-arguments of the command on the command line, and ``sufficient``,
-``generate`` and ``json`` are imported inside the functions that use
-them.  So ``realize`` loads ``core``, ``errors``, ``exact`` and
-``realize``; ``check``, ``bound`` and ``bench`` add ``sufficient``
-(``check --method exact`` does not), and ``generate`` adds ``generate``
-only.
+Each command compiles and imports only the code it runs.  ``check`` and
+``realize`` run from this module, ``bound``, ``generate`` and ``bench``
+from :mod:`bidegree.cli_extra`, which only they import.  The parser is
+built for the named command alone, and ``sufficient``, ``generate`` and
+``json`` are imported inside the functions that use them.  So
+``realize`` loads ``core``, ``errors``, ``exact`` and ``realize``;
+``check`` adds ``sufficient`` (``check --method exact`` does not);
+``bound`` adds ``cli_extra`` and ``sufficient``, ``generate`` adds
+``cli_extra`` and ``generate``, and ``bench`` adds ``cli_extra``, and
+``sufficient`` once it has a record to time.
+
+``realize`` writes a record, with the blank line before it, in blocks of
+whole lines of at most 64 KiB (a longer line alone), and ends it before
+it reads the next; the other commands write each line at once.  On an
+unbuffered stdout (``PYTHONUNBUFFERED``) each write is a system call.
 """
 
 from __future__ import annotations
@@ -59,9 +67,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from collections import Counter
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from itertools import chain, islice
 
 from .core import BidegreeSequence, from_entries, new_sequence
 from .errors import BidegreeError, SumMismatch
@@ -71,7 +78,6 @@ from .exact import (
     Verdict,
     check_no_loops,
     check_with_loops,
-    violated_indices,
 )
 from .realize import realize
 
@@ -298,30 +304,28 @@ def _cmd_check(args, stdin, stdout, stderr) -> int:
     return _exit_code(seen)
 
 
-def _cmd_bound(args, stdin, stdout, stderr) -> int:
-    from .sufficient import bound_table
+# the most characters one write of realize holds, unless it is one line
+_BLOCK = 1 << 16
 
-    try:
-        table = bound_table(args.n, args.m, args.total)
-    except BidegreeError as exc:
-        stderr.write(f"error: {exc}\n")
-        return 3
-    cells = {j: table.h.get(j, "n/a") for j in range(2, 7)}
-    if args.format == "csv":
-        stdout.write("J,H\n")
-        for j in range(2, 7):
-            stdout.write(f"{j},{cells[j]}\n")
-    else:
-        stdout.write(" ".join(f"H{j}={cells[j]}" for j in range(2, 7)) + "\n")
-        best = max(table.h.values())
-        winners = " ".join(f"H{j}" for j in sorted(table.h) if table.h[j] == best)
-        stdout.write(f"largest: {winners}\n")
-    return 0
+
+def _write_text(write, text: str):
+    """Write ``text``, whole lines, in blocks of ``_BLOCK`` characters at
+    most, each ending at a line end; a longer line goes out alone."""
+    start = 0
+    while len(text) - start > _BLOCK:
+        # after the last line end within the block, else after the long line
+        stop = (text.rfind("\n", start, start + _BLOCK) + 1
+                or text.index("\n", start + _BLOCK) + 1)
+        write(text[start:stop])
+        start = stop
+    if start < len(text):
+        write(text[start:])
 
 
 def _cmd_realize(args, stdin, stdout, stderr) -> int:
     seen: set = set()
-    first = True
+    write = stdout.write
+    gap = ""  # the blank line that separates a record from the one before
     for lineno, seq in _records(args.input, stdin, stderr, seen):
         if seq is not None:
             try:
@@ -330,141 +334,27 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
                 stderr.write(f"line {lineno}: {exc}\n")
                 seen.add(3)
                 continue
-        if not first:
-            stdout.write("\n")  # blank separator between records
-        first = False
         if seq is None:
-            stdout.write(_SUM_MISMATCH + "\n")
+            _write_text(write, f"{gap}{_SUM_MISMATCH}\n")
         elif isinstance(result, CheckOutcome):
             seen.add(_EXIT_CODE[result.verdict])
-            stdout.write(f"NOT_GRAPHIC j={result.witness}\n")
+            _write_text(write, f"{gap}NOT_GRAPHIC j={result.witness}\n")
         elif args.format == "dense":
-            for row in result.row_strings():
-                stdout.write(row + "\n")
+            # rows are built as they are written, so the matrix is never
+            # held whole as text; each is n characters and its end
+            lines = chain([""] if gap else [], result.row_strings())
+            per_block = max(1, _BLOCK // (result.n + 1))
+            while block := list(islice(lines, per_block)):
+                block.append("")  # the end of the last line
+                write("\n".join(block))
         else:
-            # one write per source: its lines share the "src " prefix
-            for src, dsts in enumerate(result.targets):
-                if dsts:
-                    head = f"{src} "
-                    stdout.write(head + f"\n{head}".join(map(str, dsts)) + "\n")
+            # a source's lines share its "src " prefix; the record's text,
+            # built whole, is about the size of its target lists
+            _write_text(write, gap + "".join(
+                f"{src} " + f"\n{src} ".join(map(str, dsts)) + "\n"
+                for src, dsts in enumerate(result.targets) if dsts))
+        gap = "\n"
     return _exit_code(seen)
-
-
-def _cmd_generate(args, stdin, stdout, stderr) -> int:
-    from .generate import GeneratorSpec, generate_sequence
-
-    if args.count < 0:
-        stderr.write(f"error: --count must be at least 0, got {args.count}\n")
-        return 3
-    try:
-        # the generator flags are parsed under GeneratorSpec's field names
-        spec = GeneratorSpec(
-            **{name: getattr(args, name) for name in GeneratorSpec._fields}
-        )
-        for i in range(args.count):
-            seq = generate_sequence(spec._replace(seed=spec.seed + i))
-            stdout.write(format_record(seq) + "\n")
-    except BidegreeError as exc:
-        stderr.write(f"error: {exc}\n")
-        return 3
-    return 0
-
-
-def _median_p99(samples) -> tuple[int, int]:
-    """The median, as the truncated mean of the middle two samples, and
-    the nearest-rank p99."""
-    ordered = sorted(samples)
-    size = len(ordered)
-    median = (ordered[(size - 1) // 2] + ordered[size // 2]) // 2
-    return median, ordered[max(0, -(-99 * size // 100) - 1)]  # ceil(.99 size)
-
-
-_BENCH_COLUMNS = (
-    "check certified inconclusive not_graphic coverage median_ns p99_ns".split()
-)
-
-
-def _cmd_bench(args, stdin, stdout, stderr) -> int:
-    if args.repeat < 1:
-        stderr.write(f"error: --repeat must be at least 1, got {args.repeat}\n")
-        return 3
-    seen: set = set()
-    # each record as a sequence built from its vectors, as a library caller
-    # builds one: the exact row counts its own degrees, no later row reads
-    # vectors an earlier row decoded, and no record keeps its entry strings
-    seqs = [
-        None if seq is None else new_sequence(seq.in_degrees, seq.out_degrees)
-        for _, seq in _records(args.input, stdin, stderr, seen)
-    ]
-    if 3 in seen:
-        return 3
-    mismatched = seqs.count(None)
-    seqs = [seq for seq in seqs if seq is not None]
-    if not seqs:
-        # a CSV reader gets the header and no rows
-        empty = ",".join(_BENCH_COLUMNS) if args.format == "csv" else "empty corpus"
-        stdout.write(empty + "\n")
-        return 0
-    table, not_graphic = _bench_table(seqs, args.loops, args.repeat)
-    if args.format == "csv":
-        for row in table:
-            stdout.write(",".join(map(str, row)) + "\n")
-        return 0
-
-    stdout.write(
-        f"records={len(seqs)} sum_mismatch={mismatched} repeat={args.repeat} "
-        f"policy={'loops' if args.loops else 'no-loops'}\n"
-    )
-    widths = [12, 9, 12, 11, 8, 10, 10]
-    for row in table:
-        stdout.write(" ".join(str(c).ljust(w) for c, w in zip(row, widths)) + "\n")
-    if not_graphic:
-        witness_hist = Counter(
-            j for seq in not_graphic for j in violated_indices(seq, args.loops)
-        )
-        top = sorted(witness_hist.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-        summary = " ".join(f"j={j}:{c}" for j, c in top)
-        stdout.write(f"violated indices over non-graphic records: {summary}\n")
-    return 0
-
-
-def _bench_table(seqs, loops: bool, repeat: int) -> tuple[list, list]:
-    """Time, on each record, every check the policy allows and the exact
-    check, each as ``check --method`` calls it; return the report, header
-    first, and the records the exact check found not graphic."""
-    from .sufficient import Condition
-
-    labels = [
-        cond.value for cond in Condition if loops or cond.certifies_no_loops
-    ] + ["exact"]
-    rows = [(label, _decider(label, loops), []) for label in labels]
-    certified = Counter()
-    not_graphic = []  # only the exact check finds a record not graphic
-
-    clock = time.perf_counter_ns
-    for seq in seqs:
-        for rep in range(repeat):
-            for label, call, samples in rows:
-                t0 = clock()
-                outcome = call(seq)
-                samples.append(clock() - t0)
-                if rep == 0 and outcome.verdict is Verdict.GRAPHIC:
-                    certified[label] += 1
-                elif rep == 0 and outcome.verdict is Verdict.NOT_GRAPHIC:
-                    not_graphic.append(seq)
-
-    # a check leaves each record it does not certify inconclusive, the
-    # exact check finds it not graphic
-    records, graphic = len(seqs), certified["exact"]
-    table = [_BENCH_COLUMNS]
-    for label, _, samples in rows:
-        missed = records - certified[label]
-        counts = (0, missed) if label == "exact" else (missed, 0)
-        coverage = f"{certified[label] / graphic:.4f}" if graphic else "n/a"
-        table.append(
-            (label, certified[label], *counts, coverage, *_median_p99(samples))
-        )
-    return table, not_graphic
 
 
 def _add_loop_flags(parser):
@@ -516,75 +406,55 @@ def _check_arguments(parser):
     )
 
 
-def _bound_arguments(parser):
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--m", type=int, required=True)
-    parser.add_argument("--total", type=int, required=True)
-    parser.add_argument("--format", choices=["text", "csv"], default="text")
-
-
 def _realize_arguments(parser):
     parser.add_argument("input", nargs="?", default="-")
     _add_loop_flags(parser)
     parser.add_argument("--format", choices=["dense", "edges"], default="dense")
 
 
-def _generate_arguments(parser):
-    from .generate import GENERATOR_KINDS
-
-    parser.add_argument("--kind", choices=GENERATOR_KINDS, required=True,
-                        help="generator family")
-    parser.add_argument("--n", type=int, help="node count")
-    parser.add_argument("--total", type=int, help="degree sum")
-    # dest is GeneratorSpec's field name, metavar the flag's own
-    parser.add_argument("--min", dest="min_degree", metavar="MIN", type=int,
-                        help="minimum degree (uniform)")
-    parser.add_argument("--max", dest="max_degree", metavar="MAX", type=int,
-                        help="maximum degree (uniform/extremal)")
-    parser.add_argument("--exponent", type=float, help="power-law exponent (> 2)")
-    parser.add_argument("--Ma", dest="max_in", metavar="MA", type=int,
-                        help="maximum in-degree (counterexample1)")
-    parser.add_argument("--Mb", dest="max_out", metavar="MB", type=int,
-                        help="maximum out-degree (counterexample1)")
-    parser.add_argument("--count", type=int, default=1, help="records to emit")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed (record i uses seed+i)")
-
-
-def _bench_arguments(parser):
-    parser.add_argument("input", nargs="?", default="-", help="file or - for stdin")
-    _add_loop_flags(parser)
-    parser.add_argument("--repeat", type=int, default=1, help="timing repetitions")
-    parser.add_argument("--format", choices=["text", "csv"], default="text")
-
-
-# command -> (its help line, the call that adds its arguments, its handler)
+# command -> its help line.  check and realize run from this module; the
+# other commands run from cli_extra, which only they import.
 _COMMANDS = {
-    "check": ("decide graphicality per record", _check_arguments, _cmd_check),
-    "bound": ("largest certifiable max degree per condition", _bound_arguments,
-              _cmd_bound),
-    "realize": ("construct adjacency matrices", _realize_arguments, _cmd_realize),
-    "generate": ("emit generated records", _generate_arguments, _cmd_generate),
-    "bench": ("coverage and timing over a corpus", _bench_arguments, _cmd_bench),
+    "check": "decide graphicality per record",
+    "bound": "largest certifiable max degree per condition",
+    "realize": "construct adjacency matrices",
+    "generate": "emit generated records",
+    "bench": "coverage and timing over a corpus",
 }
 
 
+def _command(name: str):
+    """The call that adds the arguments of command ``name``, and its
+    handler."""
+    if name == "check":
+        return _check_arguments, _cmd_check
+    if name == "realize":
+        return _realize_arguments, _cmd_realize
+    from .cli_extra import COMMANDS
+
+    return COMMANDS[name]
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """A parser that adds the arguments of ``command`` only, and of no
-    command when it is None, so that parsing a command line imports only
-    the modules its command runs.  Every command keeps its name and help
-    line, so the top-level help and usage errors, which never print a
-    command's arguments, are the same."""
+    """The parser of ``command`` alone, or, when it is None, of every
+    command without its arguments, so that parsing a command line builds
+    one command's parser and imports only the modules that command runs.
+    With one command the metavar still lists them all, so the top-level
+    usage line, which a usage error prints, is the same either way."""
     parser = argparse.ArgumentParser(
         prog="bidegree",
         description="Graphicality checks, realization, and generators for "
         "directed bidegree sequences.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        command_parser = sub.add_parser(name, help=help_line)
-        if command == name:
-            add_arguments(command_parser)
+    if command is None:
+        # no metavar: a missing command's error names the dest, "command"
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, help_line in _COMMANDS.items():
+            sub.add_parser(name, help=help_line)
+        return parser
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS))
+    _command(command)[0](sub.add_parser(command, help=_COMMANDS[command]))
     return parser
 
 
@@ -603,7 +473,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         if exc.code != 2:
             raise  # --help exits 0
         return 3  # a usage error is an input error, not "inconclusive"
-    return _COMMANDS[args.command][2](args, stdin, stdout, stderr)
+    return _command(args.command)[1](args, stdin, stdout, stderr)
 
 
 def entry():
@@ -620,4 +490,7 @@ def entry():
 
 
 if __name__ == "__main__":
+    # cli_extra imports this module by name: let it find this run of the
+    # module, not compile a second one
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     entry()

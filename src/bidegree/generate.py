@@ -29,6 +29,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
+from numbers import Real
 
 from .core import BidegreeSequence, new_sequence
 from .errors import BadExponent, Infeasible, InvalidParameters
@@ -182,10 +183,14 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
     Raises
     ------
     BadExponent
-        Unless ``exponent > 2`` (the mean must be finite); NaN fails too.
+        Unless ``exponent`` is a real number (an int, a float or a
+        ``Fraction``, not a ``Decimal``) and ``exponent > 2`` (the mean
+        must be finite); NaN fails too.
     InvalidParameters
         If ``n < 2``.
     """
+    if not isinstance(exponent, Real):
+        raise BadExponent(f"exponent must be a real number, got {exponent!r}")
     if not exponent > 2:
         raise BadExponent(f"exponent must exceed 2, got {exponent}")
     if n < 2:
@@ -215,8 +220,8 @@ def _powerlaw_table(n: int, exponent: float) -> tuple:
     total ``W`` and ``R1``, the least 64-bit draw ``r`` whose
     ``u = (r >> 11) * 2.0**-53 * W`` reaches the first weight (``2**64``
     if none does), kept for the last ``(n, exponent)`` asked for.  The
-    cache is typed, since an equal exponent of another type (a
-    ``Decimal``) can give other weights or none.  The kept weights cost
+    cache is typed, since an equal exponent of another type can give
+    other weights (``Fraction(3)`` exact ones).  The kept weights cost
     about 32 bytes a node until a call at another ``(n, exponent)`` or
     ``_powerlaw_table.cache_clear()``."""
     cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
-from bidegree import cli, sufficient
+from bidegree import cli, cli_extra, sufficient
 from bidegree.cli import format_record, main, parse_record
 from bidegree.generate import SplitMix64
 from conftest import sequence_pairs
@@ -958,7 +958,7 @@ class TestBench:
             calls.append(seq)
             return bd.violated_indices(seq, loops)
 
-        monkeypatch.setattr(cli, "violated_indices", counted)
+        monkeypatch.setattr(cli_extra, "violated_indices", counted)
         all_graphic = TEN_NODE_RECORD + "\n1,1;1,1\n"
         code, out, err = run_cli(["bench"], all_graphic)
         assert (code, err, calls) == (0, "", [])
@@ -1012,7 +1012,7 @@ class TestBench:
         assert "empty corpus" in out
         # as CSV: the header and no rows
         assert run_cli(["bench", "--format", "csv", str(corpus)]) == (
-            0, ",".join(cli._BENCH_COLUMNS) + "\n", "")
+            0, ",".join(cli_extra._BENCH_COLUMNS) + "\n", "")
 
     @pytest.mark.parametrize("argv", [["bench"], ["bench", "-"]], ids=["none", "dash"])
     def test_reads_stdin_by_default(self, argv):
@@ -1037,7 +1037,7 @@ class TestBench:
                 # nearest rank: the least sample with 99% of them at or below
                 p99 = min(x for x in samples
                           if 100 * sum(y <= x for y in samples) >= 99 * size)
-                assert cli._median_p99(samples) == (
+                assert cli_extra._median_p99(samples) == (
                     int(statistics.median(samples)), p99)
 
 
@@ -1313,6 +1313,12 @@ GOLDEN_PARSER_OUTPUT = [
      "d5a632d2045473e0bef7a820df9c2ddf6efca9470ba68e9b2e0d5bf13f464cf9"),
     ("generate --kind bogus", 3, "stderr",
      "f20dd124f9a13856084cc918be1efb0ab375fe374e74cb429479bab6a6b906d8"),
+    # an option the command does not take is rejected by the top-level
+    # parser, whose usage line lists every command
+    ("realize --bogus", 3, "stderr",
+     "5943f90a5646da47f676962782ff5a67ddf8e0e36e3d0c4086ff8b392c342cd6"),
+    ("check --bogus", 3, "stderr",
+     "5943f90a5646da47f676962782ff5a67ddf8e0e36e3d0c4086ff8b392c342cd6"),
 ]
 # CPython 3.13 wraps the generate usage line after "[-h]", not after "--kind"
 GOLDEN_PARSER_OUTPUT_3_13 = {
@@ -1367,36 +1373,74 @@ class CountedWrites(io.StringIO):
 ])
 def test_one_write_per_output_line(argv):
     """Every command hands stdout whole lines, their ends included: on an
-    unbuffered stdout every write is a system call.  ``realize --format
-    edges`` writes all edge lines of one source at once, and every other
-    line goes out on its own."""
+    unbuffered stdout every write is a system call.  ``realize`` writes
+    each of these records, the blank line before it included, at once,
+    and every other line goes out on its own."""
     out = CountedWrites()
     stdin = "\n".join([TEN_NODE_RECORD, COUNTEREXAMPLE_RECORD, "2,1;1,1",
                        "1,1;1,1"]) + "\n"
     main(argv, stdin=io.StringIO(stdin), stdout=out, stderr=io.StringIO())
 
-    def write_key(line):
-        # the edge lines of one source share a write; any other line is
-        # a write of its own
-        src, _, dst = line.partition(" ")
-        if "edges" in argv and src.isdigit() and dst.isdigit():
-            return src
-        return object()
-
     lines = out.getvalue().splitlines()
     assert len(lines) >= 2
-    assert out.writes == [
-        "".join(line + "\n" for line in group)
-        for _, group in itertools.groupby(lines, key=write_key)
-    ]
+    if argv[0] == "realize":
+        # no output line is blank but the one between two records
+        first, *rest = out.getvalue()[:-1].split("\n\n")
+        assert out.writes == [first + "\n"] + [f"\n{text}\n" for text in rest]
+        assert len(out.writes) == 4
+    else:
+        assert out.writes == [line + "\n" for line in lines]
     if argv[0] == "generate":
         assert len(out.writes) == 100
-    if "edges" in argv:
-        assert len(out.writes) < len(lines)
 
 
-@pytest.mark.parametrize("argv", [["check"], ["realize", "--format", "edges"]],
-                         ids=["check", "realize-edges"])
+@pytest.mark.parametrize("block", [None, 64, 5], ids=["64KiB", "64", "5"])
+@pytest.mark.parametrize("fmt", ["dense", "edges"])
+def test_realize_writes_records_in_blocks_of_whole_lines(fmt, block,
+                                                         monkeypatch):
+    """``realize`` writes each record, with the blank line before it, in
+    blocks of whole lines of at most ``cli._BLOCK`` characters, a longer
+    line alone, and so a record that fits in one block in one write.  The
+    blocks join to the same bytes whatever their size.  The corpus has a
+    record past 64 KiB in either format."""
+    big = [bd.gen_uniform(n, 9 * n, 1, n, seed=n) for n in (300, 1000)]
+    # the n = 300 matrix and the n = 1000 edge list are past 64 KiB
+    assert 300 * 301 > 1 << 16
+    assert sum(len(f"{i} {j}\n") for i, j in bd.realize(big[1]).edges()) > 1 << 16
+    stdin = "\n".join([TEN_NODE_RECORD, COUNTEREXAMPLE_RECORD, "2,1;1,1",
+                       *map(format_record, big), "1;1"]) + "\n"
+
+    def writes():
+        out = CountedWrites()
+        main(["realize", "--format", fmt], stdin=io.StringIO(stdin), stdout=out,
+             stderr=io.StringIO())
+        return out
+
+    expected = writes().getvalue()
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK", block)
+    out = writes()
+    assert out.getvalue() == expected
+    # a record's first write starts with the blank line before it
+    records = []
+    for text in out.writes:
+        assert text.endswith("\n") and "\n\n" not in text
+        assert len(text) <= cli._BLOCK or text.count("\n") == 1
+        if text.startswith("\n") or not records:
+            records.append([])
+        records[-1].append(text)
+    assert len(records) == 6
+    for texts in records:
+        if len("".join(texts)) <= cli._BLOCK:
+            assert len(texts) == 1
+    if block is None:
+        assert [len(texts) > 1 for texts in records] == [
+            False, False, False, fmt == "dense", True, False]
+
+
+@pytest.mark.parametrize("argv", [["check"], ["realize", "--format", "edges"],
+                                  ["realize", "--format", "dense"]],
+                         ids=["check", "realize-edges", "realize-dense"])
 def test_stdout_bytes_do_not_depend_on_buffering(argv, monkeypatch):
     """A child writes the same stdout bytes, and exits alike, whether its
     stdout is buffered or not."""

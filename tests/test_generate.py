@@ -123,9 +123,18 @@ class TestGenPowerlaw:
         assert ones >= 0.8 * 200
 
     def test_bad_exponent(self):
-        for exponent in (2.0, float("nan")):
+        for exponent in (2.0, float("nan"), Fraction(2), Decimal("2.5"),
+                         Decimal("NaN"), "2.5"):
             with pytest.raises(bd.BadExponent):
                 bd.gen_powerlaw(100, exponent, seed=0)
+
+    def test_fraction_exponent(self):
+        """A Fraction exponent is a real number: one with a denominator
+        weighs as its float does, an integer one exactly."""
+        assert bd.gen_powerlaw(60, Fraction(5, 2), 1) == bd.gen_powerlaw(60, 2.5, 1)
+        seq = bd.gen_powerlaw(60, Fraction(3), 1)
+        assert sum(seq.in_degrees) == sum(seq.out_degrees)
+        assert bd.stats(seq).min_degree >= 1
 
     def test_tiny_n_rejected(self):
         with pytest.raises(bd.InvalidParameters):
@@ -248,7 +257,7 @@ class TestGeneratorReference:
             if warm:
                 bd.gen_powerlaw(5, 2.5, 0)
             assert bd.gen_powerlaw(5, Fraction(5, 2), 1) == want
-            with pytest.raises(TypeError):
+            with pytest.raises(bd.BadExponent):
                 bd.gen_powerlaw(5, Decimal("2.5"), 1)
 
     @pytest.mark.parametrize("n", [2, 3, 2000])
