@@ -38,9 +38,14 @@ timed set and counts them as ``sum_mismatch=K``; it prints its report,
 as text or with ``--format csv`` as the table's rows, only when every
 record parsed.
 
-When the reader of stdout goes away (``bidegree realize | head``), the
-command stops without a traceback and exits with 141, the code a shell
-gives a process ended by SIGPIPE.
+When the reader of stdout or stderr goes away (``bidegree realize |
+head``, or ``2>&1 | head``), the command stops without a traceback and
+exits with 141, the code a shell gives a process ended by SIGPIPE.
+Run as a program, :func:`entry` ends the process as soon as its output is
+flushed: its ``atexit`` callbacks still run, but the interpreter's
+teardown, which frees every object and module, is skipped, unless a
+profiler or tracer is attached, which reports at that teardown.
+:func:`main` itself returns the exit code and ends nothing.
 
 ``generate`` takes its seed from ``--seed`` only, default 0; no command
 reads a seed from the environment.
@@ -65,6 +70,7 @@ unbuffered stdout (``PYTHONUNBUFFERED``) each write is a system call.
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
@@ -476,17 +482,43 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     return _command(args.command)[1](args, stdin, stdout, stderr)
 
 
+def _flushed(code: int) -> int:
+    """Flush stdout and stderr and return ``code``, or 141 (128 + SIGPIPE,
+    as a shell reports a process it ended) if the reader of either went
+    away (``| head``).  Such a stream is pointed at devnull, so no later
+    flush can raise again."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            code = 141
+    return code
+
+
+def _observed() -> bool:
+    """Whether a profiler or tracer is attached: through ``sys.setprofile``
+    or ``sys.settrace``, or, from CPython 3.12 (where ``cProfile`` uses it),
+    as a ``sys.monitoring`` tool, of which there are six ids."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))
+
+
 def entry():
+    """Run :func:`main` on the process's arguments and streams, then end
+    the process with its exit code once the ``atexit`` callbacks have run
+    and stdout and stderr are flushed, skipping interpreter teardown.  A
+    profiler or tracer reports at interpreter exit, so while one is
+    attached the process exits through ``sys.exit``."""
     try:
         code = main()
-        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe (e.g. `| head`); point stdout at devnull
-        # so the flush at interpreter exit cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        sys.exit(141)  # 128 + SIGPIPE, as a shell reports a process it ended
-    sys.exit(code)
+        code = 141
+    if _observed():
+        sys.exit(_flushed(code))
+    atexit._run_exitfuncs()
+    os._exit(_flushed(code))
 
 
 if __name__ == "__main__":

@@ -75,13 +75,23 @@ def run_cli(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 
+def python_child(argv, unbuffered=None, **kwargs):
+    """``python argv`` in a child process that imports this checkout's
+    package.  ``unbuffered`` True sets ``PYTHONUNBUFFERED``, False unsets
+    it, None leaves it as it is here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
+
+
 def cli_child(argv, **kwargs):
     """``python -m bidegree.cli argv`` in a child process that imports this
     checkout's package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.Popen(
-        [sys.executable, "-m", "bidegree.cli", *argv], env=env, **kwargs)
+    return python_child(["-m", "bidegree.cli", *argv], **kwargs)
 
 
 class TestRecords:
@@ -1261,33 +1271,139 @@ class TestInputErrors:
         assert err == "error: exponent must exceed 2, got nan\n"
 
 
+@cache
+def dense_4mb_record():
+    """A record whose dense 2000 x 2000 matrix is 4 MB of text."""
+    return format_record(bd.gen_uniform(2000, 14_000, 1, 2000, seed=1))
+
+
 class TestBrokenPipe:
     """A reader that stops early (``| head -1``) ends the run quietly."""
 
     @pytest.mark.parametrize("command", ["realize", "check"])
-    def test_closed_stdout_is_quiet(self, tmp_path, monkeypatch, command):
-        if command == "realize":  # one dense 2000 x 2000 matrix, 4 MB
-            seq = bd.gen_uniform(2000, 14_000, 1, 2000, seed=1)
-            corpus = format_record(seq) + "\n"
+    def test_closed_stdout_is_quiet(self, tmp_path, command):
+        if command == "realize":
+            corpus = dense_4mb_record() + "\n"
         else:  # 50k verdict lines, 1 MB
             corpus = TEN_NODE_RECORD + "\n" + "1,1;1,1\n" * 50_000
         path = tmp_path / "corpus.txt"
         path.write_text(corpus)
         # a buffered stdout fails at a flush, an unbuffered one at a write
-        for unbuffered in ("1", None):
-            with monkeypatch.context() as env:
-                if unbuffered:
-                    env.setenv("PYTHONUNBUFFERED", unbuffered)
-                else:
-                    env.delenv("PYTHONUNBUFFERED", raising=False)
-                proc = cli_child([command, str(path)],
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for unbuffered in (True, False):
+            proc = cli_child([command, str(path)], unbuffered=unbuffered,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
             assert proc.stdout.readline()
             proc.stdout.close()
             err = proc.stderr.read()
             proc.stderr.close()
             assert proc.wait(timeout=120) == 141, unbuffered
             assert err == b"", unbuffered
+
+    # `2>&1 | head -1` and `2>&1 >/dev/null | head -1`
+    @pytest.mark.parametrize("stdout", [subprocess.STDOUT, subprocess.DEVNULL],
+                             ids=["stdout-too", "stderr-only"])
+    @pytest.mark.parametrize("prefix", [
+        ["-m", "bidegree.cli"],
+        # a tracer attached: the process exits through interpreter teardown
+        ["-c", "import sys; from bidegree.cli import entry; "
+               "sys.settrace(lambda *args: None); entry()"],
+    ], ids=["cli", "traced"])
+    def test_closed_stderr_exits_141(self, tmp_path, stdout, prefix):
+        """50k malformed lines, each an error line on stderr, and then 50k
+        good ones: the reader of stderr goes away while the errors are
+        written.  A line-buffered stderr keeps the failed line, which
+        must not fail again when the process ends."""
+        path = tmp_path / "corpus.txt"
+        path.write_text("1,x;1,1\n" * 50_000 + "1,1;1,1\n" * 50_000)
+        if stdout == subprocess.STDOUT:
+            streams = {"stdout": subprocess.PIPE, "stderr": stdout}
+        else:
+            streams = {"stdout": stdout, "stderr": subprocess.PIPE}
+        for unbuffered in (True, False):
+            proc = python_child([*prefix, "check", str(path)],
+                                unbuffered=unbuffered, **streams)
+            reader = proc.stdout or proc.stderr
+            assert reader.readline() == (
+                b"line 1: plain entries must be ASCII digits, got 'x'\n")
+            reader.close()
+            assert proc.wait(timeout=120) == 141, unbuffered
+
+
+# a command line for each exit code, 0 to 3, and a 4 MB dense matrix
+EXIT_CASES = {
+    "graphic": (["check"], "\n".join([TEN_NODE_RECORD, "1,1;1,1"] * 50), 0),
+    "not-graphic": (["check", "--method", "exact"],
+                    "\n".join([TEN_NODE_RECORD, COUNTEREXAMPLE_RECORD] * 50), 1),
+    "inconclusive": (["check", "--method", "thm3"], COUNTEREXAMPLE_RECORD, 2),
+    "malformed": (["check"], "\n".join([TEN_NODE_RECORD, "1,x;1,1"] * 50), 3),
+    "realize-4MB": (["realize", "--format", "dense"], None, 0),
+}
+
+# a child that keeps an object whose finalizer writes to stderr and
+# registers an atexit callback that does, then runs the command line
+TEARDOWN_PROBE = """
+import atexit, sys
+from bidegree.cli import entry
+
+class Finalized:
+    def __del__(self, write=sys.stderr.write):
+        write("torn down\\n")
+
+finalized = Finalized()
+atexit.register(sys.stderr.write, "atexit ran\\n")
+entry()
+"""
+
+
+class TestProcessExit:
+    """A CLI process ends once its output is flushed, without interpreter
+    teardown, and loses no byte of its output doing so."""
+
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_child_output_equals_main(self, tmp_path, case):
+        """Buffered or not, to a file or a pipe, a child prints what
+        ``main`` prints in process and exits with the code it returns."""
+        argv, records, code = EXIT_CASES[case]
+        path = tmp_path / "records.txt"
+        path.write_text((records or dense_4mb_record()) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        assert main([*argv, str(path)], stdout=out, stderr=err) == code
+        expected = (code, out.getvalue().encode(), err.getvalue().encode())
+        assert expected[1]
+        for unbuffered in (True, False):
+            with open(tmp_path / "out.txt", "w+b") as out_file:
+                for stdout in (subprocess.PIPE, out_file):
+                    proc = cli_child([*argv, str(path)], unbuffered=unbuffered,
+                                     stdin=subprocess.DEVNULL, stdout=stdout,
+                                     stderr=subprocess.PIPE)
+                    printed, printed_err = proc.communicate(timeout=120)
+                    if stdout is out_file:
+                        out_file.seek(0)
+                        printed = out_file.read()
+                    assert (proc.returncode, printed, printed_err) == expected, (
+                        unbuffered, stdout)
+
+    def test_teardown_is_skipped_and_atexit_runs_once(self):
+        proc = python_child(["-c", TEARDOWN_PROBE, "check"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+        out, err = proc.communicate(b"1,1;1,1\n", timeout=60)
+        assert (proc.returncode, out, err) == (
+            0, b"GRAPHIC thm3 Ma=1 Mb=1\n", b"atexit ran\n")
+
+    def test_profiled_child_prints_its_profile(self, tmp_path):
+        """cProfile prints its report as the interpreter exits, after the
+        command's output."""
+        path = tmp_path / "records.txt"
+        path.write_text(f"{TEN_NODE_RECORD}\n{COUNTEREXAMPLE_RECORD}\n")
+        proc = python_child(["-m", "cProfile", "-m", "bidegree.cli", "check",
+                             "--method", "exact", str(path)],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert out.startswith(b"GRAPHIC exact\nNOT_GRAPHIC exact j=3\n")
+        assert b" function calls " in out and b"Ordered by:" in out
+        assert err == b""
 
 
 # (command line, exit code, the stream it prints to, SHA-256 of that
@@ -1441,20 +1557,15 @@ def test_realize_writes_records_in_blocks_of_whole_lines(fmt, block,
 @pytest.mark.parametrize("argv", [["check"], ["realize", "--format", "edges"],
                                   ["realize", "--format", "dense"]],
                          ids=["check", "realize-edges", "realize-dense"])
-def test_stdout_bytes_do_not_depend_on_buffering(argv, monkeypatch):
+def test_stdout_bytes_do_not_depend_on_buffering(argv):
     """A child writes the same stdout bytes, and exits alike, whether its
     stdout is buffered or not."""
     corpus = generated("--kind", "powerlaw", "--n", "60", "--exponent", "2.5",
                        "--count", "40", "--seed", "4").encode()
     runs = []
-    for unbuffered in (None, "1"):
-        with monkeypatch.context() as env:
-            if unbuffered:
-                env.setenv("PYTHONUNBUFFERED", unbuffered)
-            else:
-                env.delenv("PYTHONUNBUFFERED", raising=False)
-            child = cli_child(argv, stdin=subprocess.PIPE,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for unbuffered in (False, True):
+        child = cli_child(argv, unbuffered=unbuffered, stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         out, err = child.communicate(corpus, timeout=120)
         runs.append((child.returncode, out, err))
     assert runs[0][1]
