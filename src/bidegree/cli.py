@@ -50,6 +50,22 @@ profiler or tracer is attached, which reports at that teardown.
 ``generate`` takes its seed from ``--seed`` only, default 0; no command
 reads a seed from the environment.
 
+:func:`main` reads a ``check`` or ``realize`` command line itself when it
+is spelled exactly.  Each option is then a whole token of the command's
+table (``--loops`` or ``--no-loops``, with ``--method CODE`` and
+``--fallback-exact`` for ``check`` or ``--format dense|edges`` for
+``realize``), given at most once, a valued one followed by one of its
+choices; at most one other token is the input, ``-`` or a token that does
+not start with ``-``.  The handler gets the attributes argparse would give
+it.  Every other command line goes to argparse, which alone prints help,
+usage and errors: ``-h``, an abbreviation such as ``--meth``, an
+``--option=value`` form, a repeated option, both loop flags, ``--``, a
+token such as ``-5``, an unknown option, and every command line of the
+other commands.  The table declares each option once, for both readers.
+argparse, which loads ``gettext`` and ``locale``, is imported only to
+build a parser, so a well-formed ``check`` or ``realize`` process never
+loads it.
+
 Each command compiles and imports only the code it runs.  ``check`` and
 ``realize`` run from this module, ``bound``, ``generate`` and ``bench``
 from :mod:`bidegree.cli_extra`, which only they import.  The parser is
@@ -69,12 +85,13 @@ unbuffered stdout (``PYTHONUNBUFFERED``) each write is a system call.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from functools import partial
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from .core import BidegreeSequence, from_entries, new_sequence
 from .errors import BidegreeError, SumMismatch
@@ -363,23 +380,6 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
     return _exit_code(seen)
 
 
-def _add_loop_flags(parser):
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--loops",
-        dest="loops",
-        action="store_true",
-        default=True,
-        help="allow self-loops (default)",
-    )
-    group.add_argument(
-        "--no-loops",
-        dest="loops",
-        action="store_false",
-        help="require a zero diagonal",
-    )
-
-
 class _MethodChoices:
     """``--method``'s choices: ``exact``, ``auto`` and the condition codes.
     It answers ``exact`` and ``auto`` without importing ``sufficient``, and
@@ -395,27 +395,81 @@ class _MethodChoices:
         return iter(["exact", "auto"] + sorted(cond.value for cond in Condition))
 
 
-def _check_arguments(parser):
-    parser.add_argument("input", nargs="?", default="-", help="file or - for stdin")
-    _add_loop_flags(parser)
-    method = parser.add_argument(
-        "--method",
-        default="auto",
-        help="exact check, one certificate, or the auto ladder",
-    )
-    # set after add_argument, whose check of the metavar lists the choices
-    method.choices = _MethodChoices()
-    parser.add_argument(
-        "--fallback-exact",
-        action="store_true",
-        help="with --method auto, settle inconclusive records exactly",
-    )
+# The options of check and realize: each exact spelling -> the keywords
+# argparse adds it with, which also tell _read_exact its dest, its
+# default and either the value a flag stores or the choices of its value.
+# --loops and --no-loops, which bench takes too, are mutually exclusive.
+_LOOP_FLAGS = {
+    "--loops": dict(dest="loops", action="store_true", default=True,
+                    help="allow self-loops (default)"),
+    "--no-loops": dict(dest="loops", action="store_false", default=True,
+                       help="require a zero diagonal"),
+}
+# command -> (the help of its input, its options besides the loop flags)
+_OPTIONS = {
+    "check": ("file or - for stdin", {
+        "--method": dict(dest="method", default="auto", choices=_MethodChoices(),
+                         help="exact check, one certificate, or the auto ladder"),
+        "--fallback-exact": dict(
+            dest="fallback_exact", action="store_true", default=False,
+            help="with --method auto, settle inconclusive records exactly"),
+    }),
+    "realize": (None, {
+        "--format": dict(dest="format", default="dense", choices=["dense", "edges"]),
+    }),
+}
 
 
-def _realize_arguments(parser):
-    parser.add_argument("input", nargs="?", default="-")
+def _add_loop_flags(parser):
+    group = parser.add_mutually_exclusive_group()
+    for spelling, keywords in _LOOP_FLAGS.items():
+        group.add_argument(spelling, **keywords)
+
+
+def _add_arguments(command, parser):
+    """Add the input and the options of ``check`` or ``realize``."""
+    input_help, options = _OPTIONS[command]
+    parser.add_argument("input", nargs="?", default="-", help=input_help)
     _add_loop_flags(parser)
-    parser.add_argument("--format", choices=["dense", "edges"], default="dense")
+    for spelling, keywords in options.items():
+        keywords = dict(keywords)
+        choices = keywords.pop("choices", None)
+        # set after add_argument, whose check of the metavar would list
+        # --method's choices and so import sufficient
+        parser.add_argument(spelling, **keywords).choices = choices
+
+
+def _read_exact(argv):
+    """The arguments argparse would give ``check`` or ``realize`` (``argv[0]``)
+    for a command line spelled exactly, or None for any other, which is
+    left to argparse.  Spelled exactly, each option is one whole token of
+    the table, given at most once, and not both loop flags; a valued one
+    is followed by one of its choices; and at most one other token is the
+    input, ``-`` or a token that does not start with ``-``."""
+    command = argv[0]
+    options = _LOOP_FLAGS | _OPTIONS[command][1]
+    args = {"command": command, "input": "-"}
+    args.update((keywords["dest"], keywords["default"])
+                for keywords in options.values())
+    given = set()  # the dests read so far, "input" among them
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = options.get(token)
+        if keywords is None:
+            if token.startswith("-") and token != "-":
+                return None
+            dest, value = "input", token
+        elif "choices" in keywords:
+            dest, value = keywords["dest"], next(tokens, None)
+            if value is None or value not in keywords["choices"]:
+                return None
+        else:
+            dest, value = keywords["dest"], keywords["action"] == "store_true"
+        if dest in given:
+            return None
+        given.add(dest)
+        args[dest] = value
+    return SimpleNamespace(**args)
 
 
 # command -> its help line.  check and realize run from this module; the
@@ -432,21 +486,22 @@ _COMMANDS = {
 def _command(name: str):
     """The call that adds the arguments of command ``name``, and its
     handler."""
-    if name == "check":
-        return _check_arguments, _cmd_check
-    if name == "realize":
-        return _realize_arguments, _cmd_realize
+    if name in _OPTIONS:
+        return partial(_add_arguments, name), (
+            _cmd_check if name == "check" else _cmd_realize)
     from .cli_extra import COMMANDS
 
     return COMMANDS[name]
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or, when it is None, of every
-    command without its arguments, so that parsing a command line builds
+def build_parser(command=None):
+    """The ``argparse.ArgumentParser`` of ``command`` alone, or, when it
+    is None, of every command without its arguments, so that parsing a command line builds
     one command's parser and imports only the modules that command runs.
     With one command the metavar still lists them all, so the top-level
     usage line, which a usage error prints, is the same either way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bidegree",
         description="Graphicality checks, realization, and generators for "
@@ -471,14 +526,16 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top level takes no option but --help, so a command comes first
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        # argparse prints help to sys.stdout and usage errors to sys.stderr
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = build_parser(command).parse_args(argv)
-    except SystemExit as exc:
-        if exc.code != 2:
-            raise  # --help exits 0
-        return 3  # a usage error is an input error, not "inconclusive"
+    args = _read_exact(argv) if command in _OPTIONS else None
+    if args is None:
+        try:
+            # argparse prints help to sys.stdout and usage errors to sys.stderr
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                args = build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            if exc.code != 2:
+                raise  # --help exits 0
+            return 3  # a usage error is an input error, not "inconclusive"
     return _command(args.command)[1](args, stdin, stdout, stderr)
 
 

@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import io
 import itertools
 import json
 import os
+import random
 import re
 import statistics
 import subprocess
@@ -1081,13 +1083,25 @@ class TestUsageErrors:
         assert err.getvalue() == ""
         assert capfd.readouterr() == ("", "")
 
-    def test_process_streams_are_put_back(self):
+    def test_process_streams_are_put_back(self, monkeypatch):
         # main swaps sys.stdout and sys.stderr while argparse runs only
         before = sys.stdout, sys.stderr
 
         def put_back():
             return sys.stdout is before[0] and sys.stderr is before[1]
 
+        swaps = []
+        for name in ("redirect_stdout", "redirect_stderr"):
+            monkeypatch.setattr(cli, name, lambda stream, swap=getattr(cli, name):
+                                swaps.append(stream) or swap(stream))
+        # a command line spelled exactly is read without argparse, so the
+        # process's streams are never swapped
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["check", "--method", "exact", "--no-loops", "-"],
+                    stdin=io.StringIO("1,1;1,1\n"), stdout=out, stderr=err) == 0
+        assert (swaps, out.getvalue(), err.getvalue()) == (
+            [], "GRAPHIC exact\n", "")
+        assert put_back()
         out, err = io.StringIO(), io.StringIO()
         with pytest.raises(SystemExit) as exc:
             main(["--help"], stdout=out, stderr=err)
@@ -1097,6 +1111,7 @@ class TestUsageErrors:
         out, err = io.StringIO(), io.StringIO()
         assert main(["check", "--method", "bogus"], stdout=out, stderr=err) == 3
         assert put_back()
+        assert len(swaps) == 4
         assert err.getvalue().startswith("usage: bidegree check ")
         assert "invalid choice: 'bogus'" in err.getvalue()
 
@@ -1107,6 +1122,69 @@ class TestUsageErrors:
         out, err = child.communicate(timeout=60)
         assert (child.returncode, out) == (3, b"")
         assert b"invalid choice: 'bogus'" in err
+
+
+# tokens a check or realize command line is drawn from: the exact
+# spellings, and abbreviations, "=" forms, "--", "-", "-5", "", help,
+# unknown options, stray values and another command's option, which the
+# exact reader leaves to argparse or argparse rejects
+ARGV_TOKENS = {
+    "check": ["--method", "--loops", "--no-loops", "--fallback-exact",
+              "--meth", "--fall", "--loop", "--no", "--method=auto",
+              "--method=", "--fallback-exact=1", "--format", "dense", "bogus",
+              *cli._MethodChoices()],
+    "realize": ["--format", "--loops", "--no-loops", "dense", "edges",
+                "--form", "--f", "--format=edges", "--no-loops=", "--method",
+                "auto", "exact", "DENSE"],
+}
+SHARED_TOKENS = ["--", "-", "-5", "", "-h", "--help", "--bogus", "-x y",
+                 "in.txt", "out.txt"]
+
+
+def argv_corpus(command, count=2000, seed=2730):
+    """Every command line of at most two tokens after ``command``, then
+    ``count`` seeded ones of three to six tokens, and ``count`` well-formed
+    ones, half of them with one token replaced."""
+    tokens = ARGV_TOKENS[command] + SHARED_TOKENS
+    rng = random.Random(seed)
+    short = [[]] + [[a] for a in tokens] + [[a, b] for a in tokens for b in tokens]
+    drawn = [rng.choices(tokens, k=rng.randint(3, 6)) for _ in range(count)]
+    options = cli._OPTIONS[command][1]
+    well_formed = []
+    for _ in range(count):
+        groups = [[rng.choice(["-", "in.txt", ""])],
+                  [rng.choice(list(cli._LOOP_FLAGS))]]
+        groups += [[spelling, rng.choice(list(keywords["choices"]))]
+                   if "choices" in keywords else [spelling]
+                   for spelling, keywords in options.items()]
+        groups = rng.sample(groups, rng.randint(0, len(groups)))
+        argv = [token for group in groups for token in group]
+        if argv and rng.random() < 0.5:
+            argv[rng.randrange(len(argv))] = rng.choice(tokens)
+        well_formed.append(argv)
+    return [[command, *rest] for rest in short + drawn + well_formed]
+
+
+@pytest.mark.parametrize("command", ["check", "realize"])
+def test_exact_reader_agrees_with_argparse(command):
+    """The reader gives exactly the attributes argparse gives, or None,
+    which leaves the command line to argparse; it gives None for every
+    command line argparse exits on (help or a usage error)."""
+    parser = cli.build_parser(command)
+    read = 0
+    for argv in argv_corpus(command):
+        exact = cli._read_exact(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                parsed = vars(parser.parse_args(argv))
+        except SystemExit:
+            parsed = None
+        if exact is not None:
+            assert vars(exact) == parsed, argv
+            read += 1
+    # the reader read a good share of them
+    assert read > 1000
 
 
 class TestInputErrors:

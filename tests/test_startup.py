@@ -63,6 +63,26 @@ def test_command_imports_only_its_modules(command):
     assert "json" not in imported - imported_modules(["-c", "pass"])
 
 
+# cli reads a check or realize command line spelled exactly itself, so
+# its child never imports argparse, which loads gettext and locale; any
+# other command line (help, an abbreviation, an unknown option) goes to
+# argparse
+@pytest.mark.parametrize("command, code, parsed", [
+    ("check --method exact", 0, False),
+    ("check --method auto --fallback-exact", 0, False),
+    ("realize --format dense", 0, False),
+    ("realize --no-loops --format edges -", 0, False),
+    ("check -h", 0, True),
+    ("check --meth auto", 0, True),
+    ("realize --bogus", 3, True),
+])
+def test_argparse_loads_only_for_what_cli_does_not_read(command, code, parsed):
+    imported = imported_modules(["-m", "bidegree.cli", *command.split()], code)
+    assert ("argparse" in imported) is parsed
+    if not parsed:
+        assert "gettext" not in imported
+
+
 # top-level help and usage never print a command's arguments, so the
 # parser adds none and no command's modules load, cli_extra among them
 @pytest.mark.parametrize("argv, code", [
