@@ -50,32 +50,32 @@ profiler or tracer is attached, which reports at that teardown.
 ``generate`` takes its seed from ``--seed`` only, default 0; no command
 reads a seed from the environment.
 
-:func:`main` reads a ``check`` or ``realize`` command line itself when it
-is spelled exactly.  Each option is then a whole token of the command's
-table (``--loops`` or ``--no-loops``, with ``--method CODE`` and
-``--fallback-exact`` for ``check`` or ``--format dense|edges`` for
-``realize``), given at most once, a valued one followed by one of its
-choices; at most one other token is the input, ``-`` or a token that does
-not start with ``-``.  The handler gets the attributes argparse would give
-it.  Every other command line goes to argparse, which alone prints help,
-usage and errors: ``-h``, an abbreviation such as ``--meth``, an
-``--option=value`` form, a repeated option, both loop flags, ``--``, a
-token such as ``-5``, an unknown option, and every command line of the
-other commands.  The table declares each option once, for both readers.
-argparse, which loads ``gettext`` and ``locale``, is imported only to
-build a parser, so a well-formed ``check`` or ``realize`` process never
+One table, ``_COMMANDS``, declares each command once, for argparse and
+for :func:`main`, which reads a command line itself when it is spelled
+exactly: each option a whole token of the command's row, given at most
+once, and not both loop flags; a valued one followed by a token that does
+not start with ``-``, that its type reads and that is one of its choices;
+every required option given; and at most one other token, the input
+(``-`` or a token that does not start with ``-``) of a command that takes
+one.  The handler gets the attributes argparse would give it.  Every
+other command line goes to argparse, which alone prints help, usage and
+errors: ``-h``, an abbreviation such as ``--meth``, an ``--option=value``
+form, a repeated option, ``--``, a value such as ``-5``, an unknown
+option or choice.  argparse, which loads ``gettext`` and ``locale``, is
+imported only to build a parser, so a command line spelled exactly never
 loads it.
 
 Each command compiles and imports only the code it runs.  ``check`` and
 ``realize`` run from this module, ``bound``, ``generate`` and ``bench``
-from :mod:`bidegree.cli_extra`, which only they import.  The parser is
-built for the named command alone, and ``sufficient``, ``generate`` and
-``json`` are imported inside the functions that use them.  So
-``realize`` loads ``core``, ``errors``, ``exact`` and ``realize``;
-``check`` adds ``sufficient`` (``check --method exact`` does not);
-``bound`` adds ``cli_extra`` and ``sufficient``, ``generate`` adds
-``cli_extra`` and ``generate``, and ``bench`` adds ``cli_extra``, and
-``sufficient`` once it has a record to time.
+from :mod:`bidegree.cli_extra`, which only they import.  ``sufficient``,
+``generate`` and ``json`` are imported inside the functions that use
+them; ``--method``'s and ``--kind``'s choices load theirs only to list
+them or to meet a value other than ``exact`` or ``auto``.  So ``realize``
+loads ``core``, ``errors``, ``exact`` and ``realize``; ``check`` adds
+``sufficient`` (``check --method exact`` does not); ``bound`` adds
+``cli_extra`` and ``sufficient``, ``generate`` adds ``cli_extra`` and
+``generate``, and ``bench`` adds ``cli_extra``, and ``sufficient`` once
+it has a record to time.
 
 ``realize`` writes a record, with the blank line before it, in blocks of
 whole lines of at most 64 KiB (a longer line alone), and ends it before
@@ -89,7 +89,6 @@ import atexit
 import os
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
-from functools import partial
 from itertools import chain, islice
 from types import SimpleNamespace
 
@@ -380,126 +379,158 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
     return _exit_code(seen)
 
 
-class _MethodChoices:
-    """``--method``'s choices: ``exact``, ``auto`` and the condition codes.
-    It answers ``exact`` and ``auto`` without importing ``sufficient``, and
-    reads ``Condition`` only to list the choices or to look up another
-    code, so ``check --method exact`` never loads the certificates."""
+class _Choices:
+    """An option's choices, read from a module only when they must be
+    listed or when a value is not one of ``known``, so ``check --method
+    exact`` never loads ``sufficient`` and only ``generate`` loads
+    ``generate``."""
 
-    def __contains__(self, method):
-        return method in ("exact", "auto") or method in list(self)
+    def __init__(self, known, load):
+        self.known, self.load = known, load
+
+    def __contains__(self, value):
+        return value in self.known or value in list(self)
 
     def __iter__(self):
-        from .sufficient import Condition
-
-        return iter(["exact", "auto"] + sorted(cond.value for cond in Condition))
+        return iter([*self.known, *self.load()])
 
 
-# The options of check and realize: each exact spelling -> the keywords
-# argparse adds it with, which also tell _read_exact its dest, its
-# default and either the value a flag stores or the choices of its value.
-# --loops and --no-loops, which bench takes too, are mutually exclusive.
+def _condition_codes():
+    from .sufficient import Condition
+
+    return sorted(cond.value for cond in Condition)
+
+
+def _generator_kinds():
+    from .generate import GENERATOR_KINDS
+
+    return GENERATOR_KINDS
+
+
 _LOOP_FLAGS = {
     "--loops": dict(dest="loops", action="store_true", default=True,
                     help="allow self-loops (default)"),
     "--no-loops": dict(dest="loops", action="store_false", default=True,
                        help="require a zero diagonal"),
 }
-# command -> (the help of its input, its options besides the loop flags)
-_OPTIONS = {
-    "check": ("file or - for stdin", {
-        "--method": dict(dest="method", default="auto", choices=_MethodChoices(),
+_INPUT_HELP = "file or - for stdin"
+_TEXT_CSV = dict(choices=["text", "csv"], default="text")
+
+# command -> (its help line, its input's help, or None when it takes no
+# input, its options).  Each option's exact spelling maps to the keywords
+# argparse adds it with, and _read_exact reads the same keywords.
+_COMMANDS = {
+    "check": ("decide graphicality per record", _INPUT_HELP, {
+        **_LOOP_FLAGS,
+        "--method": dict(default="auto",
+                         choices=_Choices(("exact", "auto"), _condition_codes),
                          help="exact check, one certificate, or the auto ladder"),
         "--fallback-exact": dict(
-            dest="fallback_exact", action="store_true", default=False,
+            action="store_true", default=False,
             help="with --method auto, settle inconclusive records exactly"),
     }),
-    "realize": (None, {
-        "--format": dict(dest="format", default="dense", choices=["dense", "edges"]),
+    "bound": ("largest certifiable max degree per condition", None, {
+        "--n": dict(type=int, required=True),
+        "--m": dict(type=int, required=True),
+        "--total": dict(type=int, required=True),
+        "--format": _TEXT_CSV,
+    }),
+    "realize": ("construct adjacency matrices", "", {  # an input, no help
+        **_LOOP_FLAGS,
+        "--format": dict(choices=["dense", "edges"], default="dense"),
+    }),
+    "generate": ("emit generated records", None, {
+        "--kind": dict(choices=_Choices((), _generator_kinds), required=True,
+                       help="generator family"),
+        "--n": dict(type=int, help="node count"),
+        "--total": dict(type=int, help="degree sum"),
+        # dest is GeneratorSpec's field name, metavar the flag's own
+        "--min": dict(dest="min_degree", metavar="MIN", type=int,
+                      help="minimum degree (uniform)"),
+        "--max": dict(dest="max_degree", metavar="MAX", type=int,
+                      help="maximum degree (uniform/extremal)"),
+        "--exponent": dict(type=float, help="power-law exponent (> 2)"),
+        "--Ma": dict(dest="max_in", metavar="MA", type=int,
+                     help="maximum in-degree (counterexample1)"),
+        "--Mb": dict(dest="max_out", metavar="MB", type=int,
+                     help="maximum out-degree (counterexample1)"),
+        "--count": dict(type=int, default=1, help="records to emit"),
+        "--seed": dict(type=int, default=0,
+                       help="base seed (record i uses seed+i)"),
+    }),
+    "bench": ("coverage and timing over a corpus", _INPUT_HELP, {
+        **_LOOP_FLAGS,
+        "--repeat": dict(type=int, default=1, help="timing repetitions"),
+        "--format": _TEXT_CSV,
     }),
 }
 
 
-def _add_loop_flags(parser):
-    group = parser.add_mutually_exclusive_group()
-    for spelling, keywords in _LOOP_FLAGS.items():
-        group.add_argument(spelling, **keywords)
+def _dest(spelling, keywords):
+    """The attribute an option sets, named as argparse names it."""
+    return keywords.get("dest", spelling[2:].replace("-", "_"))
 
 
-def _add_arguments(command, parser):
-    """Add the input and the options of ``check`` or ``realize``."""
-    input_help, options = _OPTIONS[command]
-    parser.add_argument("input", nargs="?", default="-", help=input_help)
-    _add_loop_flags(parser)
+def _add_arguments(parser, input_help, options):
+    """Add a command's input, if it takes one, and its options."""
+    if input_help is not None:
+        parser.add_argument("input", nargs="?", default="-", help=input_help)
+    loops = parser.add_mutually_exclusive_group() if "--loops" in options else None
     for spelling, keywords in options.items():
         keywords = dict(keywords)
         choices = keywords.pop("choices", None)
         # set after add_argument, whose check of the metavar would list
-        # --method's choices and so import sufficient
-        parser.add_argument(spelling, **keywords).choices = choices
+        # the choices and so load sufficient or generate
+        target = loops if spelling in _LOOP_FLAGS else parser
+        target.add_argument(spelling, **keywords).choices = choices
 
 
 def _read_exact(argv):
-    """The arguments argparse would give ``check`` or ``realize`` (``argv[0]``)
-    for a command line spelled exactly, or None for any other, which is
-    left to argparse.  Spelled exactly, each option is one whole token of
-    the table, given at most once, and not both loop flags; a valued one
-    is followed by one of its choices; and at most one other token is the
-    input, ``-`` or a token that does not start with ``-``."""
+    """The arguments argparse would give command ``argv[0]`` for a command
+    line spelled exactly, as the module docstring says, or None for any
+    other, which is left to argparse."""
     command = argv[0]
-    options = _LOOP_FLAGS | _OPTIONS[command][1]
-    args = {"command": command, "input": "-"}
-    args.update((keywords["dest"], keywords["default"])
-                for keywords in options.values())
+    _, input_help, options = _COMMANDS[command]
+    args = {"command": command}
+    if input_help is not None:
+        args["input"] = "-"
+    args.update((_dest(spelling, keywords), keywords.get("default"))
+                for spelling, keywords in options.items())
     given = set()  # the dests read so far, "input" among them
     tokens = iter(argv[1:])
     for token in tokens:
         keywords = options.get(token)
         if keywords is None:
-            if token.startswith("-") and token != "-":
+            if input_help is None or (token.startswith("-") and token != "-"):
                 return None
             dest, value = "input", token
-        elif "choices" in keywords:
-            dest, value = keywords["dest"], next(tokens, None)
-            if value is None or value not in keywords["choices"]:
-                return None
+        elif "action" in keywords:
+            dest, value = _dest(token, keywords), keywords["action"] == "store_true"
         else:
-            dest, value = keywords["dest"], keywords["action"] == "store_true"
+            # a missing value reads as "-", which no option takes
+            dest, value = _dest(token, keywords), next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
         if dest in given:
             return None
         given.add(dest)
         args[dest] = value
+    if any(keywords.get("required") and _dest(spelling, keywords) not in given
+           for spelling, keywords in options.items()):
+        return None
     return SimpleNamespace(**args)
 
 
-# command -> its help line.  check and realize run from this module; the
-# other commands run from cli_extra, which only they import.
-_COMMANDS = {
-    "check": "decide graphicality per record",
-    "bound": "largest certifiable max degree per condition",
-    "realize": "construct adjacency matrices",
-    "generate": "emit generated records",
-    "bench": "coverage and timing over a corpus",
-}
-
-
-def _command(name: str):
-    """The call that adds the arguments of command ``name``, and its
-    handler."""
-    if name in _OPTIONS:
-        return partial(_add_arguments, name), (
-            _cmd_check if name == "check" else _cmd_realize)
-    from .cli_extra import COMMANDS
-
-    return COMMANDS[name]
-
-
-def build_parser(command=None):
-    """The ``argparse.ArgumentParser`` of ``command`` alone, or, when it
-    is None, of every command without its arguments, so that parsing a command line builds
-    one command's parser and imports only the modules that command runs.
-    With one command the metavar still lists them all, so the top-level
-    usage line, which a usage error prints, is the same either way."""
+def build_parser():
+    """The ``argparse.ArgumentParser`` of every command.  argparse, which
+    loads ``gettext`` and ``locale``, is imported here, so a command line
+    :func:`_read_exact` reads never loads it."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -507,15 +538,10 @@ def build_parser(command=None):
         description="Graphicality checks, realization, and generators for "
         "directed bidegree sequences.",
     )
-    if command is None:
-        # no metavar: a missing command's error names the dest, "command"
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, help_line in _COMMANDS.items():
-            sub.add_parser(name, help=help_line)
-        return parser
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS))
-    _command(command)[0](sub.add_parser(command, help=_COMMANDS[command]))
+    # no metavar: a missing command's error names the dest, "command"
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, input_help, options) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), input_help, options)
     return parser
 
 
@@ -525,18 +551,25 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top level takes no option but --help, so a command comes first
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _read_exact(argv) if command in _OPTIONS else None
+    args = _read_exact(argv) if argv and argv[0] in _COMMANDS else None
     if args is None:
         try:
             # argparse prints help to sys.stdout and usage errors to sys.stderr
             with redirect_stdout(stdout), redirect_stderr(stderr):
-                args = build_parser(command).parse_args(argv)
+                args = build_parser().parse_args(argv)
         except SystemExit as exc:
             if exc.code != 2:
                 raise  # --help exits 0
             return 3  # a usage error is an input error, not "inconclusive"
-    return _command(args.command)[1](args, stdin, stdout, stderr)
+    handler = {"check": _cmd_check, "realize": _cmd_realize}.get(args.command)
+    if handler is None:
+        # bound, generate and bench run from cli_extra, which only they
+        # load; "from . import cli_extra" would ask the package's lazy
+        # __getattr__, which loads generate and sufficient
+        from .cli_extra import HANDLERS
+
+        handler = HANDLERS[args.command]
+    return handler(args, stdin, stdout, stderr)
 
 
 def _flushed(code: int) -> int:

@@ -2,8 +2,8 @@
 
 ``cli`` imports this module only when the command on the command line is
 one of these three, so a ``check`` or ``realize`` process never compiles
-their code.  :data:`COMMANDS` maps each name to the call that adds its
-arguments and its handler, as ``cli`` calls them.
+their code.  ``cli``'s command table declares their arguments, and
+:data:`HANDLERS` maps each name to its handler.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 
-from .cli import _add_loop_flags, _decider, _records, format_record
+from .cli import _decider, _records, format_record
 from .core import new_sequence
 from .errors import BidegreeError
 from .exact import Verdict, violated_indices
@@ -155,45 +155,5 @@ def _bench_table(seqs, loops: bool, repeat: int) -> tuple[list, list]:
     return table, not_graphic
 
 
-def _bound_arguments(parser):
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--m", type=int, required=True)
-    parser.add_argument("--total", type=int, required=True)
-    parser.add_argument("--format", choices=["text", "csv"], default="text")
-
-
-def _generate_arguments(parser):
-    from .generate import GENERATOR_KINDS
-
-    parser.add_argument("--kind", choices=GENERATOR_KINDS, required=True,
-                        help="generator family")
-    parser.add_argument("--n", type=int, help="node count")
-    parser.add_argument("--total", type=int, help="degree sum")
-    # dest is GeneratorSpec's field name, metavar the flag's own
-    parser.add_argument("--min", dest="min_degree", metavar="MIN", type=int,
-                        help="minimum degree (uniform)")
-    parser.add_argument("--max", dest="max_degree", metavar="MAX", type=int,
-                        help="maximum degree (uniform/extremal)")
-    parser.add_argument("--exponent", type=float, help="power-law exponent (> 2)")
-    parser.add_argument("--Ma", dest="max_in", metavar="MA", type=int,
-                        help="maximum in-degree (counterexample1)")
-    parser.add_argument("--Mb", dest="max_out", metavar="MB", type=int,
-                        help="maximum out-degree (counterexample1)")
-    parser.add_argument("--count", type=int, default=1, help="records to emit")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed (record i uses seed+i)")
-
-
-def _bench_arguments(parser):
-    parser.add_argument("input", nargs="?", default="-", help="file or - for stdin")
-    _add_loop_flags(parser)
-    parser.add_argument("--repeat", type=int, default=1, help="timing repetitions")
-    parser.add_argument("--format", choices=["text", "csv"], default="text")
-
-
-# command -> (the call that adds its arguments, its handler)
-COMMANDS = {
-    "bound": (_bound_arguments, _cmd_bound),
-    "generate": (_generate_arguments, _cmd_generate),
-    "bench": (_bench_arguments, _cmd_bench),
-}
+# command -> its handler, as cli calls it
+HANDLERS = {"bound": _cmd_bound, "generate": _cmd_generate, "bench": _cmd_bench}

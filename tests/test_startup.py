@@ -63,18 +63,24 @@ def test_command_imports_only_its_modules(command):
     assert "json" not in imported - imported_modules(["-c", "pass"])
 
 
-# cli reads a check or realize command line spelled exactly itself, so
-# its child never imports argparse, which loads gettext and locale; any
-# other command line (help, an abbreviation, an unknown option) goes to
-# argparse
+# cli reads a command line spelled exactly itself, so its child never
+# imports argparse, which loads gettext and locale; any other command line
+# (help, an abbreviation, an unknown option or choice, a value its type
+# rejects) goes to argparse
 @pytest.mark.parametrize("command, code, parsed", [
     ("check --method exact", 0, False),
     ("check --method auto --fallback-exact", 0, False),
     ("realize --format dense", 0, False),
     ("realize --no-loops --format edges -", 0, False),
+    ("bound --n 10 --m 1 --total 40 --format csv", 0, False),
+    ("generate --kind extremal --n 4 --total 4 --max 2 --count 2 --seed 3",
+     0, False),
+    ("bench --no-loops --repeat 2 --format csv -", 0, False),
     ("check -h", 0, True),
     ("check --meth auto", 0, True),
     ("realize --bogus", 3, True),
+    ("generate --kind bogus", 3, True),
+    ("bound --n x --m 1 --total 4", 3, True),
 ])
 def test_argparse_loads_only_for_what_cli_does_not_read(command, code, parsed):
     imported = imported_modules(["-m", "bidegree.cli", *command.split()], code)
