@@ -1155,9 +1155,9 @@ TYPED_VALUES = {int: ["4", "0", "12", "1_0", " 7"],
 
 
 def well_formed_argv(rng, command):
-    """A command line the exact reader reads: the input (if the command
-    takes one), one loop flag and each option, each group at most once, in
-    a random order, with every required option."""
+    """A command line the exact reader reads: a random choice of the
+    command's input, one loop flag and its other options, each at most
+    once and in a random order, with every required option among them."""
     _, input_help, options = cli._COMMANDS[command]
     groups = [[rng.choice(["-", "in.txt", ""])]] if input_help is not None else []
     required = []
