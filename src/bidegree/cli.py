@@ -28,8 +28,8 @@ too, after argparse's usage message, so 2 always means inconclusive.
 Malformed records report the offending line number and poison the exit
 code with 3, but processing continues; so does a line that is not UTF-8
 text and a record ``realize`` fails to build (an internal error).  An
-input file that cannot be read is an input error too: one ``error: ...``
-line on stderr and exit 3, never a traceback.
+input file that cannot be read, or a closed stdin, is an input error too:
+one ``error: ...`` line on stderr and exit 3, never a traceback.
 A well-formed record whose in- and out-degrees sum differently is not an
 input error: unequal sums already disprove graphicality, so ``check`` and
 ``realize`` emit ``NOT_GRAPHIC sum-mismatch`` for it and count it like
@@ -86,6 +86,7 @@ unbuffered stdout (``PYTHONUNBUFFERED``) each write is a system call.
 from __future__ import annotations
 
 import atexit
+import errno
 import os
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
@@ -261,8 +262,10 @@ def _records(path, stdin, stderr, seen: set):
     ends at ``\\n``.  A malformed record, one that is not UTF-8 among them,
     is reported as ``line N: ...`` and adds 3; the records after it are
     still read.  An input that cannot be opened is reported on one line,
-    adds 3 and yields nothing."""
+    adds 3 and yields nothing, as does a closed stdin (``None``)."""
     try:
+        if path == "-" and stdin is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         with (
             # a text stream without bytes beneath (StringIO) yields str
             nullcontext(getattr(stdin, "buffer", stdin))
@@ -370,11 +373,10 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
                 block.append("")  # the end of the last line
                 write("\n".join(block))
         else:
-            # a source's lines share its "src " prefix; the record's text,
-            # built whole, is about the size of its target lists
-            _write_text(write, gap + "".join(
-                f"{src} " + f"\n{src} ".join(map(str, dsts)) + "\n"
-                for src, dsts in enumerate(result.targets) if dsts))
+            # the record's text, built whole, is about its target lists' size
+            _write_text(write, gap + "".join([
+                f"{src} {dst}\n"
+                for src, dsts in enumerate(result.targets) for dst in dsts]))
         gap = "\n"
     return _exit_code(seen)
 

@@ -18,6 +18,8 @@ C-level pass and looks up only the distinct ones.  Validation then reads
 only the counts (``n``, ``S`` as the sum of value times count, min/max
 over the distinct values), and on any failure decodes the vectors and
 validates them as above, so every error keeps its type and message.
+Both routes apply one rule, :func:`_stats`, to the sums and the distinct
+values they found: every value in ``[0..n]`` and equal sums.
 Such a sequence keeps its counts, which :func:`degree_counts` hands to
 the exact checks, and decodes its vectors only when they are first read,
 dropping the entry strings then; a record that the five integers settle
@@ -99,23 +101,16 @@ class BidegreeSequence:
             _raise_not_integer(a, b, n)
         # int entries: a set keeps each value's first occurrence, the one
         # min/max over the vector returns, and a vector repeats few values
-        ins, outs = set(a), set(b)
-        min_in, max_in, min_out, max_out = min(ins), max(ins), min(outs), max(outs)
-        if min(min_in, min_out) < 0 or max(max_in, max_out) > n:
+        found = _stats(n, total, total_out, set(a), set(b))
+        if found is None:
             _raise_first_out_of_range(a, b, n)
-        if total != total_out:
             raise SumMismatch(
                 f"sum of in-degrees {total} != sum of out-degrees {total_out}"
             )
         _set_vectors(self, (a, b))
         _set_entries(self, None)
         _set_counts(self, None)
-        _set_stats(
-            self,
-            SequenceStats(
-                n, total, min(min_in, min_out), max_in, max_out, max(max_in, max_out)
-            ),
-        )
+        _set_stats(self, found)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -173,6 +168,17 @@ _set_vectors = BidegreeSequence._vectors.__set__
 _set_entries = BidegreeSequence._entries.__set__
 _set_counts = BidegreeSequence._counts.__set__
 _set_stats = BidegreeSequence.stats.__set__
+
+
+def _stats(n: int, total: int, total_out: int, ins, outs):
+    """The stats of ``n`` int in- and out-degrees that sum to ``total`` and
+    ``total_out`` and take the distinct values ``ins`` and ``outs``, or
+    None if a value is outside ``[0..n]`` or the two sums differ."""
+    min_in, max_in, min_out, max_out = min(ins), max(ins), min(outs), max(outs)
+    low, high = min(min_in, min_out), max(max_in, max_out)
+    if low < 0 or high > n or total != total_out:
+        return None
+    return SequenceStats(n, total, low, max_in, max_out, high)
 
 
 def _raise_first_out_of_range(a, b, n: int):
@@ -250,28 +256,17 @@ def from_entries(a: list, b: list, decode) -> BidegreeSequence:
     a_counted, b_counted = _counted(a, decode), _counted(b, decode)
     (a_counts, a_values), (b_counts, b_values) = a_counted, b_counted
     n = len(a)
-    if 0 < n == len(b):
-        total = sum(map(mul, a_values, a_counts.values()))
-        min_in, max_in, min_out, max_out = (
-            min(a_values), max(a_values), min(b_values), max(b_values)
-        )
-        if (
-            min(min_in, min_out) >= 0
-            and max(max_in, max_out) <= n
-            and total == sum(map(mul, b_values, b_counts.values()))
-        ):
-            seq = object.__new__(BidegreeSequence)
-            _set_vectors(seq, None)
-            _set_entries(seq, (a, b))
-            _set_counts(seq, (a_counted, b_counted))
-            _set_stats(
-                seq,
-                SequenceStats(
-                    n, total, min(min_in, min_out), max_in, max_out,
-                    max(max_in, max_out),
-                ),
-            )
-            return seq
+    found = 0 < n == len(b) and _stats(
+        n, sum(map(mul, a_values, a_counts.values())),
+        sum(map(mul, b_values, b_counts.values())), a_values, b_values,
+    )
+    if found:
+        seq = object.__new__(BidegreeSequence)
+        _set_vectors(seq, None)
+        _set_entries(seq, (a, b))
+        _set_counts(seq, (a_counted, b_counted))
+        _set_stats(seq, found)
+        return seq
     return BidegreeSequence(_decoded(a, a_counted), _decoded(b, b_counted))
 
 

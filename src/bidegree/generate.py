@@ -25,7 +25,7 @@ satisfy sum(a) == sum(b) by construction.  :func:`gen_extremal` takes
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
@@ -226,13 +226,12 @@ def _powerlaw_table(n: int, exponent: float) -> tuple:
     ``_powerlaw_table.cache_clear()``."""
     cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))
     first, total = cum[0], cum[-1]
-    # u is monotone in k = r >> 11 (module docstring): step from an
-    # estimate, off by a few units at most, to the least k with u >= first
-    k = min(int(first / total * 2**53), 2**53)
-    while k and (k - 1) * 2.0**-53 * total >= first:
-        k -= 1
-    while k < 2**53 and k * 2.0**-53 * total < first:
-        k += 1
+    # u never decreases in k = r >> 11 (module docstring), so the test
+    # u >= first is False up to the least k that passes it and True past
+    # it: bisection finds that k.  At k = 2**53, u is the total, which the
+    # first weight never exceeds, so the search ends inside the range.
+    k = bisect_left(range(2**53 + 1), True,
+                    key=lambda k: k * 2.0**-53 * total >= first)
     return cum, total, k << 11
 
 

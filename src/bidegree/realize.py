@@ -158,7 +158,8 @@ def realize(
     n = seq.n
     out = seq.out_degrees
     resid_in = list(seq.in_degrees)
-    sources = sorted(range(n), key=lambda i: (-out[i], i))
+    # the sort is stable under reverse=True too: ties stay in index order
+    sources = sorted(range(n), key=out.__getitem__, reverse=True)
     # heap entry key - r*width: larger residual in-degree r first, then key
     width = 2 * n
     heap = [

@@ -1254,6 +1254,25 @@ class TestInputErrors:
         assert (code, out) == (3, "")
         self.assert_one_line_error(err)
 
+    CLOSED_STDIN = (3, "", "error: cannot read -: Bad file descriptor\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_closed_stdin(self, monkeypatch, command):
+        """Python sets sys.stdin to None when fd 0 is closed."""
+        monkeypatch.setattr(sys, "stdin", None)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(command, stdout=out, stderr=err)
+        assert (code, out.getvalue(), err.getvalue()) == self.CLOSED_STDIN
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_closed_stdin_in_a_child(self, command):
+        # fd 0 is closed in the child just before it starts Python
+        proc = cli_child(command, preexec_fn=lambda: os.close(0),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stdout.decode(), stderr.decode()) == (
+            self.CLOSED_STDIN)
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_input_not_utf8(self, tmp_path, command):
         """A line that is not UTF-8 is one malformed record: it is reported
