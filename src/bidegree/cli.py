@@ -29,7 +29,10 @@ Malformed records report the offending line number and poison the exit
 code with 3, but processing continues; so does a line that is not UTF-8
 text and a record ``realize`` fails to build (an internal error).  An
 input file that cannot be read, or a closed stdin, is an input error too:
-one ``error: ...`` line on stderr and exit 3, never a traceback.
+one ``error: ...`` line on stderr and exit 3, never a traceback.  So is a
+closed stdout, for every command, before any input is read: ``error:
+cannot write -: ...``.  A closed stderr, or one whose fd is not open for
+writing, drops the messages; the exit codes stay as they are.
 A well-formed record whose in- and out-degrees sum differently is not an
 input error: unequal sums already disprove graphicality, so ``check`` and
 ``realize`` emit ``NOT_GRAPHIC sum-mismatch`` for it and count it like
@@ -81,6 +84,11 @@ it has a record to time.
 whole lines of at most 64 KiB (a longer line alone), and ends it before
 it reads the next; the other commands write each line at once.  On an
 unbuffered stdout (``PYTHONUNBUFFERED``) each write is a system call.
+``--format edges`` formats no edge on its own: a source's lines are its
+cached head ``"src "`` joined before each target's cached line ``"dst\\n"``.
+The two tables of these texts hold every id below the largest ``n``
+written as edges, about 120 bytes an id (0.25 MB at n = 2000): the order
+of one realized record's target lists.
 """
 
 from __future__ import annotations
@@ -235,6 +243,25 @@ def format_record(seq: BidegreeSequence) -> str:
     )
 
 
+# ("i " at index i, "i\n" at index i): a source's head and a target's line
+# in realize's edge list, for i below the largest n written as edges; one
+# tuple, so a rebinding grows both tables at once
+_EDGE_TEXTS = ([], [])
+
+
+def _edge_texts(n: int):
+    """The (heads, lines) tables, grown to at least ``n`` entries."""
+    global _EDGE_TEXTS
+    heads, lines = _EDGE_TEXTS
+    if len(lines) < n:
+        # every new id formatted by one C-level %, then split both ways
+        text = "%d\n" * (n - len(lines)) % tuple(range(len(lines), n))
+        heads, lines = _EDGE_TEXTS = (
+            heads + text.replace("\n", " \n").splitlines(),
+            lines + text.splitlines(True))
+    return heads, lines
+
+
 def _outcome_line(outcome: CheckOutcome, method_label: str) -> str:
     if outcome.verdict is Verdict.GRAPHIC:
         cert = outcome.certificate
@@ -373,10 +400,15 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
                 block.append("")  # the end of the last line
                 write("\n".join(block))
         else:
-            # the record's text, built whole, is about its target lists' size
+            # a source's lines are its head before each target's line, so
+            # no edge is formatted; one target needs no join.  The record's
+            # text, built whole, is about its target lists' size
+            heads, lines = _edge_texts(result.n)
+            line = lines.__getitem__
             _write_text(write, gap + "".join([
-                f"{src} {dst}\n"
-                for src, dsts in enumerate(result.targets) for dst in dsts]))
+                head + lines[dsts[0]] if len(dsts) == 1
+                else head + head.join(map(line, dsts))
+                for head, dsts in zip(heads, result.targets) if dsts]))
         gap = "\n"
     return _exit_code(seen)
 
@@ -547,10 +579,38 @@ def build_parser():
     return parser
 
 
+class _Stderr:
+    """The stderr ``main`` hands on: writes pass through to ``stream``
+    until it shows itself closed, by being None (Python's stream when fd 2
+    is closed) or by a write failing with EBADF (fd 2 open, but not for
+    writing).  Then every write is dropped, and the fd is pointed at
+    devnull, so flushing what it still buffers cannot fail again."""
+
+    __slots__ = ("stream",)
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text):
+        if self.stream is not None:
+            try:
+                return self.stream.write(text)
+            except OSError as exc:
+                if exc.errno != errno.EBADF:
+                    raise  # a reader that went away ends the run with 141
+                os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
+                self.stream = None
+        return len(text)
+
+
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
+    stderr = _Stderr(stderr if stderr is not None else sys.stderr)
+    # Python sets sys.stdout to None when fd 1 is closed: no command can run
+    if stdout is None:
+        stderr.write(f"error: cannot write -: {os.strerror(errno.EBADF)}\n")
+        return 3
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top level takes no option but --help, so a command comes first
     args = _read_exact(argv) if argv and argv[0] in _COMMANDS else None
@@ -578,8 +638,8 @@ def _flushed(code: int) -> int:
     """Flush stdout and stderr and return ``code``, or 141 (128 + SIGPIPE,
     as a shell reports a process it ended) if the reader of either went
     away (``| head``).  Such a stream is pointed at devnull, so no later
-    flush can raise again."""
-    for stream in (sys.stdout, sys.stderr):
+    flush can raise again.  A closed stream (None) is skipped."""
+    for stream in filter(None, (sys.stdout, sys.stderr)):
         try:
             stream.flush()
         except BrokenPipeError:

@@ -797,6 +797,31 @@ class TestRealize:
         assert "\n".join(rebuilt) == dense
         assert any("1" in block for block in rebuilt)
 
+    @pytest.mark.parametrize("loops", [True, False], ids=["loops", "no-loops"])
+    def test_edges_as_the_node_texts_grow(self, monkeypatch, loops):
+        """Records with n = 3, then 200, then 5: the cached node-id texts
+        grow from none to 200 entries, and the n = 5 record reads them as
+        they are.  Every record has a source with no targets, and the
+        n = 200 record's edge text is longer than one 64 KiB block.  Each
+        record's block is its edges, one ``src dst`` line each."""
+        # n = 200: source 0 has no targets, the others 60 each
+        big_in = [60] * 140 + [59] * 60
+        seqs = [bd.new_sequence([1, 1, 0], [0, 1, 1]),
+                bd.new_sequence(big_in, [0] + [60] * 199),
+                bd.new_sequence([2, 1, 1, 0, 0], [0, 2, 0, 1, 1])]
+        blocks = []
+        for seq in seqs:
+            result = bd.realize(seq, allow_loops=loops)
+            assert not result.targets[0]
+            blocks.append("".join(f"{s} {d}\n" for s, d in result.edges()))
+        assert len(blocks[1]) > 1 << 16
+        monkeypatch.setattr(cli, "_EDGE_TEXTS", ([], []))
+        code, out, err = run_cli(
+            ["realize", "--format", "edges", "--loops" if loops else "--no-loops"],
+            "".join(format_record(seq) + "\n" for seq in seqs))
+        assert (code, out, err) == (0, "\n".join(blocks), "")
+        assert list(map(len, cli._EDGE_TEXTS)) == [200, 200]
+
     def test_sum_mismatch_record(self):
         code, out, _ = run_cli(["realize"], "2,1;1,1\n")
         assert code == 1
@@ -1272,6 +1297,60 @@ class TestInputErrors:
         stdout, stderr = proc.communicate(timeout=120)
         assert (proc.returncode, stdout.decode(), stderr.decode()) == (
             self.CLOSED_STDIN)
+
+    # the two commands that print a verdict per record
+    VERDICT_COMMANDS = [["check"], ["realize"]]
+    CLOSED_STDOUT = (3, "error: cannot write -: Bad file descriptor\n")
+
+    @pytest.mark.parametrize("command", VERDICT_COMMANDS)
+    def test_closed_stdout(self, monkeypatch, command):
+        """Python sets sys.stdout to None when fd 1 is closed: the run
+        stops before it reads any input."""
+        monkeypatch.setattr(sys, "stdout", None)
+        stdin, err = io.StringIO("1;1\n"), io.StringIO()
+        code = main(command, stdin=stdin, stderr=err)
+        assert (code, err.getvalue()) == self.CLOSED_STDOUT
+        assert stdin.tell() == 0
+
+    @pytest.mark.parametrize("command", VERDICT_COMMANDS)
+    def test_closed_stdout_in_a_child(self, command):
+        # fd 1 is closed in the child just before it starts Python
+        proc = cli_child(command, preexec_fn=lambda: os.close(1),
+                         stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+        _, stderr = proc.communicate(b"1;1\n", timeout=120)
+        assert (proc.returncode, stderr.decode()) == self.CLOSED_STDOUT
+
+    # a malformed line, then a graphic record: what stdout gets
+    CLOSED_STDERR_OUT = {"check": "GRAPHIC thm3 Ma=1 Mb=1\n", "realize": "1\n"}
+
+    @pytest.mark.parametrize("command", VERDICT_COMMANDS)
+    def test_closed_stderr(self, monkeypatch, command):
+        """With sys.stderr None, the messages are dropped and the exit
+        codes stay: 3 for a malformed line, and for a usage error."""
+        monkeypatch.setattr(sys, "stderr", None)
+        out = io.StringIO()
+        code = main(command, stdin=io.StringIO("x\n1;1\n"), stdout=out)
+        assert (code, out.getvalue()) == (3, self.CLOSED_STDERR_OUT[command[0]])
+        out = io.StringIO()
+        assert main([*command, "--bogus"], stdout=out) == 3
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("command", VERDICT_COMMANDS)
+    @pytest.mark.parametrize("fd2", ["closed", "read-only"])
+    def test_closed_stderr_in_a_child(self, command, fd2):
+        """fd 2 closed (Python's stderr is None) or open only for reading,
+        as a launcher that opened a file in the gap may leave it (a write
+        fails with EBADF): either way the run is quiet and exits 3."""
+        def close_stderr():
+            os.close(2)
+            if fd2 == "read-only":
+                os.open(os.devnull, os.O_RDONLY)  # the lowest free fd, 2
+
+        proc = cli_child(command, preexec_fn=close_stderr,
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        stdout, _ = proc.communicate(b"x\n1;1\n", timeout=120)
+        assert (proc.returncode, stdout.decode()) == (
+            3, self.CLOSED_STDERR_OUT[command[0]])
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_input_not_utf8(self, tmp_path, command):
