@@ -243,9 +243,8 @@ def format_record(seq: BidegreeSequence) -> str:
     )
 
 
-# ("i " at index i, "i\n" at index i): a source's head and a target's line
-# in realize's edge list, for i below the largest n written as edges; one
-# tuple, so a rebinding grows both tables at once
+# ("i " at index i, "i\n" at index i), for i below the largest n realize
+# has written as edges; one tuple, so a rebinding grows both at once
 _EDGE_TEXTS = ([], [])
 
 
@@ -400,9 +399,9 @@ def _cmd_realize(args, stdin, stdout, stderr) -> int:
                 block.append("")  # the end of the last line
                 write("\n".join(block))
         else:
-            # a source's lines are its head before each target's line, so
-            # no edge is formatted; one target needs no join.  The record's
-            # text, built whole, is about its target lists' size
+            # a source's head before each target's line, so no edge is
+            # formatted; one target needs no join.  The record's text, built
+            # whole, is about its target lists' size
             heads, lines = _edge_texts(result.n)
             line = lines.__getitem__
             _write_text(write, gap + "".join([
@@ -580,13 +579,9 @@ def build_parser():
 
 
 class _Stderr:
-    """The stderr ``main`` hands on: writes pass through to ``stream``
-    until it shows itself closed, by being None (Python's stream when fd 2
-    is closed) or by a write failing with EBADF (fd 2 open, but not for
-    writing).  Then every write is dropped, and the fd is pointed at
-    devnull, so flushing what it still buffers cannot fail again."""
-
-    __slots__ = ("stream",)
+    """``stream`` until it shows itself closed: None (fd 2 closed) or a
+    write failing with EBADF (fd 2 not open for writing).  Then writes are
+    dropped, and the fd points at devnull, so the exit's flush cannot fail."""
 
     def __init__(self, stream):
         self.stream = stream
