@@ -99,6 +99,7 @@ import os
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from itertools import chain, islice
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .core import BidegreeSequence, from_entries, new_sequence
@@ -231,15 +232,18 @@ _TEXTS = ["0"]
 
 def format_record(seq: BidegreeSequence) -> str:
     """Plain-form record line for a sequence.  Entries print as ints, so
-    a ``bool`` entry prints as 0 or 1 and the line parses back."""
+    a ``bool`` entry prints as 0 or 1 and the line parses back.  Each
+    side's texts come from one ``itemgetter`` call on the table."""
     global _TEXTS
     texts = _TEXTS
     size = seq.stats.max_degree + 1
     if len(texts) < size:
         texts = _TEXTS = texts + list(map(str, range(len(texts), size)))
-    text = texts.__getitem__
-    return ",".join(map(text, seq.in_degrees)) + ";" + ",".join(
-        map(text, seq.out_degrees)
+    # itemgetter of one key returns the text itself, not a tuple, and join
+    # reads it char by char; a one-node record's entries are 0 or 1, one
+    # character each, so the join gives the text back
+    return ",".join(itemgetter(*seq.in_degrees)(texts)) + ";" + ",".join(
+        itemgetter(*seq.out_degrees)(texts)
     )
 
 

@@ -11,21 +11,23 @@ arithmetic with one 128-bit lane per draw; a batch equals as many
 The power-law sampler additionally evaluates its cumulative weights in
 IEEE double precision, so its byte-for-byte reproducibility is pinned to
 platforms with the same libm rounding (all common ones).  It keeps the
-weight table of the last ``(n, exponent)`` it sampled, with the least
-draw ``R1`` whose ``u = (r >> 11) * 2.0**-53 * W`` reaches the first
-cumulative weight; a draw below ``R1`` is degree 1 by one integer
-compare.  That is the float test's answer: ``r >> 11`` is below
-``2**53``, so it converts exactly, the power-of-two scale is exact, and
-one rounded multiply by ``W > 0`` never decreases, so ``u`` is monotone
-in ``r`` and ``u < cum[0]`` exactly when ``r < R1``.  Outputs always
-satisfy sum(a) == sum(b) by construction.  :func:`gen_extremal` takes
-:func:`minimizer_b_star`, the conjugate minimizer, for both vectors.
+weight table of the last ``(n, exponent)`` it sampled, with its head
+ends: for ``j = 1 .. min(64, n - 1)``, ``R_j`` is the least 64-bit draw
+``r`` whose ``u = (r >> 11) * 2.0**-53 * W`` reaches the cumulative weight
+``cum[j - 1]``.  A draw below the last head end gets its degree from
+integer compares alone.  That is the float test's answer: ``r >> 11`` is
+below ``2**53``, so it converts exactly, the power-of-two scale is exact,
+and one rounded multiply by ``W > 0`` never decreases, so ``u`` is
+monotone in ``r`` and ``u < cum[j - 1]`` exactly when ``r < R_j``.
+Outputs always satisfy sum(a) == sum(b) by construction.
+:func:`gen_extremal` takes :func:`minimizer_b_star`, the conjugate
+minimizer, for both vectors.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
@@ -180,6 +182,12 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
     smaller-sum vector is then topped up by unit increments at uniformly
     random slots (capped at n) until the sums match.
 
+    An integral ``Fraction`` exponent, such as ``Fraction(3)``, gives
+    exact rational weights, whose denominators grow with n: building its
+    table costs about four times as much per doubling of n (0.31 s at
+    n = 8000, 4.47 s at 32000, against a few ms for a float).  The CLI
+    always passes a float.
+
     Raises
     ------
     BadExponent
@@ -195,17 +203,22 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
         raise BadExponent(f"exponent must exceed 2, got {exponent}")
     if n < 2:
         raise InvalidParameters("power-law generation needs n >= 2")
-    cum, total_weight, first_end = _powerlaw_table(n, exponent)
-    # u is random() * total_weight, as the sequential sampler computed it;
-    # bisecting below n - 1 is min(bisect_right(cum, u) + 1, n), as cum
-    # never decreases.  Most draws land in the first bucket (P(d = 1) is
-    # 1/zeta(exponent), 0.75 at 2.5), so r < R1 is tested first and the
-    # bisect starts past it.
+    cum, total_weight, ends = _powerlaw_table(n, exponent)
+    # u is random() * total_weight, as the sequential sampler computed it,
+    # and the degree is min(bisect_right(cum, u) + 1, n), as cum never
+    # decreases.  Since u < cum[j - 1] exactly when r < R_j, below the last
+    # head end that count is the count of the ends at or below r, and only
+    # a draw past the head (0.10% at exponent 2.5) computes u.  Most draws
+    # are degree 1 (P(d = 1) is 1/zeta(exponent), 0.75 at 2.5), so r < R_1
+    # is tested first.
+    first, last, head = ends[0], ends[-1], len(ends)
     rng = SplitMix64(seed)
     degrees = [
         1
-        if r < first_end
-        else bisect_right(cum, (r >> 11) * 2.0**-53 * total_weight, 1, n - 1) + 1
+        if r < first
+        else bisect_right(ends, r, 1) + 1
+        if r < last
+        else bisect_right(cum, (r >> 11) * 2.0**-53 * total_weight, head, n - 1) + 1
         for r in rng.next_u64s(2 * n)
     ]
     a, b = degrees[:n], degrees[n:]
@@ -214,25 +227,41 @@ def gen_powerlaw(n: int, exponent: float, seed: int) -> BidegreeSequence:
     return new_sequence(a, b)
 
 
+# how many degrees, from 1, _powerlaw_table keeps a bucket end for
+_HEAD = 64
+
+
 @lru_cache(maxsize=1, typed=True)
 def _powerlaw_table(n: int, exponent: float) -> tuple:
     """The cumulative weights of ``x**-exponent`` on ``[1..n]``, their
-    total ``W`` and ``R1``, the least 64-bit draw ``r`` whose
-    ``u = (r >> 11) * 2.0**-53 * W`` reaches the first weight (``2**64``
-    if none does), kept for the last ``(n, exponent)`` asked for.  The
-    cache is typed, since an equal exponent of another type can give
-    other weights (``Fraction(3)`` exact ones).  The kept weights cost
-    about 32 bytes a node until a call at another ``(n, exponent)`` or
+    total ``W`` and the head ends, kept for the last ``(n, exponent)``
+    asked for.  The head ends are ``R_1 .. R_h`` with
+    ``h = min(64, n - 1)``: ``R_j`` is the least 64-bit draw ``r`` whose
+    ``u = (r >> 11) * 2.0**-53 * W`` reaches ``cum[j - 1]`` (``2**64`` if
+    none does).  The cache is typed, since an equal exponent of another
+    type can give other weights (``Fraction(3)`` exact ones).  The kept
+    weights cost about 32 bytes a node, and the 64 ends about 3 KB, until
+    a call at another ``(n, exponent)`` or
     ``_powerlaw_table.cache_clear()``."""
     cum = list(accumulate(x ** -exponent for x in range(1, n + 1)))
-    first, total = cum[0], cum[-1]
-    # u never decreases in k = r >> 11 (module docstring), so the test
-    # u >= first is False up to the least k that passes it and True past
-    # it: bisection finds that k.  At k = 2**53, u is the total, which the
-    # first weight never exceeds, so the search ends inside the range.
-    k = bisect_left(range(2**53 + 1), True,
-                    key=lambda k: k * 2.0**-53 * total >= first)
-    return cum, total, k << 11
+    total = cum[-1]
+
+    def reaches(k, weight):
+        return k * 2.0**-53 * total >= weight
+
+    ends = []
+    for weight in cum[: min(_HEAD, n - 1)]:
+        # u never decreases in k = r >> 11 (module docstring), so step from
+        # the rounded quotient, a few steps off, to the least k that passes.
+        # No weight exceeds the total, so k starts at most at 2**53, where
+        # u is the total and the test passes.
+        k = int(weight / total * 2**53)
+        while k and reaches(k - 1, weight):
+            k -= 1
+        while not reaches(k, weight):
+            k += 1
+        ends.append(k << 11)
+    return cum, total, ends
 
 
 def _top_up(rng: SplitMix64, vec: list, cap: int, amount: int) -> None:

@@ -199,7 +199,10 @@ def realize(
         if resid_in[s]:
             heappush(heap, n + s - resid_in[s] * width)  # s is wired: re-key
 
-    realization = AdjacencyRealization(n, targets, allow_loops)
+    # every target is sources[k] or k - n, so inside [0, n): build the
+    # namedtuple directly, past the constructor's shape checks
+    realization = tuple.__new__(
+        AdjacencyRealization, (n, tuple(targets), allow_loops))
     if not verify_realization(realization, seq):
         raise RuntimeError("constructed matrix does not match the margins")
     return realization
@@ -211,7 +214,8 @@ def verify_realization(
     """Exact margin check in ``O(n + S)``: each source's targets strictly
     increase, number its out-degree and skip the source itself unless
     loops are allowed; each node is a target as often as its in-degree.
-    The constructor has already kept every target inside ``[0, n)``.
+    Every target is already inside ``[0, n)``: the constructor checks
+    callers' targets, and ``realize`` builds only such targets.
 
     Raises
     ------

@@ -653,6 +653,10 @@ GOLDEN_GENERATE_OUTPUT = [
     # the benchmark's powerlaw-n2000 shape
     ("--kind powerlaw --n 2000 --exponent 2.5 --count 10 --seed 5",
      "96ac73168bb99d7be4fbb83a0bb954cd3daf0545adb279f120b4ef9ff7371e57"),
+    # a heavy tail: about 0.7% of the draws fall past the power-law
+    # sampler's 64 head ends and take its float bisect
+    ("--kind powerlaw --n 2000 --exponent 2.05 --count 20 --seed 1",
+     "68eaa1df7239b9c82b0110b37a5d0c4df114135b06cd20711a2af67945b2613b"),
     ("--kind counterexample1 --Ma 5 --Mb 7 --n 12 --count 3",
      "7b8302c73ae49c1db8bd390beed0224dcf7d591ec3467f94fc516eafb3b63b90"),
     ("--kind extremal --n 30 --total 80 --max 9 --count 2",

@@ -260,26 +260,51 @@ class TestGeneratorReference:
             with pytest.raises(bd.BadExponent):
                 bd.gen_powerlaw(5, Decimal("2.5"), 1)
 
-    @pytest.mark.parametrize("n", [2, 3, 2000])
+    @pytest.mark.parametrize(
+        "n, exponent, seeds",
+        [(3000, 2.05, range(3)), (2000, 2.1, range(3)),
+         (500, Fraction(5, 2), range(10)), (300, Fraction(3), range(10))],
+        ids=["3000-2.05", "2000-2.1", "500-Fraction(5, 2)", "300-Fraction(3)"],
+    )
+    def test_powerlaw_tail_draws(self, n, exponent, seeds):
+        """Past n = 65 the head ends stop short of the last degree; a draw
+        at or past the last end takes the float bisect, and heavy tails
+        give such draws.  The sequences are the reference's."""
+        *_, ends = generate._powerlaw_table(n, exponent)
+        assert len(ends) == 64
+        past = 0
+        for seed in seeds:
+            past += sum(r >= ends[-1] for r in SplitMix64(seed).next_u64s(2 * n))
+            assert bd.gen_powerlaw(n, exponent, seed) == reference_powerlaw(
+                n, exponent, seed
+            ), (n, exponent, seed)
+        assert past
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 2000])
     @pytest.mark.parametrize(
         "exponent",
         [math.nextafter(2.0, 3.0), 2.001, 2.5, math.nextafter(2.5, 2.0), 9.999,
-         10.0, 1e4],
+         10.0, 1e4, Fraction(3)],
     )
     def test_first_bucket_end_is_exact(self, n, exponent):
-        """R1 is the least draw whose u, as the reference computes it,
-        reaches the first cumulative weight; 2**64 when no draw does, as
-        past an exponent of about 1074 every weight but the first is 0."""
-        cum, total, first_end = generate._powerlaw_table(n, exponent)
+        """Every head end R_j, for j up to min(64, n - 1), is the least
+        draw whose u, as the reference computes it, reaches cum[j - 1];
+        2**64 when no draw does.  Up to n = 65 the head covers every degree
+        below n.  Past an exponent of about 1074 every weight but the first
+        is 0, so every end is 2**64; Fraction(3) has exact rational
+        weights."""
+        cum, total, ends = generate._powerlaw_table(n, exponent)
         assert cum == list(accumulate(x ** -exponent for x in range(1, n + 1)))
         assert total == cum[-1]
 
         def u(r):
             return (r >> 11) * 2.0**-53 * total
 
-        assert 0 < first_end <= 2**64
-        assert u(first_end - 1) < cum[0] <= u(first_end)
-        assert (first_end == 2**64) is (exponent == 1e4)
+        assert len(ends) == min(64, n - 1)
+        for end, weight in zip(ends, cum):
+            assert 0 < end <= 2**64
+            assert u(end - 1) < weight <= u(end)
+        assert (set(ends) == {2**64}) is (exponent == 1e4)
 
     def test_top_up_stops_at_the_last_draw(self):
         """After placing its units, the batched top-up leaves the stream
