@@ -7,15 +7,31 @@ explicit matrices; and generate random or adversarial sequences at the
 sharpness frontier of the bounds.
 
 Each public name is listed once, in its own module's ``__all__``; the
-package re-exports them all.  It imports ``core``, ``errors``, ``exact``
-and ``realize`` at once, so that the function ``realize`` holds that name
-before any import of the submodule could bind it; ``check``, ``bound``,
-``generate`` and ``bench`` load ``realize`` for that alone.  It imports
-``sufficient`` and ``generate`` on first access to a name it has not bound
-(PEP 562), so a command that runs neither does not load them.
+package re-exports them all.  It imports ``core``, ``errors`` and
+``exact`` at once, and ``generate``, ``realize`` and ``sufficient`` on
+first access to a name it has not bound (PEP 562), so a command that runs
+none of them does not load them: ``check`` loads neither ``realize`` nor
+``generate``.  The name ``realize`` is the function, whatever imports the
+submodule first: the import system binds a loaded submodule onto its
+package, and the package's module type binds the submodule's function in
+its place.
 """
 
-from . import core, errors, exact, realize as _realize
+import sys
+from types import ModuleType
+
+from . import core, errors, exact
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name, value):
+        # the submodule realize leaves its name to its function
+        if name == "realize" and isinstance(value, ModuleType):
+            value = value.realize
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 
 def _export(*modules):
@@ -23,20 +39,21 @@ def _export(*modules):
         globals().update((name, getattr(module, name)) for name in module.__all__)
 
 
-# importing the submodule ``realize`` bound its name; its function, bound
-# after it, takes the name
-_export(core, errors, exact, _realize)
+_export(core, errors, exact)
 
 
 def __getattr__(name):
     # absolute imports: ``from . import generate`` would first ask this hook
-    # for the name ``generate``
+    # for the name ``generate``; the submodules come from sys.modules, as
+    # ``import bidegree.realize as m`` would give the function
     import bidegree.generate
+    import bidegree.realize
     import bidegree.sufficient
 
-    generate, sufficient = bidegree.generate, bidegree.sufficient
-    _export(generate, sufficient)
-    modules = (core, errors, exact, generate, _realize, sufficient)
+    generate, realize, sufficient = (
+        sys.modules[f"{__name__}.{key}"] for key in ("generate", "realize", "sufficient"))
+    _export(generate, realize, sufficient)
+    modules = (core, errors, exact, generate, realize, sufficient)
     globals()["__all__"] = [key for module in modules for key in module.__all__]
     try:
         return globals()[name]

@@ -178,7 +178,8 @@ def _stats(n: int, total: int, total_out: int, ins, outs):
     low, high = min(min_in, min_out), max(max_in, max_out)
     if low < 0 or high > n or total != total_out:
         return None
-    return SequenceStats(n, total, low, max_in, max_out, high)
+    # built directly, past the constructor's Python frame
+    return tuple.__new__(SequenceStats, (n, total, low, max_in, max_out, high))
 
 
 def _raise_first_out_of_range(a, b, n: int):

@@ -72,6 +72,10 @@ __all__ = [
     "certify",
 ]
 
+_new = tuple.__new__
+# bound once: a class attribute lookup per record costs more than a global
+_GRAPHIC = Verdict.GRAPHIC
+
 
 class Certificate(namedtuple("Certificate", "condition parameters")):
     """A fired condition plus the integers needed to re-verify it.
@@ -119,9 +123,9 @@ def _ceil_isqrt(x: int) -> int:
 
 
 def _graphic(condition: Condition, **parameters) -> CheckOutcome:
-    return CheckOutcome(
-        Verdict.GRAPHIC, certificate=Certificate(condition, parameters)
-    )
+    # both tuples built directly, past their constructors' Python frames
+    certificate = _new(Certificate, (condition, parameters))
+    return _new(CheckOutcome, (_GRAPHIC, None, certificate))
 
 
 def _kstar(n: int, S: int, m: int, offset: int) -> int:
@@ -153,7 +157,7 @@ def check_thm2(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
         return INCONCLUSIVE
     m, M = st.min_degree, st.max_degree
     if (m + M) ** 2 // 4 <= m * st.n:
-        return _graphic(Condition.ZZ, m=m, M=M, n=st.n)
+        return _graphic(_THM2, m=m, M=M, n=st.n)
     return INCONCLUSIVE
 
 
@@ -161,9 +165,7 @@ def check_thm3(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Max-product certificate: ``Ma * Mb <= S + 1`` (graphic with loops)."""
     st = seq.stats
     if st.max_in * st.max_out <= st.total + 1:
-        return _graphic(
-            Condition.MAX_PRODUCT_LOOPS, Ma=st.max_in, Mb=st.max_out, S=st.total
-        )
+        return _graphic(_THM3, Ma=st.max_in, Mb=st.max_out, S=st.total)
     return INCONCLUSIVE
 
 
@@ -171,12 +173,7 @@ def check_thm4(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Max-product certificate ``(Ma + 1) * Mb <= S`` (graphic, no loops)."""
     st = seq.stats
     if (st.max_in + 1) * st.max_out <= st.total:
-        return _graphic(
-            Condition.MAX_PRODUCT_NO_LOOPS,
-            Ma=st.max_in,
-            Mb=st.max_out,
-            S=st.total,
-        )
+        return _graphic(_THM4, Ma=st.max_in, Mb=st.max_out, S=st.total)
     return INCONCLUSIVE
 
 
@@ -200,12 +197,12 @@ def check_thm5(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     Requires a positive minimum degree; certifies when the maximum degree
     is at most ``min(floor((S - n*m)/k) + m, n)``.
     """
-    return _mean_min(seq, Condition.MEAN_MIN_LOOPS, 0)
+    return _mean_min(seq, _THM5, 0)
 
 
 def check_thm6(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Mean/min certificate, loop-free variant (cap ``n - 1``)."""
-    return _mean_min(seq, Condition.MEAN_MIN_NO_LOOPS, 1)
+    return _mean_min(seq, _THM6, 1)
 
 
 def _multiplicity(seq, condition, strict) -> CheckOutcome:
@@ -228,12 +225,12 @@ def check_cor2(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     the best candidate is ``k = floor(S / M)``, so the test reduces to
     ``M**2 <= S``.  Requires ``M < n``.
     """
-    return _multiplicity(seq, Condition.MULTIPLICITY_LOOPS, False)
+    return _multiplicity(seq, _COR2, False)
 
 
 def check_cor3(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
     """Strict multiplicity certificate (graphic, no loops): ``M < k``."""
-    return _multiplicity(seq, Condition.MULTIPLICITY_NO_LOOPS, True)
+    return _multiplicity(seq, _COR3, True)
 
 
 def _cor5_may_fire(seq: BidegreeSequence) -> bool:
@@ -319,7 +316,7 @@ def check_cor5(seq: BidegreeSequence, prep: list | None = None) -> CheckOutcome:
                     k <= M_rest or k * m <= m * (n - R) - P
                 ):
                     return _graphic(
-                        Condition.HEAVY_TAIL,
+                        _COR5,
                         R=R,
                         P=P,
                         k=k,
@@ -396,6 +393,10 @@ class Condition(enum.Enum):
         return member
 
 
+# the members in the order above, by code: the checks read them as globals
+_THM2, _THM3, _THM4, _THM5, _THM6, _COR2, _COR3, _COR5 = Condition
+
+
 # The ladders hold only rungs that can fire first: each dropped condition
 # implies a kept rung tried before it.  With M = max(Ma, Mb):
 #   cor2 => thm3: cor2 needs M = 0 or M*M <= S, and Ma*Mb <= M*M.
@@ -428,7 +429,7 @@ def certify(
     """
     for check in _LADDERS[bool(allow_loops), bool(fallback_exact)]:
         outcome = check(seq)
-        if outcome.verdict is Verdict.GRAPHIC:
+        if outcome.verdict is _GRAPHIC:
             return outcome
     if fallback_exact:
         return check_with_loops(seq) if allow_loops else check_no_loops(seq)

@@ -3,6 +3,7 @@ no child is started."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,9 @@ _spec = importlib.util.spec_from_file_location(
     "bench_record", ROOT / "tools" / "bench_record.py")
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
+
+# the benchmark of this checkout, whose children startup() mimics
+BENCH = bench_record.load_benchmark(ROOT)
 
 # stdout of: python3 perfbench/run.py --workload uniform-n100 --seed 1 --seconds 0
 CAPTURED = (Path(__file__).parent / "fixtures" / "run_stdout.txt").read_text()
@@ -79,3 +83,41 @@ def test_main_writes_a_record_from_each_run(tmp_path, monkeypatch):
     assert [run["seed"] for run in workload["runs"]] == [1, 2]
     assert workload["metrics"]["peak_rss_mb"] == {
         "median": 28.234375, "q1": 28.234375, "q3": 28.234375, "runs": 2}
+    kinds = [*(cmd.name for cmd in BENCH.COMMANDS),
+             "python -c pass", "python -S -c pass"]
+    assert list(record["startup"]) == kinds
+    assert all(figures["runs"] == bench_record.STARTUP_RUNS == 20
+               and 0 <= figures["min"] <= figures["median"]
+               for figures in record["startup"].values())
+    assert len([argv for argv in calls if "perfbench/run.py" not in argv
+                and argv[0] == sys.executable]) == 20 * len(kinds)
+
+
+def test_startup_times_each_kind_of_child_per_round(monkeypatch):
+    """startup with a stubbed runner and clock: one child of every kind per
+    round, started as the benchmark starts its own children, and each
+    kind's min and median over its rounds."""
+    calls = []
+    now = [0.0]
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs))
+        now[0] += len(calls)  # the i-th child of the run takes i seconds
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    monkeypatch.setattr(bench_record.time, "perf_counter", lambda: now[0])
+    started = bench_record.startup(BENCH, runs=3)
+    kinds = len(BENCH.COMMANDS) + 2
+    assert len(calls) == 3 * kinds
+    for argv, kwargs in calls:
+        assert argv[0] == sys.executable
+        assert kwargs["cwd"] == BENCH.ROOT and kwargs["env"] == BENCH.child_env()
+        assert kwargs["stdin"] is subprocess.DEVNULL and kwargs["check"]
+    assert [argv[1:] for argv, _ in calls[:kinds]] == [
+        *(["-m", "bidegree.cli", *cmd.argv, os.devnull] for cmd in BENCH.COMMANDS),
+        ["-c", "pass"], ["-S", "-c", "pass"]]
+    assert calls[:kinds] == calls[kinds:2 * kinds]
+    # kind k's children are the (k+1)-th, (k+1+kinds)-th, ... of the run
+    for k, figures in enumerate(started.values()):
+        assert figures == {"min": k + 1, "median": k + 1 + kinds, "runs": 3}

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -22,6 +23,10 @@ from bidegree import cli, cli_extra, sufficient
 from bidegree.cli import format_record, main, parse_record
 from bidegree.generate import SplitMix64
 from conftest import sequence_pairs
+
+# a realize command reads the function from this module on each run, so a
+# failing realize is patched in here
+REALIZE_MODULE = importlib.import_module("bidegree.realize")
 
 TEN_NODE_RECORD = "6,6,6,6,6,4,2,2,1,1;6,6,6,6,6,4,2,2,1,1"
 COUNTEREXAMPLE_RECORD = "2,2,2,0;4,2,0,0"
@@ -837,7 +842,7 @@ class TestRealize:
                 raise RuntimeError("greedy wiring failed")
             return bd.realize(seq, allow_loops)
 
-        monkeypatch.setattr(cli, "realize", failing_on_pairs)
+        monkeypatch.setattr(REALIZE_MODULE, "realize", failing_on_pairs)
         code, out, err = run_cli(["realize"], "1,1;1,1\n1;1\n")
         assert err == "line 1: greedy wiring failed\n"
         assert out == "1\n"  # no separator before the first printed record
@@ -1817,7 +1822,7 @@ def test_one_write_per_realize_error_line(monkeypatch):
     def failing(seq, allow_loops=True):
         raise RuntimeError("greedy wiring failed")
 
-    monkeypatch.setattr(cli, "realize", failing)
+    monkeypatch.setattr(REALIZE_MODULE, "realize", failing)
     err = CountedWrites()
     main(["realize"], stdin=io.StringIO("1;1\n1;1\n"), stdout=io.StringIO(),
          stderr=err)

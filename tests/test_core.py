@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 from operator import sub
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidegree as bd
+from bidegree.cli import parse_record
+from bidegree.core import _stats
 from bidegree.exact import _conjugate_sums
 from conftest import conjugate_sum_direct, sequence_pairs
 
@@ -137,6 +140,25 @@ class TestStats:
             max_out=max(b),
             max_degree=max(a + b),
         )
+
+    @pytest.mark.parametrize("text", ["1;1", "0,0;0,0", "2,2,2,0;4,2,0,0",
+                                      "6,6,6,6,6,4,2,2,1,1;6,6,6,6,6,4,2,2,1,1"])
+    def test_built_stats_are_constructed_stats(self, text):
+        """``_stats`` builds its tuple past the constructor: it is a
+        ``SequenceStats`` equal to a constructed one, field for field, in
+        repr, pickle, ``_replace`` and ``_asdict``, on both routes."""
+        a, b = (tuple(map(int, side.split(","))) for side in text.split(";"))
+        built = _stats(len(a), sum(a), sum(b), set(a), set(b))
+        constructed = bd.SequenceStats(
+            len(a), sum(a), min(a + b), max(a), max(b), max(a + b))
+        for found in (built, bd.new_sequence(a, b).stats, parse_record(text).stats):
+            assert type(found) is bd.SequenceStats
+            assert found == constructed
+            assert repr(found) == repr(constructed)
+            assert found._asdict() == constructed._asdict()
+            assert found._replace(n=99) == constructed._replace(n=99)
+            copied = pickle.loads(pickle.dumps(found))
+            assert type(copied) is bd.SequenceStats and copied == constructed
 
 
 def typed(values):

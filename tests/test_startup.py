@@ -13,16 +13,17 @@ import bidegree as bd
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
 
 # the modules the package imports at once; every command runs them
-EAGER = {"core", "errors", "exact", "realize"}
+EAGER = {"core", "errors", "exact"}
 
 # command line -> the submodules a child running it imports.  The child
 # runs ``-m bidegree.cli``, so the cli module itself runs as __main__, and
 # cli_extra, which imports cli by name, must not load it a second time.
 # ``check --method exact`` runs only the exact check; --method's choices
 # read sufficient's conditions only to list them or to meet another code.
-# Only bound, generate and bench load cli_extra, the module they run from.
+# Only bound, generate and bench load cli_extra, the module they run from,
+# and only realize loads realize.
 COMMAND_MODULES = {
-    "realize": EAGER,
+    "realize": EAGER | {"realize"},
     "check --method exact": EAGER,
     "check --method auto": EAGER | {"sufficient"},
     "bound --n 4 --m 1 --total 4": EAGER | {"cli_extra", "sufficient"},
@@ -100,8 +101,8 @@ def test_top_level_imports_no_command_module(argv, code):
         {"bidegree"} | {f"bidegree.{name}" for name in EAGER})
 
 
-# ``import bidegree.cli`` first, as the console script does: it imports
-# the submodule ``realize`` and its function under that name
+# ``import bidegree.cli`` first, as the console script does: neither
+# import loads the submodule ``realize``
 SURFACE_PROBE = """
 import importlib, json, sys
 import bidegree.cli
@@ -131,9 +132,42 @@ def test_package_surface_after_cli_import():
     # neither import loads a lazy module
     assert facts["loaded"] == [
         "bidegree", "bidegree.cli", "bidegree.core", "bidegree.errors",
-        "bidegree.exact", "bidegree.realize"]
+        "bidegree.exact"]
     assert facts["realize_is_function"]
     # each module's own list, in the package's order of modules
     assert facts["all"] == facts["module_lists"]
     assert facts["star_unbound"] == []
     assert set(facts["all"]) <= set(facts["dir"])
+
+
+# each way of importing the submodule ``realize`` in a fresh process, after
+# ``import bidegree.cli; import bidegree``; the import system then binds the
+# loaded submodule onto the package, and the name must stay the function
+REALIZE_IMPORTS = {
+    "import_module after access":
+        'bidegree.realize; importlib.import_module("bidegree.realize")',
+    "import_module before access":
+        'importlib.import_module("bidegree.realize"); bidegree.realize',
+    "import": "import bidegree.realize",
+    "from import": "from bidegree.realize import verify_realization",
+    "star": "from bidegree import *",
+}
+REALIZE_PROBE = """
+import importlib, sys
+import bidegree.cli
+import bidegree
+assert "bidegree.realize" not in sys.modules
+{statement}
+module = sys.modules["bidegree.realize"]
+assert type(module).__name__ == "module", module
+assert bidegree.realize is module.realize, bidegree.realize
+import bidegree.realize as bound
+assert bound is module.realize, bound
+"""
+
+
+@pytest.mark.parametrize("statement", REALIZE_IMPORTS.values(),
+                         ids=REALIZE_IMPORTS)
+def test_realize_stays_the_function_whatever_imports_the_module(statement):
+    run = child(["-c", REALIZE_PROBE.format(statement=statement)])
+    assert run.returncode == 0, run.stderr

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from decimal import Decimal, getcontext
 from itertools import accumulate
@@ -493,6 +494,53 @@ class TestCertify:
             for loops in (True, False):
                 out = bd.certify(seq, allow_loops=loops, fallback_exact=False)
                 assert out.verdict is not Verdict.NOT_GRAPHIC
+
+
+class TestBuiltOutcomes:
+    """A firing check builds its ``CheckOutcome`` and ``Certificate`` past
+    their constructors; what it returns is the same as constructed ones."""
+
+    @staticmethod
+    def outcomes():
+        """``(condition, outcome)`` for every check that fires on a seeded
+        corpus, each record also with its in-degrees on both sides (for
+        thm2), called alone and as ``certify``'s rung under both policies,
+        with and without the exact fallback."""
+        for a, b in random_records(20261021, 1500, 1, 12):
+            for in_degrees, out_degrees in ((a, b), (a, a)):
+                seq = bd.new_sequence(in_degrees, out_degrees)
+                for cond in Condition:
+                    yield cond, cond.check(seq)
+                for loops in (True, False):
+                    for fallback in (True, False):
+                        out = bd.certify(seq, loops, fallback)
+                        if out.certificate is not None:
+                            yield out.certificate.condition, out
+
+    def test_fired_outcomes_equal_constructed_ones(self):
+        fired = Counter()
+        for cond, out in self.outcomes():
+            if out.verdict is not Verdict.GRAPHIC:
+                assert out is INCONCLUSIVE
+                continue
+            fired[cond] += 1
+            cert = out.certificate
+            assert type(out) is bd.CheckOutcome
+            assert type(cert) is bd.Certificate and cert.condition is cond
+            assert type(cert.parameters) is dict
+            constructed = bd.CheckOutcome(
+                Verdict.GRAPHIC,
+                certificate=bd.Certificate(cond, dict(cert.parameters)))
+            assert out == constructed and out.witness is None
+            assert repr(out) == repr(constructed)
+            assert out._asdict() == constructed._asdict()
+            assert out._replace(witness=3) == constructed._replace(witness=3)
+            assert type(out._replace(witness=3)) is bd.CheckOutcome
+            assert out.is_graphic
+            copied = pickle.loads(pickle.dumps(out))
+            assert type(copied) is bd.CheckOutcome and copied == constructed
+            assert type(copied.certificate) is bd.Certificate
+        assert set(fired) == set(Condition)
 
 
 def reference_cor5(seq):

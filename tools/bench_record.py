@@ -6,7 +6,12 @@ JSON result; the lines above carry the raw figures and the two exact/auto
 ``gate:`` ratios.  The file holds the commit, the Python version, the
 corpus pins, each run's scaled and raw metrics and gate ratios, and per
 workload the median, quartiles and run count of each metric and the
-median of each gate ratio.  From the repository root:
+median of each gate ratio.  It also holds a ``startup`` object: the min
+and median wall time of ``STARTUP_RUNS`` children of each benchmark
+command on an empty input (``/dev/null``), and of ``python -c pass`` and
+``python -S -c pass``, each started with the environment and working
+directory ``perfbench/run.py`` gives its own children.  From the
+repository root:
 
     python3 tools/bench_record.py --pr 26 --seeds powerlaw-n2000=1-10 \\
         --seeds uniform-n100=1-3 --seeds realize-n1000=1-3
@@ -19,15 +24,19 @@ sources it then runs; the file is written to ``--out``, by default
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # every run lasts this long, so files of different trees compare
 SECONDS = 30
+STARTUP_RUNS = 20
 RAW = re.compile(r"^(\S+)\s+\S+ \S+\s+\(raw (\S+)\)$", re.M)
 GATE = re.compile(r"^gate: check exact/auto time, (\w+): (\S+) ", re.M)
 
@@ -68,6 +77,42 @@ def seed_list(text: str) -> list:
     return seeds
 
 
+def load_benchmark(root: Path):
+    """The ``perfbench/run.py`` of checkout ``root`` as a module; it
+    imports ``oracle`` from its own directory."""
+    bench = root / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("run", bench / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+def startup(bench, runs: int = STARTUP_RUNS) -> dict:
+    """Min and median wall seconds of ``runs`` children per kind: each
+    command of ``bench.COMMANDS`` on an empty input, then a bare
+    interpreter with and without ``site``.  Each round starts one child of
+    every kind, so a drift in host speed reaches them all alike."""
+    argvs = {cmd.name: ["-m", "bidegree.cli", *cmd.argv, os.devnull]
+             for cmd in bench.COMMANDS}
+    argvs["python -c pass"] = ["-c", "pass"]
+    argvs["python -S -c pass"] = ["-S", "-c", "pass"]
+    env = bench.child_env()
+    times = {name: [] for name in argvs}
+    for _ in range(runs):
+        for name, argv in argvs.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *argv], cwd=bench.ROOT, env=env,
+                           stdin=subprocess.DEVNULL, capture_output=True,
+                           check=True)
+            times[name].append(time.perf_counter() - start)
+    return {name: {"min": min(values), "median": statistics.median(values),
+                   "runs": len(values)} for name, values in times.items()}
+
+
 def _git(root: Path, *argv) -> str:
     return subprocess.run(["git", "-C", str(root), *argv], capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -94,11 +139,14 @@ def main(argv=None) -> int:
             runs.append({"seed": seed, **parse_run(child.stdout)})
             print(f"{workload} seed {seed}: gate {runs[-1]['gate']}", file=sys.stderr)
         workloads[workload] = summarize(runs)
+    started = startup(load_benchmark(root))
+    for name, figures in started.items():
+        print(f"startup {name}: median {figures['median']:.4f} s", file=sys.stderr)
     # dirty: the sources or the benchmark differ from the commit
     dirty = _git(root, "status", "--porcelain", "--", "src", "perfbench")
     record = {"pr": args.pr, "commit": _git(root, "rev-parse", "HEAD"),
               "dirty": bool(dirty), "python": sys.version,
-              "seconds": SECONDS, "workloads": workloads,
+              "seconds": SECONDS, "workloads": workloads, "startup": started,
               "corpora": json.loads((root / "perfbench" / "corpora.json").read_text())}
     out = args.out or Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
