@@ -20,11 +20,11 @@ over the distinct values), and on any failure decodes the vectors and
 validates them as above, so every error keeps its type and message.
 Both routes apply one rule, :func:`_stats`, to the sums and the distinct
 values they found: every value in ``[0..n]`` and equal sums.
-Such a sequence keeps its counts, which :func:`degree_counts` hands to
-the exact checks, and decodes its vectors only when they are first read,
-dropping the entry strings then; a record that the five integers settle
-never builds them.  Any other sequence is counted by
-:func:`degree_counts` on each call.
+Such a sequence keeps its counts, which :func:`degree_pairs` sorts into
+the ``(value, count)`` pairs the exact checks read, and decodes its
+vectors only when they are first read, dropping the entry strings then;
+a record that the five integers settle never builds them.  Any other
+sequence is counted by :func:`degree_pairs` on each call.
 """
 
 from __future__ import annotations
@@ -271,17 +271,23 @@ def from_entries(a: list, b: list, decode) -> BidegreeSequence:
     return BidegreeSequence(_decoded(a, a_counted), _decoded(b, b_counted))
 
 
-def degree_counts(seq: BidegreeSequence) -> tuple:
-    """Dicts from each in-degree and each out-degree to its count: those
-    a sequence from :func:`from_entries` was validated from, else a count
-    of its vectors, made on each call."""
-    if seq._counts is None:
-        return Counter(seq.in_degrees), Counter(seq.out_degrees)
-    (a_counts, a_values), (b_counts, b_values) = seq._counts
-    return (
-        dict(zip(a_values, a_counts.values())),
-        dict(zip(b_values, b_counts.values())),
-    )
+# sorts pairs by their distinct values alone: int keys compare faster
+# than tuples
+_first = itemgetter(0)
+
+
+def degree_pairs(seq: BidegreeSequence) -> tuple:
+    """The ``(value, count)`` pairs of the in-degrees and of the
+    out-degrees, each list in ascending order: sorted from the counts a
+    sequence from :func:`from_entries` was validated from, else from one
+    count of each vector, made on each call."""
+    counts = seq._counts
+    if counts is None:
+        return (sorted(Counter(seq.in_degrees).items(), key=_first),
+                sorted(Counter(seq.out_degrees).items(), key=_first))
+    (a_counts, a_values), (b_counts, b_values) = counts
+    return (sorted(zip(a_values, a_counts.values()), key=_first),
+            sorted(zip(b_values, b_counts.values()), key=_first))
 
 
 def stats(seq: BidegreeSequence) -> SequenceStats:

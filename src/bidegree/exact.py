@@ -17,8 +17,8 @@ co-indexed with the ``j`` largest in-degrees.  Here the scan extends to
 an out-degree equal to ``n`` (impossible without a loop) is rejected, and
 it is the only case where a witness of ``n`` can occur.
 
-Both checks first test a record at the ends of its in-degree groups.  Sort
-the in-degrees descending and let ``j_1 < j_2 < ... < j_d = n`` be the
+Both checks test a record at the ends of its in-degree groups.  Sort the
+in-degrees descending and let ``j_1 < j_2 < ... < j_d = n`` be the
 indices where a group of equal values ends, ``v_k`` the value of group
 ``k``.  Only the ends with ``j_k <= limit`` need evaluating, ``limit`` the
 maximum out-degree (and at most ``n - 1`` with loops): no inequality with
@@ -30,7 +30,10 @@ saturated at the full degree sum.
   ``#(b_i >= j)``, which never grows with ``j``, and the second gains the
   same ``v_k`` at every step inside group ``k``.  A concave function
   takes its minimum over an interval at one of its ends, and ``s(0) = 0``,
-  so ``s >= 0`` everywhere exactly when it holds at every group end.
+  so ``s >= 0`` everywhere exactly when it holds at every group end.  At
+  the first end where it fails, the slack is non-negative at the previous
+  end, so the negative indices of that group form a suffix, and bisection
+  finds the first of them, the witness.
 * Without loops, Berger (2014, "A note on the characterization of
   digraphic sequences", Discrete Math. 314) shows that, with the pairs in
   nonincreasing lexicographic order, the Fulkerson--Chen--Anstee system
@@ -41,19 +44,20 @@ saturated at the full degree sum.
   with-loops slack covers that bound holds without reading a pair.
   ``j = n`` fails exactly when some ``b_i = n``.
 
-The checks read the count of each vector's values from
-:func:`~bidegree.core.degree_counts`: a record parsed from text was
-validated from those counts and hands them over, and any other sequence
-is counted there once, in O(n).  They sort the ``d`` distinct in-degrees
-once, O(d log d), into descending groups that both tests read.  The
-group-end test sorts the distinct out-degrees and sweeps
-``sum_i min(b_i, j)`` over the out-degree histogram to each end.  With
-loops it decides the record; without loops it is sufficient only, since
-an end that does not cover the bound may still hold.  A record it does
-not certify goes to the full scan of every index ``j = 1..limit``, with
-the same groups and counts, which decides it exactly.  The scan stays
-the one source of the witness (the first violated index, which can lie
-inside a group) and of ``violated_indices``, which needs every index.
+One kernel, :func:`_group_ends`, runs both tests.  It reads ``n``, the
+limit and each side's ``(value, count)`` pairs in ascending order, never
+a sequence, so a caller can hand it any vectors with few distinct values.
+It walks the in-degree groups from the top and sweeps
+``sum_i min(b_i, j)`` over the out-degree pairs to each end, in
+O(d) after the sort for ``d`` distinct degrees.  With loops it decides a
+record and returns its witness; without loops it is sufficient only,
+since an end that does not cover the bound may still hold.  The checks
+take the pairs from :func:`~bidegree.core.degree_pairs`: a record parsed
+from text was validated from its counts and sorts those, and any other
+sequence is counted there once, in O(n).  A record the loop-free test
+does not certify goes to the full scan of every index ``j = 1..limit``,
+which needs the record's own pairing and decides it exactly.  The scan
+also serves ``violated_indices``, which needs every index.
 
 ``brute_force_exists`` is an independent ground-truth oracle with no size
 limit: it builds a 0-1 matrix with the margins as a polynomial max flow,
@@ -63,11 +67,12 @@ one one at a time along augmenting paths, and says whether all fit.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import deque, namedtuple
 from itertools import accumulate, chain, islice, repeat, starmap
-from operator import sub
+from operator import mul, sub
 
-from .core import BidegreeSequence, degree_counts
+from .core import BidegreeSequence, degree_pairs
 
 __all__ = [
     "Verdict",
@@ -109,12 +114,66 @@ GRAPHIC = CheckOutcome(Verdict.GRAPHIC)
 INCONCLUSIVE = CheckOutcome(Verdict.INCONCLUSIVE)
 
 
-def _outcome(slack: list) -> CheckOutcome:
-    """GRAPHIC, or NOT_GRAPHIC at the first index of negative slack."""
-    witness = next((j for j, s in enumerate(slack) if s < 0), None)
-    if witness is None:
-        return GRAPHIC
-    return CheckOutcome(Verdict.NOT_GRAPHIC, witness=witness)
+def _group_ends(
+    n: int, limit: int, ins: list, outs: list, allow_loops: bool
+) -> int | None:
+    """The group-end test on ``n`` in-degrees and ``n`` out-degrees of
+    equal sum, given as ascending ``(value, count)`` pairs ``ins`` and
+    ``outs``, up to ``limit`` (the maximum out-degree, and at most
+    ``n - 1`` with loops).
+
+    None when the test certifies the record graphic under the policy.
+    Otherwise, with loops, where the test is exact, the first violated
+    index; without loops, the first group end that does not cover the
+    bound on its correction, where the record may still be graphic.
+    """
+    if limit == n:
+        return n  # without loops j = n reads S <= S - #(b_i = n)
+    # F(j) = sum_i min(b_i, j) is the sum of the out-degrees below j plus
+    # j for each of the `ge` others; the with-loops slack F(j) less the
+    # demand must cover the correction, at most min(j, ge) without loops
+    ascending = iter(outs)
+    out, count = next(ascending)
+    below = below_sum = demand = end = 0
+    for v, c in reversed(ins):
+        end += c
+        if end > limit:
+            break
+        demand += v * c
+        while out < end:  # an out-degree of at least end <= limit exists
+            below += count
+            below_sum += out * count
+            out, count = next(ascending)
+        ge = n - below
+        if below_sum + end * ge - demand < (
+            0 if allow_loops else min(end, ge)
+        ):
+            if allow_loops:
+                return _first_negative(n, end - c, end, demand - v * c, v, outs)
+            return end
+    return None
+
+
+def _first_negative(
+    n: int, lo: int, hi: int, demand: int, v: int, outs: list
+) -> int:
+    """The first index in ``(lo, hi]`` of negative with-loops slack, inside
+    one in-degree group of value ``v`` that starts after ``lo``: the slack
+    is non-negative at ``lo``, where the in-degrees sum to ``demand``,
+    negative at ``hi`` and concave between, so its negative indices there
+    form a suffix.  Bisection evaluates ``F(j)`` from prefix sums over the
+    ascending out-degree pairs ``outs`` of the ``n`` out-degrees."""
+    below = list(accumulate([c for _, c in outs], initial=0))
+    below_sum = list(accumulate(starmap(mul, outs), initial=0))
+    start = lo
+    while hi - lo > 1:
+        j = (lo + hi) // 2
+        k = bisect_left(outs, (j,))  # (j,) sorts before every (j, count)
+        if below_sum[k] + j * (n - below[k]) < demand + v * (j - start):
+            hi = j
+        else:
+            lo = j
+    return hi
 
 
 # The full scan only ever needs conjugate sums and sorted prefix sums up
@@ -135,26 +194,19 @@ def _conjugate_sums(hist: dict, n: int, limit: int) -> list[int]:
     return list(accumulate(map(sub, repeat(n), below), initial=0))
 
 
-def _limit(seq: BidegreeSequence, allow_loops: bool) -> int:
-    """The last index whose inequality can fail: the maximum out-degree,
-    and at most ``n - 1`` with loops (without loops ``j = n`` fails when
-    some ``b_i = n``)."""
-    if allow_loops:
-        return min(seq.stats.max_out, seq.n - 1)
-    return seq.stats.max_out
-
-
 def _slack(
-    seq: BidegreeSequence, allow_loops: bool, groups: list, outs: dict
+    seq: BidegreeSequence, allow_loops: bool, ins: list, outs: list
 ) -> list:
     """Capacity minus demand of the policy's inequality ``j``, for ``j`` in
-    ``[0..limit]``, from the in-degree ``groups`` (value, count) in
-    descending order and the count ``outs`` of the out-degrees; graphic
-    under the policy iff no entry is negative."""
-    limit = _limit(seq, allow_loops)
-    desc = chain.from_iterable(starmap(repeat, groups))
+    ``[0..limit]``, from the ascending ``(value, count)`` pairs ``ins`` and
+    ``outs`` of each side; graphic under the policy iff no entry is
+    negative."""
+    n, limit = seq.n, outs[-1][0]
+    if allow_loops:
+        limit = min(limit, n - 1)
+    desc = chain.from_iterable(starmap(repeat, reversed(ins)))
     prefix = list(accumulate(islice(desc, limit), initial=0))
-    slack = list(map(sub, _conjugate_sums(outs, seq.n, limit), prefix))
+    slack = list(map(sub, _conjugate_sums(dict(outs), n, limit), prefix))
     if allow_loops or limit == 0:
         return slack
     # diagonal correction c[j] = #(i <= j with b_i >= j) over the first
@@ -172,57 +224,18 @@ def _slack(
     return list(map(sub, slack, accumulate(diff[: limit + 1])))
 
 
-def _group_ends_certify(
-    seq: BidegreeSequence, allow_loops: bool, groups: list, outs: dict
-) -> bool:
-    """Whether the group-end test certifies ``seq`` graphic under the
-    policy, from the in-degree ``groups`` (value, count) in descending
-    order and the count ``outs`` of the out-degrees: with loops exactly
-    when it is graphic, without loops only when every end covers the
-    bound on its correction (see the module docstring)."""
-    n, limit = seq.n, _limit(seq, allow_loops)
-    if limit == n:
-        return False  # without loops j = n reads S <= S - #(b_i = n)
-    # F(j) = sum_i min(b_i, j) is the sum of the out-degrees below j plus
-    # j for each of the `ge` others; the with-loops slack F(j) less the
-    # demand must cover the correction, at most min(j, ge) without loops
-    ascending = iter(sorted(outs.items()))
-    out, count = next(ascending)
-    below = below_sum = demand = end = 0
-    for v, c in groups:
-        end += c
-        if end > limit:
-            break
-        demand += v * c
-        while out < end:  # an out-degree of at least end <= limit exists
-            below += count
-            below_sum += out * count
-            out, count = next(ascending)
-        ge = n - below
-        slack = below_sum + end * ge - demand
-        if slack < (0 if allow_loops else min(end, ge)):
-            return False
-    return True
-
-
-def _check(seq: BidegreeSequence, allow_loops: bool) -> CheckOutcome:
-    """Read each vector's count once and sort the in-degree groups once,
-    certify at the group ends, and scan every index only for a record the
-    group ends do not certify."""
-    ins, outs = degree_counts(seq)
-    groups = sorted(ins.items(), reverse=True)
-    if _group_ends_certify(seq, allow_loops, groups, outs):
-        return GRAPHIC
-    return _outcome(_slack(seq, allow_loops, groups, outs))
-
-
 def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
     """Decide whether ``seq`` is realizable allowing self-loops.
 
     Returns GRAPHIC, or NOT_GRAPHIC with the first violated index as
     witness.
     """
-    return _check(seq, True)
+    ins, outs = degree_pairs(seq)
+    n = seq.stats.n
+    witness = _group_ends(n, min(outs[-1][0], n - 1), ins, outs, True)
+    if witness is None:
+        return GRAPHIC
+    return CheckOutcome(Verdict.NOT_GRAPHIC, witness)
 
 
 def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:
@@ -233,7 +246,14 @@ def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:
     out-degree equal to ``n`` fails at ``j = n``; no other sequence can
     produce a witness of ``n``.
     """
-    return _check(seq, False)
+    ins, outs = degree_pairs(seq)
+    if _group_ends(seq.stats.n, outs[-1][0], ins, outs, False) is None:
+        return GRAPHIC
+    slack = _slack(seq, False, ins, outs)
+    witness = next((j for j, s in enumerate(slack) if s < 0), None)
+    if witness is None:
+        return GRAPHIC
+    return CheckOutcome(Verdict.NOT_GRAPHIC, witness)
 
 
 def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[int]:
@@ -241,11 +261,10 @@ def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[in
 
     Empty exactly when the sequence is graphic under the given loop
     policy.  It reads the full scan of every index up to the maximum
-    out-degree, not only the group ends the checks test first: violations
-    can only occur up to that index, so the list is complete.
+    out-degree, not only the group ends the checks test: violations can
+    only occur up to that index, so the list is complete.
     """
-    ins, outs = degree_counts(seq)
-    slack = _slack(seq, allow_loops, sorted(ins.items(), reverse=True), outs)
+    slack = _slack(seq, allow_loops, *degree_pairs(seq))
     return [j for j, s in enumerate(slack) if s < 0]
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import bidegree as bd
 from bidegree import exact
-from bidegree.exact import Verdict, _group_ends_certify, _slack
+from bidegree.cli import format_record, parse_record
+from bidegree.exact import Verdict, _group_ends, _slack
 from bidegree.generate import SplitMix64
 from conftest import (
     anstee_lhs_direct,
@@ -15,6 +16,7 @@ from conftest import (
     equal_sum_vector_pairs,
     loops_inequality_holds_direct,
     no_loops_inequality_holds_direct,
+    random_records,
     sequence_pairs,
 )
 
@@ -110,10 +112,18 @@ def direct_violations(seq, allow_loops):
 
 
 def counted(seq):
-    """The in-degree groups (value, count) in descending order and the
-    count of the out-degrees, as the checks make them."""
-    groups = sorted(Counter(seq.in_degrees).items(), reverse=True)
-    return groups, Counter(seq.out_degrees)
+    """The ascending (value, count) pairs of the in-degrees and of the
+    out-degrees, as the checks read them."""
+    return (sorted(Counter(seq.in_degrees).items()),
+            sorted(Counter(seq.out_degrees).items()))
+
+
+def group_ends(seq, loops):
+    """The kernel on ``seq``'s pairs, up to the policy's limit."""
+    limit = seq.stats.max_out
+    if loops:
+        limit = min(limit, seq.n - 1)
+    return _group_ends(seq.n, limit, *counted(seq), loops)
 
 
 def reference_loops_slack(seq):
@@ -143,17 +153,21 @@ def reference_no_loops_slack(seq):
 
 def assert_slack_matches_reference(seq):
     """Both policies' slack equals its reference; the group-end test
-    certifies only graphic records, and all of them with loops; and each
-    check's verdict and witness are read off the reference."""
+    certifies only graphic records, and with loops returns the first
+    violated index; and each check's verdict and witness are read off the
+    reference."""
     for loops, reference, check in (
         (True, reference_loops_slack(seq), bd.check_with_loops),
         (False, reference_no_loops_slack(seq), bd.check_no_loops),
     ):
         assert _slack(seq, loops, *counted(seq)) == reference, (seq, loops)
         graphic = min(reference) >= 0
-        certified = _group_ends_certify(seq, loops, *counted(seq))
-        assert graphic if certified else not (loops and graphic), (seq, loops)
         witness = next((j for j, s in enumerate(reference) if s < 0), None)
+        found = group_ends(seq, loops)
+        if loops:
+            assert found == witness, seq
+        else:
+            assert graphic or found is not None, seq
         outcome = check(seq)
         assert outcome.is_graphic is graphic, (seq, loops)
         assert outcome.witness == witness, (seq, loops)
@@ -224,8 +238,9 @@ def counterexample1(ma, mb, n=None):
 
 
 class TestGroupEnds:
-    """The checks certify at the ends of the in-degree groups and rescan
-    every record the group ends do not certify."""
+    """The checks test the ends of the in-degree groups.  With loops a
+    failing end is bisected for the witness; without loops every record
+    the ends do not certify is rescanned."""
 
     @pytest.mark.parametrize(
         "a, b, loops, certified, witness",
@@ -269,9 +284,133 @@ class TestGroupEnds:
     def test_named_cases(self, a, b, loops, certified, witness):
         seq = bd.new_sequence(a, b)
         check = bd.check_with_loops if loops else bd.check_no_loops
-        assert _group_ends_certify(seq, loops, *counted(seq)) is certified
+        assert (group_ends(seq, loops) is None) is certified
         assert check(seq).witness == witness
         assert_slack_matches_reference(seq)
+
+
+class TestBisectedWitness:
+    """With loops the witness is bisected inside the first failing group;
+    it is the full scan's first negative index, on parsed and on built
+    sequences, and a parsed record decodes no vectors to find it."""
+
+    @staticmethod
+    def assert_witness(a, b):
+        built = bd.new_sequence(a, b)
+        slack = _slack(built, True, *counted(built))
+        want = next((j for j, s in enumerate(slack) if s < 0), None)
+        assert bd.check_with_loops(built).witness == want, (a, b)
+        parsed = parse_record(format_record(built))
+        outcome = bd.check_with_loops(parsed)
+        assert outcome.witness == want, (a, b)
+        assert outcome.is_graphic is (want is None), (a, b)
+        assert parsed._vectors is None, (a, b)  # settled from the counts
+        return want
+
+    def test_c1_records(self):
+        records = [pair for n in range(1, 5)
+                   for pair in equal_sum_vector_pairs(n, n)]
+        records += random_records(20260601, 20_000, 6, 12)
+        inside = 0
+        for a, b in records:
+            w = self.assert_witness(a, b)
+            desc = sorted(a, reverse=True)
+            # neither the first index of its group nor its end
+            inside += w is not None and 1 < w < len(a) and (
+                desc[w - 2] == desc[w - 1] == desc[w])
+        assert inside > 100
+
+    def test_counterexample1_grid(self):
+        for ma in range(2, 13):
+            for mb in range(3, 13):
+                for n in range(max(ma, mb), 31):
+                    a, b = counterexample1(ma, mb, n)
+                    assert self.assert_witness(a, b) == mb - 1, (ma, mb, n)
+
+
+def expanded(pairs):
+    """The vector of ascending ``(value, count)`` pairs."""
+    return [v for v, c in pairs for _ in range(c)]
+
+
+def random_pair_lists(seed, count):
+    """``count`` seeded (n, ins, outs) from random records at n = 1..14,
+    with ties: each side draws its values from a few distinct ones."""
+    rng = SplitMix64(seed)
+    for a, b in random_records(seed, count, 1, 14):
+        n = len(a)
+        # fold each side onto few values: ties and single groups, still in
+        # [0..n]; then even the sums out by units at random entries
+        a = [x - x % rng.randint(1, 3) for x in a]
+        b = [x - x % rng.randint(1, 3) for x in b]
+        low, high = sorted((a, b), key=sum)
+        while sum(low) < sum(high):
+            i = rng.randbelow(n)
+            if low[i] < n:
+                low[i] += 1
+        yield n, sorted(Counter(a).items()), sorted(Counter(b).items())
+
+
+class TestKernel:
+    """``_group_ends`` called on ``(value, count)`` lists alone, as a rung
+    that builds extremal pairs calls it: exact with loops, and without
+    loops it never certifies a record some pairing of the vectors makes
+    non-graphic."""
+
+    @staticmethod
+    def assert_kernel(n, ins, outs, rng):
+        a, b = expanded(ins), expanded(outs)
+        # a random pairing of the two vectors
+        order = sorted(range(n), key=lambda _: rng.next_u64())
+        seq = bd.new_sequence(a, [b[i] for i in order])
+        max_out = outs[-1][0]
+        slack = reference_loops_slack(seq)
+        witness = next((j for j, s in enumerate(slack) if s < 0), None)
+        assert _group_ends(n, min(max_out, n - 1), ins, outs, True) == witness
+        if _group_ends(n, max_out, ins, outs, False) is None:
+            assert min(reference_no_loops_slack(seq)) >= 0, (ins, outs)
+
+    def test_seeded_pair_lists(self):
+        rng = SplitMix64(36)
+        cases = list(random_pair_lists(3601, 20_000))
+        for n, ins, outs in cases:
+            self.assert_kernel(n, ins, outs, rng)
+        # the draws reach each shape the kernel branches on
+        assert any(len(ins) == 1 for _, ins, _ in cases)
+        assert any(outs[-1][0] == 0 for _, _, outs in cases)
+        assert any(ins[-1][0] == n or outs[-1][0] == n for n, ins, outs in cases)
+        assert any(len(ins) < n for n, ins, _ in cases)
+
+    @pytest.mark.parametrize(
+        "n, ins, outs, loops, found",
+        [
+            # limit 0: nothing can fail
+            (3, [(0, 3)], [(0, 3)], True, None),
+            (3, [(0, 3)], [(0, 3)], False, None),
+            # one group of equal in-degrees, fine with loops; without
+            # loops the end j = 2 cannot cover min(2, 2)
+            (2, [(1, 2)], [(1, 2)], True, None),
+            (2, [(1, 2)], [(0, 1), (2, 1)], True, None),
+            (2, [(1, 2)], [(0, 1), (2, 1)], False, 2),
+            # an out-degree equal to n fails only at j = n without loops
+            (3, [(1, 3)], [(0, 2), (3, 1)], True, None),
+            (3, [(1, 3)], [(0, 2), (3, 1)], False, 3),
+            # an in-degree equal to n needs a loop, and fails at j = 1
+            # without
+            (3, [(0, 2), (3, 1)], [(1, 3)], True, None),
+            (3, [(0, 2), (3, 1)], [(1, 3)], False, 1),
+            # the counterexample: the group of three 2s fails from j = 3
+            (4, [(0, 1), (2, 3)], [(0, 2), (2, 1), (4, 1)], True, 3),
+        ],
+        ids=["limit-0-loops", "limit-0-no-loops", "one-group-loops",
+             "one-group-ties-loops", "one-group-ties-no-loops",
+             "out-degree-n-loops", "out-degree-n-no-loops",
+             "in-degree-n-loops", "in-degree-n-no-loops", "counterexample"],
+    )
+    def test_named_cases(self, n, ins, outs, loops, found):
+        limit = outs[-1][0] if not loops else min(outs[-1][0], n - 1)
+        assert _group_ends(n, limit, ins, outs, loops) == found
+        self.assert_kernel(n, ins, outs, SplitMix64(n))
 
 
 class TestBruteForce:
@@ -319,8 +458,8 @@ class TestBruteForce:
         def refuse(*args):
             raise AssertionError("the oracle called the decision code")
 
-        for helper in ("_slack", "_group_ends_certify", "check_with_loops",
-                       "check_no_loops"):
+        for helper in ("_slack", "_group_ends", "_first_negative",
+                       "check_with_loops", "check_no_loops"):
             monkeypatch.setattr(exact, helper, refuse)
         self.assert_answers(name)
 

@@ -191,9 +191,10 @@ def _run_check(lines, *argv):
 
 class TestVectorsOnDemand:
     def test_certificates_and_exact_loops_decode_no_vectors(self, monkeypatch):
-        """A record thm3 or thm4 certifies, and any record the with-loops
-        exact check decides, is settled from its counts: the vectors are
-        never decoded."""
+        """A record thm3 or thm4 certifies, any record the with-loops
+        exact check decides, and a record the loop-free group ends
+        certify, is settled from its counts: the vectors are never
+        decoded."""
         lines = [format_record(bd.gen_uniform(100, 700, 1, 100, seed=s))
                  for s in range(50)]
         lines += ["2,2,2,0;4,2,0,0", "6,6,6,6,6,4,2,2,1,1;6,6,6,6,6,4,2,2,1,1"]
@@ -206,6 +207,8 @@ class TestVectorsOnDemand:
         assert (code, err) == (0, "") and out.count("GRAPHIC thm3 ") == 50
         code, out, err = _run_check(lines[:50], "--no-loops")
         assert (code, err) == (0, "") and out.count("GRAPHIC thm4 ") == 50
+        code, out, err = _run_check(lines[:50], "--method", "exact", "--no-loops")
+        assert (code, err) == (0, "") and out == "GRAPHIC exact\n" * 50
         code, out, err = _run_check(lines, "--method", "exact")
         assert (code, err) == (1, "")
         assert out.splitlines()[-2:] == ["NOT_GRAPHIC exact j=3", "GRAPHIC exact"]
