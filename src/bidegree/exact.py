@@ -30,10 +30,7 @@ saturated at the full degree sum.
   ``#(b_i >= j)``, which never grows with ``j``, and the second gains the
   same ``v_k`` at every step inside group ``k``.  A concave function
   takes its minimum over an interval at one of its ends, and ``s(0) = 0``,
-  so ``s >= 0`` everywhere exactly when it holds at every group end.  At
-  the first end where it fails, the slack is non-negative at the previous
-  end, so the negative indices of that group form a suffix, and bisection
-  finds the first of them, the witness.
+  so ``s >= 0`` everywhere exactly when it holds at every group end.
 * Without loops, Berger (2014, "A note on the characterization of
   digraphic sequences", Discrete Math. 314) shows that, with the pairs in
   nonincreasing lexicographic order, the Fulkerson--Chen--Anstee system
@@ -50,14 +47,16 @@ a sequence, so a caller can hand it any vectors with few distinct values.
 It walks the in-degree groups from the top and sweeps
 ``sum_i min(b_i, j)`` over the out-degree pairs to each end, in
 O(d) after the sort for ``d`` distinct degrees.  With loops it decides a
-record and returns its witness; without loops it is sufficient only,
-since an end that does not cover the bound may still hold.  The checks
-take the pairs from :func:`~bidegree.core.degree_pairs`: a record parsed
-from text was validated from its counts and sorts those, and any other
-sequence is counted there once, in O(n).  A record the loop-free test
-does not certify goes to the full scan of every index ``j = 1..limit``,
-which needs the record's own pairing and decides it exactly.  The scan
-also serves ``violated_indices``, which needs every index.
+record; without loops it is sufficient only, since an end that does not
+cover the bound may still hold.  The checks take the pairs from
+:func:`~bidegree.core.degree_pairs`: a record parsed from text was
+validated from its counts and sorts those, and any other sequence is
+counted there once, in O(n).  A record the kernel does not certify goes,
+under either policy, to the full scan of every index ``j = 1..limit``,
+whose first negative entry is the witness.  With loops the scan reads
+only the pairs; without loops it needs the record's own pairing and
+decides it exactly.  The scan also serves ``violated_indices``, which
+needs every index.
 
 ``brute_force_exists`` is an independent ground-truth oracle with no size
 limit: it builds a 0-1 matrix with the margins as a polynomial max flow,
@@ -67,10 +66,9 @@ one one at a time along augmenting paths, and says whether all fit.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from collections import deque, namedtuple
 from itertools import accumulate, chain, islice, repeat, starmap
-from operator import mul, sub
+from operator import sub
 
 from .core import BidegreeSequence, degree_pairs
 
@@ -116,19 +114,17 @@ INCONCLUSIVE = CheckOutcome(Verdict.INCONCLUSIVE)
 
 def _group_ends(
     n: int, limit: int, ins: list, outs: list, allow_loops: bool
-) -> int | None:
-    """The group-end test on ``n`` in-degrees and ``n`` out-degrees of
-    equal sum, given as ascending ``(value, count)`` pairs ``ins`` and
-    ``outs``, up to ``limit`` (the maximum out-degree, and at most
-    ``n - 1`` with loops).
+) -> bool:
+    """Whether the group-end test certifies graphic, under the policy, the
+    ``n`` in-degrees and ``n`` out-degrees of equal sum given as ascending
+    ``(value, count)`` pairs ``ins`` and ``outs``, up to ``limit`` (the
+    maximum out-degree, and at most ``n - 1`` with loops).
 
-    None when the test certifies the record graphic under the policy.
-    Otherwise, with loops, where the test is exact, the first violated
-    index; without loops, the first group end that does not cover the
-    bound on its correction, where the record may still be graphic.
+    Exact with loops; without loops a record it does not certify may
+    still be graphic.
     """
     if limit == n:
-        return n  # without loops j = n reads S <= S - #(b_i = n)
+        return False  # without loops j = n reads S <= S - #(b_i = n)
     # F(j) = sum_i min(b_i, j) is the sum of the out-degrees below j plus
     # j for each of the `ge` others; the with-loops slack F(j) less the
     # demand must cover the correction, at most min(j, ge) without loops
@@ -148,32 +144,8 @@ def _group_ends(
         if below_sum + end * ge - demand < (
             0 if allow_loops else min(end, ge)
         ):
-            if allow_loops:
-                return _first_negative(n, end - c, end, demand - v * c, v, outs)
-            return end
-    return None
-
-
-def _first_negative(
-    n: int, lo: int, hi: int, demand: int, v: int, outs: list
-) -> int:
-    """The first index in ``(lo, hi]`` of negative with-loops slack, inside
-    one in-degree group of value ``v`` that starts after ``lo``: the slack
-    is non-negative at ``lo``, where the in-degrees sum to ``demand``,
-    negative at ``hi`` and concave between, so its negative indices there
-    form a suffix.  Bisection evaluates ``F(j)`` from prefix sums over the
-    ascending out-degree pairs ``outs`` of the ``n`` out-degrees."""
-    below = list(accumulate([c for _, c in outs], initial=0))
-    below_sum = list(accumulate(starmap(mul, outs), initial=0))
-    start = lo
-    while hi - lo > 1:
-        j = (lo + hi) // 2
-        k = bisect_left(outs, (j,))  # (j,) sorts before every (j, count)
-        if below_sum[k] + j * (n - below[k]) < demand + v * (j - start):
-            hi = j
-        else:
-            lo = j
-    return hi
+            return False
+    return True
 
 
 # The full scan only ever needs conjugate sums and sorted prefix sums up
@@ -224,6 +196,18 @@ def _slack(
     return list(map(sub, slack, accumulate(diff[: limit + 1])))
 
 
+def _rescan(
+    seq: BidegreeSequence, allow_loops: bool, ins: list, outs: list
+) -> CheckOutcome:
+    """The outcome of the full scan, for a record the group ends did not
+    certify."""
+    slack = _slack(seq, allow_loops, ins, outs)
+    witness = next((j for j, s in enumerate(slack) if s < 0), None)
+    if witness is None:
+        return GRAPHIC
+    return CheckOutcome(Verdict.NOT_GRAPHIC, witness)
+
+
 def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
     """Decide whether ``seq`` is realizable allowing self-loops.
 
@@ -232,10 +216,9 @@ def check_with_loops(seq: BidegreeSequence) -> CheckOutcome:
     """
     ins, outs = degree_pairs(seq)
     n = seq.stats.n
-    witness = _group_ends(n, min(outs[-1][0], n - 1), ins, outs, True)
-    if witness is None:
+    if _group_ends(n, min(outs[-1][0], n - 1), ins, outs, True):
         return GRAPHIC
-    return CheckOutcome(Verdict.NOT_GRAPHIC, witness)
+    return _rescan(seq, True, ins, outs)
 
 
 def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:
@@ -247,13 +230,9 @@ def check_no_loops(seq: BidegreeSequence) -> CheckOutcome:
     produce a witness of ``n``.
     """
     ins, outs = degree_pairs(seq)
-    if _group_ends(seq.stats.n, outs[-1][0], ins, outs, False) is None:
+    if _group_ends(seq.stats.n, outs[-1][0], ins, outs, False):
         return GRAPHIC
-    slack = _slack(seq, False, ins, outs)
-    witness = next((j for j, s in enumerate(slack) if s < 0), None)
-    if witness is None:
-        return GRAPHIC
-    return CheckOutcome(Verdict.NOT_GRAPHIC, witness)
+    return _rescan(seq, False, ins, outs)
 
 
 def violated_indices(seq: BidegreeSequence, allow_loops: bool = True) -> list[int]:

@@ -49,7 +49,7 @@ def stub(monkeypatch, tmp_path, change_scale):
             out = stdout_with(change_scale(seed), gate=0.99)
         return subprocess.CompletedProcess(argv, 0, out, "")
 
-    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs.bench_record.subprocess, "run", run)
     return calls
 
 

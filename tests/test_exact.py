@@ -119,7 +119,8 @@ def counted(seq):
 
 
 def group_ends(seq, loops):
-    """The kernel on ``seq``'s pairs, up to the policy's limit."""
+    """Whether the kernel certifies ``seq`` from its pairs, up to the
+    policy's limit."""
     limit = seq.stats.max_out
     if loops:
         limit = min(limit, seq.n - 1)
@@ -153,9 +154,8 @@ def reference_no_loops_slack(seq):
 
 def assert_slack_matches_reference(seq):
     """Both policies' slack equals its reference; the group-end test
-    certifies only graphic records, and with loops returns the first
-    violated index; and each check's verdict and witness are read off the
-    reference."""
+    certifies only graphic records, and all of them with loops; and each
+    check's verdict and witness are read off the reference."""
     for loops, reference, check in (
         (True, reference_loops_slack(seq), bd.check_with_loops),
         (False, reference_no_loops_slack(seq), bd.check_no_loops),
@@ -163,11 +163,8 @@ def assert_slack_matches_reference(seq):
         assert _slack(seq, loops, *counted(seq)) == reference, (seq, loops)
         graphic = min(reference) >= 0
         witness = next((j for j, s in enumerate(reference) if s < 0), None)
-        found = group_ends(seq, loops)
-        if loops:
-            assert found == witness, seq
-        else:
-            assert graphic or found is not None, seq
+        certified = group_ends(seq, loops)
+        assert graphic if certified else not (loops and graphic), (seq, loops)
         outcome = check(seq)
         assert outcome.is_graphic is graphic, (seq, loops)
         assert outcome.witness == witness, (seq, loops)
@@ -238,9 +235,8 @@ def counterexample1(ma, mb, n=None):
 
 
 class TestGroupEnds:
-    """The checks test the ends of the in-degree groups.  With loops a
-    failing end is bisected for the witness; without loops every record
-    the ends do not certify is rescanned."""
+    """The checks certify at the ends of the in-degree groups and rescan
+    every record the group ends do not certify."""
 
     @pytest.mark.parametrize(
         "a, b, loops, certified, witness",
@@ -284,20 +280,20 @@ class TestGroupEnds:
     def test_named_cases(self, a, b, loops, certified, witness):
         seq = bd.new_sequence(a, b)
         check = bd.check_with_loops if loops else bd.check_no_loops
-        assert (group_ends(seq, loops) is None) is certified
+        assert group_ends(seq, loops) is certified
         assert check(seq).witness == witness
         assert_slack_matches_reference(seq)
 
 
-class TestBisectedWitness:
-    """With loops the witness is bisected inside the first failing group;
-    it is the full scan's first negative index, on parsed and on built
-    sequences, and a parsed record decodes no vectors to find it."""
+class TestWithLoopsWitness:
+    """The with-loops witness is the full scan's first negative index, on
+    parsed and on built sequences, and a parsed record decodes no vectors
+    to find it."""
 
     @staticmethod
     def assert_witness(a, b):
         built = bd.new_sequence(a, b)
-        slack = _slack(built, True, *counted(built))
+        slack = reference_loops_slack(built)
         want = next((j for j, s in enumerate(slack) if s < 0), None)
         assert bd.check_with_loops(built).witness == want, (a, b)
         parsed = parse_record(format_record(built))
@@ -364,10 +360,9 @@ class TestKernel:
         order = sorted(range(n), key=lambda _: rng.next_u64())
         seq = bd.new_sequence(a, [b[i] for i in order])
         max_out = outs[-1][0]
-        slack = reference_loops_slack(seq)
-        witness = next((j for j, s in enumerate(slack) if s < 0), None)
-        assert _group_ends(n, min(max_out, n - 1), ins, outs, True) == witness
-        if _group_ends(n, max_out, ins, outs, False) is None:
+        graphic = min(reference_loops_slack(seq)) >= 0
+        assert _group_ends(n, min(max_out, n - 1), ins, outs, True) is graphic
+        if _group_ends(n, max_out, ins, outs, False):
             assert min(reference_no_loops_slack(seq)) >= 0, (ins, outs)
 
     def test_seeded_pair_lists(self):
@@ -382,34 +377,34 @@ class TestKernel:
         assert any(len(ins) < n for n, ins, _ in cases)
 
     @pytest.mark.parametrize(
-        "n, ins, outs, loops, found",
+        "n, ins, outs, loops, certified",
         [
             # limit 0: nothing can fail
-            (3, [(0, 3)], [(0, 3)], True, None),
-            (3, [(0, 3)], [(0, 3)], False, None),
+            (3, [(0, 3)], [(0, 3)], True, True),
+            (3, [(0, 3)], [(0, 3)], False, True),
             # one group of equal in-degrees, fine with loops; without
             # loops the end j = 2 cannot cover min(2, 2)
-            (2, [(1, 2)], [(1, 2)], True, None),
-            (2, [(1, 2)], [(0, 1), (2, 1)], True, None),
-            (2, [(1, 2)], [(0, 1), (2, 1)], False, 2),
+            (2, [(1, 2)], [(1, 2)], True, True),
+            (2, [(1, 2)], [(0, 1), (2, 1)], True, True),
+            (2, [(1, 2)], [(0, 1), (2, 1)], False, False),
             # an out-degree equal to n fails only at j = n without loops
-            (3, [(1, 3)], [(0, 2), (3, 1)], True, None),
-            (3, [(1, 3)], [(0, 2), (3, 1)], False, 3),
+            (3, [(1, 3)], [(0, 2), (3, 1)], True, True),
+            (3, [(1, 3)], [(0, 2), (3, 1)], False, False),
             # an in-degree equal to n needs a loop, and fails at j = 1
             # without
-            (3, [(0, 2), (3, 1)], [(1, 3)], True, None),
-            (3, [(0, 2), (3, 1)], [(1, 3)], False, 1),
+            (3, [(0, 2), (3, 1)], [(1, 3)], True, True),
+            (3, [(0, 2), (3, 1)], [(1, 3)], False, False),
             # the counterexample: the group of three 2s fails from j = 3
-            (4, [(0, 1), (2, 3)], [(0, 2), (2, 1), (4, 1)], True, 3),
+            (4, [(0, 1), (2, 3)], [(0, 2), (2, 1), (4, 1)], True, False),
         ],
         ids=["limit-0-loops", "limit-0-no-loops", "one-group-loops",
              "one-group-ties-loops", "one-group-ties-no-loops",
              "out-degree-n-loops", "out-degree-n-no-loops",
              "in-degree-n-loops", "in-degree-n-no-loops", "counterexample"],
     )
-    def test_named_cases(self, n, ins, outs, loops, found):
+    def test_named_cases(self, n, ins, outs, loops, certified):
         limit = outs[-1][0] if not loops else min(outs[-1][0], n - 1)
-        assert _group_ends(n, limit, ins, outs, loops) == found
+        assert _group_ends(n, limit, ins, outs, loops) is certified
         self.assert_kernel(n, ins, outs, SplitMix64(n))
 
 
@@ -458,8 +453,8 @@ class TestBruteForce:
         def refuse(*args):
             raise AssertionError("the oracle called the decision code")
 
-        for helper in ("_slack", "_group_ends", "_first_negative",
-                       "check_with_loops", "check_no_loops"):
+        for helper in ("_slack", "_group_ends", "check_with_loops",
+                       "check_no_loops"):
             monkeypatch.setattr(exact, helper, refuse)
         self.assert_answers(name)
 

@@ -28,7 +28,6 @@ import argparse
 import importlib.util
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
@@ -43,15 +42,6 @@ def _sibling(name: str):
 
 
 bench_record = _sibling("bench_record")
-
-
-def run_once(root: Path, workload: str, seed: int, seconds) -> dict:
-    """One ``perfbench/run.py`` run of checkout ``root``, parsed."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
-    child = subprocess.run(argv, cwd=root, capture_output=True, text=True,
-                           check=True)
-    return bench_record.parse_run(child.stdout)
 
 
 def better(metric: dict, change: float, parent: float) -> bool:
@@ -122,8 +112,8 @@ def main(argv=None) -> int:
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         for side in ("parent", "change")[::1 if i % 2 == 0 else -1]:
-            run = run_once(sides[side], args.workload, seed,
-                           benchmark["run_seconds"])
+            run = bench_record.run_once(sides[side], args.workload, seed,
+                                        benchmark["run_seconds"])
             runs[side].append({"seed": seed, **run})
             print(f"{args.workload} seed {seed} {side}: gate {run['gate']}",
                   file=sys.stderr)

@@ -1,9 +1,10 @@
 """Record benchmark runs in a ``BENCH_<PR>.json`` file.
 
 Runs ``perfbench/run.py`` of a checkout as a child, once per workload and
-seed, one run at a time, each for ``SECONDS``.  Its stdout ends in the
-JSON result; the lines above carry the raw figures and the two exact/auto
-``gate:`` ratios.  The file holds the commit, the Python version, the
+seed, one run at a time, each for the ``run_seconds`` that the checkout's
+``BENCHMARK.json`` fixes, so files of different trees compare.  Its
+stdout ends in the JSON result; the lines above carry the raw figures and
+the two exact/auto ``gate:`` ratios.  The file holds the commit, the Python version, the
 corpus pins, each run's scaled and raw metrics and gate ratios, and per
 workload the median, quartiles and run count of each metric and the
 median of each gate ratio.  It also holds a ``startup`` object: the min
@@ -34,8 +35,6 @@ import sys
 import time
 from pathlib import Path
 
-# every run lasts this long, so files of different trees compare
-SECONDS = 30
 STARTUP_RUNS = 20
 RAW = re.compile(r"^(\S+)\s+\S+ \S+\s+\(raw (\S+)\)$", re.M)
 GATE = re.compile(r"^gate: check exact/auto time, (\w+): (\S+) ", re.M)
@@ -48,6 +47,15 @@ def parse_run(stdout: str) -> dict:
     result["raw"] = {name: float(value) for name, value in RAW.findall(stdout)}
     result["gate"] = {pol: float(ratio) for pol, ratio in GATE.findall(stdout)}
     return result
+
+
+def run_once(root: Path, workload: str, seed: int, seconds) -> dict:
+    """One ``perfbench/run.py`` run of checkout ``root``, parsed."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    child = subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                           check=True)
+    return parse_run(child.stdout)
 
 
 def summary(values: list) -> dict:
@@ -127,16 +135,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     workloads = {}
     for spec in args.seeds:
         workload, _, seeds = spec.partition("=")
         runs = []
         for seed in seed_list(seeds):
-            argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(SECONDS)]
-            child = subprocess.run(argv, cwd=root, capture_output=True,
-                                   text=True, check=True)
-            runs.append({"seed": seed, **parse_run(child.stdout)})
+            runs.append({"seed": seed,
+                         **run_once(root, workload, seed, seconds)})
             print(f"{workload} seed {seed}: gate {runs[-1]['gate']}", file=sys.stderr)
         workloads[workload] = summarize(runs)
     started = startup(load_benchmark(root))
@@ -146,7 +152,7 @@ def main(argv=None) -> int:
     dirty = _git(root, "status", "--porcelain", "--", "src", "perfbench")
     record = {"pr": args.pr, "commit": _git(root, "rev-parse", "HEAD"),
               "dirty": bool(dirty), "python": sys.version,
-              "seconds": SECONDS, "workloads": workloads, "startup": started,
+              "seconds": seconds, "workloads": workloads, "startup": started,
               "corpora": json.loads((root / "perfbench" / "corpora.json").read_text())}
     out = args.out or Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
