@@ -81,10 +81,34 @@ theirs only to list them or to meet a value other than ``exact`` or
 ``generate``, and ``bench`` adds ``cli_extra``, and ``sufficient`` once
 it has a record to time.
 
+``check`` given a regular file of at least two shares of 512 KiB
+decides it in as many processes as there are CPUs it may run on
+(``os.sched_getaffinity``), at most one a share.  It cuts the file into
+contiguous byte ranges of about equal size, each ending at a ``\n``: one
+a process, or, past 2 MiB a range, a multiple of that, decided in waves
+of one range a process.  In each wave it forks a worker for every range
+but the first and decides the first itself.  A worker parses only its
+range; it counts the line ends before it, in 64 KiB blocks, to number
+its lines.  It sends its output text, its messages and its exit codes
+back through a pipe, and the parent writes them in file order, so stdout
+bytes, stderr bytes and the exit code do not depend on the split.  A
+worker holds its range's output until then, so a process holds at most
+the output of 2 MiB of input.  A worker that fails, or a fork that
+fails, leaves its range to the parent, which kills and reaps every
+worker before it returns, also when it raises (a closed stdout, an
+interrupt).  Everything else runs in one process: stdin, a pipe, FIFO or
+device, a smaller file, a run a profiler or tracer observes, a process
+with a second thread, a platform without ``os.fork`` or
+``os.sched_getaffinity``, and the other commands.  ``realize`` writes
+each matrix as it is built, which a worker would have to hold whole, and
+``bench`` times records, which parallel processes would slow one another
+down for.
+
 ``realize`` writes a record, with the blank line before it, in blocks of
 whole lines of at most 64 KiB (a longer line alone), and ends it before
-it reads the next; the other commands write each line at once.  On an
-unbuffered stdout (``PYTHONUNBUFFERED``) each write is a system call.
+it reads the next; ``check`` writes a worker's lines in such blocks too,
+and the other lines of every command at once.  On an unbuffered stdout
+(``PYTHONUNBUFFERED``) each write is a system call.
 ``--format edges`` formats no edge on its own: a source's lines are its
 cached head ``"src "`` joined before each target's cached line ``"dst\\n"``.
 The two tables of these texts hold every id below the largest ``n``
@@ -96,9 +120,13 @@ from __future__ import annotations
 
 import atexit
 import errno
+import io
+import marshal
 import os
+import stat
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from types import SimpleNamespace
@@ -288,14 +316,39 @@ def _exit_code(seen: set) -> int:
     return next((code for code in (3, 1, 2) if code in seen), 0)
 
 
-def _records(path, stdin, stderr, seen: set):
+def _numbered(stream, start, stop):
+    """``(lineno, line)`` for each line of the binary file ``stream`` that
+    starts in bytes ``[start, stop)``, or from ``start`` to the end when
+    ``stop`` is None; ``start`` is 0 or just after a ``\\n``.  The line ends
+    before ``start`` are counted, in blocks of ``_BLOCK`` bytes, only to
+    number the lines."""
+    lineno, left = 1, start
+    while left > 0:
+        block = stream.read(min(left, _BLOCK))
+        if not block:
+            return  # the file shrank
+        lineno += block.count(b"\n")
+        left -= len(block)
+    if stop is None:
+        yield from enumerate(stream, lineno)
+        return
+    for lineno, line in enumerate(stream, lineno):
+        yield lineno, line
+        start += len(line)
+        if start >= stop:
+            return
+
+
+def _records(path, stdin, stderr, seen: set, share=None):
     """Yield ``(lineno, seq)`` for each non-blank record of ``path`` (``-``
-    for stdin); ``seq`` is None for a sum-mismatch record, which adds 1 to
-    ``seen``.  A file and stdin are both read as bytes, so in either a line
-    ends at ``\\n``.  A malformed record, one that is not UTF-8 among them,
-    is reported as ``line N: ...`` and adds 3; the records after it are
-    still read.  An input that cannot be opened is reported on one line,
-    adds 3 and yields nothing, as does a closed stdin (``None``)."""
+    for stdin), or, given a ``share`` ``(start, stop)`` of a file, of its
+    lines in those bytes (see :func:`_numbered`); ``seq`` is None for a
+    sum-mismatch record, which adds 1 to ``seen``.  A file and stdin are
+    both read as bytes, so in either a line ends at ``\\n``.  A malformed
+    record, one that is not UTF-8 among them, is reported as ``line N:
+    ...`` and adds 3; the records after it are still read.  An input that
+    cannot be opened is reported on one line, adds 3 and yields nothing, as
+    does a closed stdin (``None``)."""
     try:
         if path == "-" and stdin is None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -305,7 +358,9 @@ def _records(path, stdin, stderr, seen: set):
             if path == "-"
             else open(path, "rb")
         ) as stream:
-            for lineno, line in enumerate(stream, start=1):
+            lines = (enumerate(stream, start=1) if share is None
+                     else _numbered(stream, *share))
+            for lineno, line in lines:
                 try:
                     if isinstance(line, bytes):
                         line = line.decode()
@@ -347,20 +402,177 @@ def _decider(method: str, loops: bool, fallback_exact: bool = False):
     return lambda seq: INCONCLUSIVE
 
 
-def _cmd_check(args, stdin, stdout, stderr) -> int:
-    decide = _decider(args.method, args.loops, args.fallback_exact)
-    seen: set = set()
+def _check_share(records, method: str, decide, write, seen: set):
+    """Write the line of each of ``records`` (see :func:`_records`) through
+    ``write``, and add to ``seen`` the exit codes their verdicts ask for."""
     # one write per line: print() writes the line and its end apart, two
     # system calls each on an unbuffered stdout (PYTHONUNBUFFERED)
-    for _, seq in _records(args.input, stdin, stderr, seen):
+    for _, seq in records:
         if seq is None:
-            stdout.write(_SUM_MISMATCH + "\n")
+            write(_SUM_MISMATCH + "\n")
             continue
         outcome = decide(seq)
         verdict = outcome.verdict
         if verdict is not _GRAPHIC:  # identity tests: no Enum __hash__ call
             seen.add(1 if verdict is _NOT_GRAPHIC else 2)
-        stdout.write(_outcome_line(outcome, args.method) + "\n")
+        write(_outcome_line(outcome, method) + "\n")
+
+
+# The fewest bytes a share of a split ``check`` holds.  On CPython 3.11.7
+# (2 shared cores) a check child forks a worker, relays a 60 KB result
+# through a pipe and reaps it in 2.5-2.7 ms (median of 200), and ``check
+# --method auto --fallback-exact`` reads at most 16.7 MB/s (power-law
+# records at n = 2000; 9.2 MB/s at uniform n = 100, 2.2 MB/s at n = 10).
+# So a share decides for at least 31 ms, over 10x what its fork costs.
+_MIN_SHARE = 1 << 19
+# The most bytes a share holds: a worker holds its share's output text,
+# at most about 6 bytes a byte of input (``1;1`` prints as ``GRAPHIC thm3
+# Ma=1 Mb=1``), so a larger file is decided in waves of shares.
+_MAX_SHARE = 1 << 21
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 on a platform that cannot fork
+    or does not say."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _waves(path) -> list:
+    """The byte ranges ``(start, stop)`` of a regular file ``path`` that
+    ``check`` decides one to a process, in file order and in waves of one
+    share per process: as many processes as the CPUs this process may
+    use, and at most one per ``_MIN_SHARE`` bytes; as many shares as
+    processes, or a multiple of them that holds each share to
+    ``_MAX_SHARE`` bytes.  Each share is cut at the first line start at or
+    after an equal part of the file, and the last runs to the end (``stop``
+    None).  ``[[None]]``, the whole input in this process, for stdin, a
+    file that is not regular or holds fewer than two shares, a run a
+    profiler or tracer observes (it would miss the workers), and a process
+    with a second thread, which a fork leaves behind holding whatever
+    locks it held."""
+    threading = sys.modules.get("threading")
+    if (path == "-" or _observed()
+            or (threading is not None and threading.active_count() > 1)):
+        return [[None]]
+    try:
+        info = os.stat(path)
+        count = min(_cpus(), info.st_size // _MIN_SHARE)
+        if count < 2 or not stat.S_ISREG(info.st_mode):
+            return [[None]]
+        parts = count * -(-info.st_size // (count * _MAX_SHARE))
+        starts = [0]
+        with open(path, "rb") as stream:
+            for k in range(1, parts):
+                # just after the first "\n" at or after the byte before the cut
+                stream.seek(info.st_size * k // parts - 1)
+                stream.readline()
+                if starts[-1] < stream.tell() < info.st_size:
+                    starts.append(stream.tell())
+    except OSError:
+        return [[None]]  # reported by the one-process read
+    shares = list(zip(starts, [*starts[1:], None]))
+    return [shares[i:i + count] for i in range(0, len(shares), count)]
+
+
+def _share_result(args, decide, share):
+    """What ``check`` writes for ``share`` of its input: the stdout text,
+    each stderr message and the exit codes its records ask for.  The text
+    is held whole until the parent writes it."""
+    text, messages, seen = io.StringIO(), [], set()
+    records = _records(args.input, None, SimpleNamespace(write=messages.append),
+                       seen, share)
+    _check_share(records, args.method, decide, text.write, seen)
+    return text.getvalue(), messages, seen
+
+
+class _Worker:
+    """A forked process that sends ``run()``'s result back through a pipe,
+    marshalled, and exits; it never returns into the caller's code, and it
+    ends without flushing the buffers or running the ``atexit`` callbacks
+    it inherited.  Raises ``OSError`` when the pipe or the fork fails."""
+
+    def __init__(self, run):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1  # whatever run() raises, a failure to send included
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    pipe.write(marshal.dumps(run()))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def result(self):
+        """The ``(text, messages, codes)`` the worker sent, once it has
+        exited and been reaped; None if it exited non-zero or sent anything
+        else, a short payload among them."""
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if os.waitstatus_to_exitcode(status):
+            return None
+        try:
+            text, messages, codes = marshal.loads(data)
+        except (EOFError, ValueError, TypeError):
+            return None
+        return text, messages, codes
+
+    def kill(self):
+        """End and reap the worker, unless :meth:`result` has."""
+        if self.pid is not None:
+            import signal  # only a run that failed kills a worker
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.pipe.close()
+
+
+def _cmd_check(args, stdin, stdout, stderr) -> int:
+    # decided first, so every worker inherits what the method loaded
+    decide = _decider(args.method, args.loops, args.fallback_exact)
+    seen: set = set()
+
+    def here(share):
+        _check_share(_records(args.input, stdin, stderr, seen, share),
+                     args.method, decide, stdout.write, seen)
+
+    for first, *rest in _waves(args.input):
+        workers = []  # (share, its _Worker, or None when it could not start)
+        try:
+            for share in rest:
+                try:
+                    worker = _Worker(partial(_share_result, args, decide, share))
+                except OSError:
+                    worker = None
+                workers.append((share, worker))
+            here(first)
+            for share, worker in workers:
+                result = worker.result() if worker else None
+                if result is None:  # decided here, as a one-process run would
+                    here(share)
+                    continue
+                text, messages, codes = result
+                _write_text(stdout.write, text)
+                for message in messages:
+                    stderr.write(message)
+                seen.update(codes)
+        finally:
+            for _, worker in workers:
+                if worker:
+                    worker.kill()
     return _exit_code(seen)
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import test_bench_record
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -61,6 +63,7 @@ def main(tmp_path, *argv):
 
 def test_alternates_sides_and_meets_a_claim(monkeypatch, tmp_path, capsys):
     calls = stub(monkeypatch, tmp_path, lambda seed: {CLAIM: 1.05})
+    test_bench_record.stub_host(monkeypatch)
     assert main(tmp_path, "--claim", CLAIM) == 0
     # seed 1 runs the parent first, seed 2 the change first, and so on
     assert [side for side, _ in calls[:4]] == ["parent", "change", "change",
@@ -69,6 +72,8 @@ def test_alternates_sides_and_meets_a_claim(monkeypatch, tmp_path, capsys):
                            "--seed", "1", "--seconds", "30"]
     assert len(calls) == 20
     out = capsys.readouterr().out.splitlines()
+    # the CPUs the runs had, first
+    assert out[0] == "host " + json.dumps(test_bench_record.HOST)
     line = next(line for line in out if line.startswith(CLAIM))
     assert "won 10 of 10" in line and "FLAG" not in line
     assert any(line.startswith(f"claim {CLAIM}: met (won 10 of 10")

@@ -23,6 +23,21 @@ BENCH = bench_record.load_benchmark(ROOT)
 CAPTURED = (Path(__file__).parent / "fixtures" / "run_stdout.txt").read_text()
 
 
+# what stub_host makes the os calls return: 8 CPUs, 2 of them for this
+# process, and the load averages read before and after the runs
+HOST = {"cpu_count": 8, "affinity": 2, "loadavg_before": [0.5, 0.25, 0.125],
+        "loadavg_after": [1.5, 0.75, 0.375]}
+
+
+def stub_host(monkeypatch):
+    """Stub the os calls behind bench_record.host, so they read ``HOST``;
+    the load averages are read once before the runs and once after."""
+    loads = iter([HOST["loadavg_before"], HOST["loadavg_after"]])
+    monkeypatch.setattr(os, "cpu_count", lambda: HOST["cpu_count"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5})
+    monkeypatch.setattr(os, "getloadavg", lambda: tuple(next(loads)))
+
+
 def test_parse_run_reads_result_raw_figures_and_gates():
     run = bench_record.parse_run(CAPTURED)
     assert (run["correct"], run["attempted"], run["failed"]) == (True, 36240, 0)
@@ -67,6 +82,7 @@ def test_main_writes_a_record_from_each_run(tmp_path, monkeypatch):
         return subprocess.CompletedProcess(argv, 0, out, "")
 
     monkeypatch.setattr(bench_record.subprocess, "run", run)
+    stub_host(monkeypatch)
     out = tmp_path / "BENCH_7.json"
     assert bench_record.main(["--pr", "7", "--seeds", "uniform-n100=1-2",
                               "--root", str(ROOT),
@@ -76,6 +92,7 @@ def test_main_writes_a_record_from_each_run(tmp_path, monkeypatch):
          "--seconds", "30"] for seed in (1, 2)]
     record = json.loads(out.read_text())
     assert (record["pr"], record["commit"], record["dirty"]) == (7, "0123abcd", False)
+    assert record["host"] == HOST
     assert record["python"] == sys.version
     # BENCHMARK.json's run_seconds
     assert record["seconds"] == 30

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
 import itertools
 import json
+import marshal
 import os
 import random
 import re
@@ -13,6 +15,7 @@ import sys
 import threading
 from collections import Counter
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -1633,6 +1636,268 @@ class TestProcessExit:
         assert out.startswith(b"GRAPHIC exact\nNOT_GRAPHIC exact j=3\n")
         assert b" function calls " in out and b"Ordered by:" in out
         assert err == b""
+
+
+# the lines a cut between two shares of ``check FILE`` may fall on: each
+# reads alike in any share, and the line numbers of the messages after it
+# count the lines before the share
+CUT_LINES = {
+    "blank": b"\n",
+    "crlf": b"1,1;1,1\r\n",
+    "bare-cr": b"1;1\r1;1\n",
+    "malformed": b"1,x;1,1\n",
+    "not-utf8": b"1,\xff;1,1\n",
+    "sum-mismatch": b"2,1;1,1\n",
+}
+MIN_SHARE = cli._MIN_SHARE
+
+
+def record_bytes(size):
+    """Record lines of exactly ``size`` (at least 4) bytes: graphic, not
+    graphic and malformed records in turn, then ``1;1`` padded with spaces."""
+    cycle = [f"{TEN_NODE_RECORD}\n", f"{COUNTEREXAMPLE_RECORD}\n", "1,x;1\n"]
+    text = ""
+    for line in itertools.cycle(cycle):
+        if len(text) + len(line) + 4 > size:
+            break
+        text += line
+    return (text + "1;1" + " " * (size - len(text) - 4) + "\n").encode()
+
+
+class TestForkedShares:
+    """``check FILE`` cuts a regular file into byte shares and decides all
+    but the first in forked workers: stdout bytes, stderr bytes and the exit
+    code are those of a one-process run, whatever the number of processes."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The ``os.fork`` calls made, with every share as small as 1 byte."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(cli, "_MIN_SHARE", 1)
+        return calls
+
+    @staticmethod
+    def run(monkeypatch, processes, argv, stdin=""):
+        monkeypatch.setattr(cli, "_cpus", lambda: processes)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(argv, stdin=io.StringIO(stdin), stdout=out, stderr=err)
+        return code, out.getvalue().encode(), err.getvalue().encode()
+
+    def split_alike(self, monkeypatch, forks, argv):
+        """The result of ``argv`` in one process, once it is shown the same
+        in 1, 2 and 3, and the forks each run made."""
+        runs, made = [], []
+        for processes in (1, 2, 3):
+            del forks[:]
+            runs.append(self.run(monkeypatch, processes, argv))
+            made.append(len(forks))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        return runs[0], made
+
+    @pytest.mark.parametrize("args,code,digest", GOLDEN_CHECK_OUTPUT)
+    def test_golden_corpus(self, tmp_path, monkeypatch, forks, args, code,
+                           digest):
+        path = tmp_path / "golden.txt"
+        path.write_text(golden_corpus())
+        (got, out, err), made = self.split_alike(
+            monkeypatch, forks, ["check", *args.split(), str(path)])
+        assert (got, hashlib.sha256(out).hexdigest(), err) == (code, digest, b"")
+        assert made == [0, 1, 2]
+
+    @pytest.mark.parametrize("args", ["--method auto", "--no-loops --method exact"])
+    def test_golden_corpus_in_waves(self, tmp_path, monkeypatch, forks, args):
+        """Past ``_MAX_SHARE`` bytes a share a file is cut into more shares,
+        decided in waves of one share a process; a worker then holds the
+        output of at most one share."""
+        monkeypatch.setattr(cli, "_MAX_SHARE", 1 << 14)
+        path = tmp_path / "golden.txt"
+        path.write_text(golden_corpus())
+        expected = self.run(monkeypatch, 1, ["check", *args.split(), "-"],
+                            golden_corpus())
+        for processes in (2, 3):
+            monkeypatch.setattr(cli, "_cpus", lambda: processes)
+            waves = cli._waves(str(path))
+            assert len(waves) > 2
+            assert all(len(wave) == processes for wave in waves)
+            del forks[:]
+            assert self.run(monkeypatch, processes,
+                            ["check", *args.split(), str(path)]) == expected
+            assert len(forks) == len(waves) * (processes - 1)
+
+    @pytest.mark.parametrize("name", CUT_LINES)
+    def test_cut_swept_across_a_line(self, tmp_path, monkeypatch, forks, name):
+        """The cut of two shares falls at the first line start at or after
+        half the file: swept from before the line, through its bytes (a
+        bare ``\r`` among them), to past its end."""
+        line, head = CUT_LINES[name], record_bytes(200)
+        path = tmp_path / "records.txt"
+        cuts = set()
+        for half in range(len(head) - 1, len(head) + len(line) + 2):
+            path.write_bytes(head + line
+                             + record_bytes(2 * half - len(head) - len(line)))
+            monkeypatch.setattr(cli, "_cpus", lambda: 2)
+            [[(_, cut), _]] = cli._waves(str(path))
+            cuts.add(cut)
+            (code, _, err), made = self.split_alike(monkeypatch, forks,
+                                                    ["check", str(path)])
+            assert code == 3 and err.count(b"\n") > 3
+            assert made == [0, 1, 2]
+        assert {len(head), len(head) + len(line)} <= cuts
+
+    # the last line, and the last line it prints to stdout and to stderr
+    @pytest.mark.parametrize("last,out_line,err_line", [
+        (b"1,1;1,1", b"GRAPHIC thm3 Ma=1 Mb=1", b"ASCII digits, got 'x'"),
+        (b"2,1;1,1", b"NOT_GRAPHIC sum-mismatch", b"ASCII digits, got 'x'"),
+        (b"1,x;1,1", b"GRAPHIC thm3 Ma=1 Mb=1", b"line 15: plain entries "
+                                                 b"must be ASCII digits, got 'x'"),
+    ])
+    def test_last_line_without_line_end(self, tmp_path, monkeypatch, forks,
+                                        last, out_line, err_line):
+        path = tmp_path / "records.txt"
+        path.write_bytes(record_bytes(300) + last)
+        (_, out, err), made = self.split_alike(monkeypatch, forks,
+                                               ["check", str(path)])
+        assert made == [0, 1, 2]
+        assert out.endswith(out_line + b"\n") and err.endswith(err_line + b"\n")
+
+    def test_empty_file(self, tmp_path, monkeypatch, forks):
+        path = tmp_path / "empty.txt"
+        path.write_bytes(b"")
+        assert self.split_alike(monkeypatch, forks, ["check", str(path)]) == (
+            (0, b"", b""), [0, 0, 0])
+
+    @pytest.mark.parametrize("source", ["stdin", "devnull", "fifo", "small",
+                                        "traced", "threaded"])
+    def test_one_process(self, tmp_path, monkeypatch, forks, source):
+        """Stdin, a character device, a FIFO, a file below two shares, a
+        traced run and a run beside a second thread decide every record
+        here.  The file past two shares, untraced, forks."""
+        text = golden_corpus()
+        path = tmp_path / "records.txt"
+        path.write_text(text)
+        argv, stdin, context = ["check", str(path)], "", contextlib.nullcontext()
+        writer = None
+        if source == "stdin":
+            argv, stdin = ["check", "-"], text
+        elif source == "devnull":
+            argv = ["check", os.devnull]
+        elif source == "fifo":
+            fifo = tmp_path / "fifo"
+            os.mkfifo(fifo)
+            argv = ["check", str(fifo)]
+            # a writer process, not a thread: the run must see one thread
+            writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', path, fifo])
+        elif source == "small":
+            monkeypatch.setattr(cli, "_MIN_SHARE", MIN_SHARE)
+            path.write_bytes(record_bytes(2 * MIN_SHARE - 1))
+        elif source == "traced":
+            context = traced()
+        else:
+            context = second_thread()
+        with context:
+            got = self.run(monkeypatch, 3, argv, stdin)
+        assert writer is None or writer.wait(timeout=60) == 0
+        assert forks == []
+        assert got == self.run(monkeypatch, 1, ["check", "-"],
+                               "" if source == "devnull" else path.read_text())
+        if source == "small":
+            path.write_bytes(record_bytes(2 * MIN_SHARE))
+        self.run(monkeypatch, 3, ["check", str(path)])
+        assert len(forks) == (1 if source == "small" else 2)
+
+    def test_unreadable_file_reported_once(self, tmp_path, monkeypatch, forks):
+        """A file that stats but does not open is reported as one process
+        reports it, once, and forks nothing."""
+        path = tmp_path / "records.txt"
+        path.write_text(golden_corpus())
+
+        def unreadable(*args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        assert self.run(monkeypatch, 3, ["check", str(path)]) == (
+            3, b"", f"error: cannot read {path}: "
+                    f"{os.strerror(errno.EACCES)}\n".encode())
+        assert forks == []
+
+    @pytest.mark.parametrize("failure", ["exit", "short", "fork"])
+    def test_failed_worker_share_decided_here(self, tmp_path, monkeypatch,
+                                              forks, failure):
+        """A worker that exits 1 before it sends anything, one that sends a
+        short payload, and a fork that raises leave the share to the
+        parent: the bytes and the exit code do not change."""
+        lines = golden_corpus().splitlines()
+        lines[200::400] = ["1,x;1,1"] * len(lines[200::400])
+        path = tmp_path / "records.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["check", "--method", "thm3", str(path)]
+        expected = self.run(monkeypatch, 1, argv)
+        assert expected[0] == 3 and expected[2].count(b"\n") == 4
+        if failure == "exit":
+            monkeypatch.setattr(cli, "_share_result", lambda *args: os._exit(1))
+        elif failure == "short":
+            monkeypatch.setattr(cli, "marshal", SimpleNamespace(
+                dumps=lambda obj: marshal.dumps(obj)[:-1], loads=marshal.loads))
+        else:
+            def fork():
+                forks.append(None)
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", fork)
+        assert self.run(monkeypatch, 3, argv) == expected
+        assert len(forks) == 2
+
+    def test_closed_stdout_leaves_no_worker(self, tmp_path):
+        """A child whose reader goes away after one line exits 141, and no
+        process of its session is left."""
+        path = tmp_path / "records.txt"
+        path.write_text(generated(
+            "--kind", "uniform", "--n", "100", "--total", "700", "--min", "1",
+            "--max", "100", "--count", "3000", "--seed", "7"))
+        [wave] = cli._waves(str(path))
+        assert len(wave) == min(2, cli._cpus())
+        proc = cli_child(["check", "--method", "auto", "--fallback-exact",
+                          str(path)], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, start_new_session=True)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
+@contextlib.contextmanager
+def traced():
+    """A tracer attached for the block."""
+    before = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        yield
+    finally:
+        sys.settrace(before)
+
+
+@contextlib.contextmanager
+def second_thread():
+    """A second thread alive for the block."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
 
 
 # (command line, exit code, the stream it prints to, SHA-256 of that

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import bidegree as bd
+from bidegree import cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bd.__file__)))
 
@@ -171,3 +172,25 @@ assert bound is module.realize, bound
 def test_realize_stays_the_function_whatever_imports_the_module(statement):
     run = child(["-c", REALIZE_PROBE.format(statement=statement)])
     assert run.returncode == 0, run.stderr
+
+
+# the records CI splits: past two shares of cli._MIN_SHARE
+SPLIT_RECORDS = ("generate --kind uniform --n 100 --total 700 --min 1 "
+                 "--max 100 --count 3000 --seed 7")
+
+
+def test_split_check_imports_what_a_one_process_check_does(tmp_path):
+    """A check child that forks a worker per share of its file imports
+    the modules a check of an empty input imports: no process pool,
+    thread, subprocess or temporary-file module."""
+    records = child(["-m", "bidegree.cli", *SPLIT_RECORDS.split()])
+    assert records.returncode == 0, records.stderr
+    path = tmp_path / "records.txt"
+    path.write_text(records.stdout)
+    assert path.stat().st_size >= 2 * cli._MIN_SHARE
+    argv = ["-m", "bidegree.cli", "check", "--method", "auto", "--fallback-exact"]
+    split = imported_modules([*argv, str(path)])
+    assert split == imported_modules([*argv, os.devnull])
+    added = {name.split(".")[0] for name in split - imported_modules(["-c", "pass"])}
+    assert not added & {"multiprocessing", "concurrent", "threading",
+                        "subprocess", "tempfile", "signal"}

@@ -12,7 +12,10 @@ each side's median exact/auto gate ratios and flags any run that was not
 ``correct`` or failed a record.  With ``--claim METRIC`` it says whether
 the change meets a claimed gain on it: it won at least nine tenths of the
 pairs, and the medians differ, in the better direction, by more than the
-distance between the parent's quartiles.  From the repository root:
+distance between the parent's quartiles.  The report's first line is the
+``host`` object of ``bench_record.py``: a check child decides its input in
+a process per CPU it may use, so a gain may show only where a CPU sat
+idle.  From the repository root:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload uniform-n100 --seeds 4101-4110 \\
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -110,6 +114,7 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in names:
         parser.error(f"--claim: {args.claim!r} is not one of {names}")
     runs = {"parent": [], "change": []}
+    load = os.getloadavg()
     for i, seed in enumerate(args.seeds):
         for side in ("parent", "change")[::1 if i % 2 == 0 else -1]:
             run = bench_record.run_once(sides[side], args.workload, seed,
@@ -119,6 +124,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
     lines, ok = compare(runs["parent"], runs["change"],
                         benchmark["end_to_end"], args.claim)
+    print("host " + json.dumps(bench_record.host(load)))
     print("\n".join(lines))
     return 0 if ok else 1
 

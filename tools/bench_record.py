@@ -11,8 +11,10 @@ median of each gate ratio.  It also holds a ``startup`` object: the min
 and median wall time of ``STARTUP_RUNS`` children of each benchmark
 command on an empty input (``/dev/null``), and of ``python -c pass`` and
 ``python -S -c pass``, each started with the environment and working
-directory ``perfbench/run.py`` gives its own children.  From the
-repository root:
+directory ``perfbench/run.py`` gives its own children.  A ``host``
+object says what CPUs the runs had (see :func:`host`): a check child
+decides its input in a process per CPU it may use, so its records/s
+depends on how many of them sat idle.  From the repository root:
 
     python3 tools/bench_record.py --pr 26 --seeds powerlaw-n2000=1-10 \\
         --seeds uniform-n100=1-3 --seeds realize-n1000=1-3
@@ -56,6 +58,16 @@ def run_once(root: Path, workload: str, seed: int, seconds) -> dict:
     child = subprocess.run(argv, cwd=root, capture_output=True, text=True,
                            check=True)
     return parse_run(child.stdout)
+
+
+def host(load_before) -> dict:
+    """The host's CPUs, the CPUs this process (and so each run) may use,
+    and the 1-, 5- and 15-minute load averages ``load_before`` the runs,
+    taken from ``os.getloadavg()``, and now, after them."""
+    return {"cpu_count": os.cpu_count(),
+            "affinity": len(os.sched_getaffinity(0)),
+            "loadavg_before": list(load_before),
+            "loadavg_after": list(os.getloadavg())}
 
 
 def summary(values: list) -> dict:
@@ -136,6 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    load = os.getloadavg()
     workloads = {}
     for spec in args.seeds:
         workload, _, seeds = spec.partition("=")
@@ -152,7 +165,8 @@ def main(argv=None) -> int:
     dirty = _git(root, "status", "--porcelain", "--", "src", "perfbench")
     record = {"pr": args.pr, "commit": _git(root, "rev-parse", "HEAD"),
               "dirty": bool(dirty), "python": sys.version,
-              "seconds": seconds, "workloads": workloads, "startup": started,
+              "seconds": seconds, "host": host(load), "workloads": workloads,
+              "startup": started,
               "corpora": json.loads((root / "perfbench" / "corpora.json").read_text())}
     out = args.out or Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
