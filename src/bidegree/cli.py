@@ -84,25 +84,28 @@ it has a record to time.
 ``check`` given a regular file of at least two shares of 512 KiB
 decides it in as many processes as there are CPUs it may run on
 (``os.sched_getaffinity``), at most one a share.  It cuts the file into
-contiguous byte ranges of about equal size, each ending at a ``\n``: one
-a process, or, past 2 MiB a range, a multiple of that, decided in waves
-of one range a process.  In each wave it forks a worker for every range
-but the first and decides the first itself.  A worker parses only its
-range; it counts the line ends before it, in 64 KiB blocks, to number
-its lines.  It sends its output text, its messages and its exit codes
-back through a pipe, and the parent writes them in file order, so stdout
-bytes, stderr bytes and the exit code do not depend on the split.  A
-worker holds its range's output until then, so a process holds at most
-the output of 2 MiB of input.  A worker that fails, or a fork that
-fails, leaves its range to the parent, which kills and reaps every
-worker before it returns, also when it raises (a closed stdout, an
-interrupt).  Everything else runs in one process: stdin, a pipe, FIFO or
-device, a smaller file, a run a profiler or tracer observes, a process
-with a second thread, a platform without ``os.fork`` or
-``os.sched_getaffinity``, and the other commands.  ``realize`` writes
-each matrix as it is built, which a worker would have to hold whole, and
-``bench`` times records, which parallel processes would slow one another
-down for.
+waves of at most 4 MiB, and each wave into contiguous byte ranges of
+about equal size, one a process, each ending at a ``\n``; so a wave has
+at most 8 processes.  The parent counts the line ends before each range
+once, in 64 KiB blocks, to number its lines.  In each wave it forks a
+worker for every range but the first and decides the first itself.  A
+worker reads only its range.  It sends its output text, its messages and
+its exit codes back through a pipe, and the parent writes them in file
+order, each message after the text written before it, so stdout bytes,
+stderr bytes and the exit code do not depend on the split, nor, on a
+line-buffered or unbuffered stdout, how the two streams interleave.
+Workers hold their ranges' output until then, so the processes hold at
+most the output of one wave's 4 MiB of input.  A worker that fails, or a
+fork that fails, leaves its range to the parent, which kills and reaps
+every worker before it returns, also when it raises (a closed stdout, an
+interrupt).  A CPU quota below the affinity is not read, and the split
+was measured only with 2 CPUs.  Everything else runs in one process:
+stdin, a pipe, FIFO or device, a smaller file, a run a profiler or
+tracer observes, a process with a second thread, a platform without
+``os.fork`` or ``os.sched_getaffinity``, and the other commands.
+``realize`` writes each matrix as it is built, which a worker would have
+to hold whole, and ``bench`` times records, which parallel processes
+would slow one another down for.
 
 ``realize`` writes a record, with the blank line before it, in blocks of
 whole lines of at most 64 KiB (a longer line alone), and ends it before
@@ -316,19 +319,13 @@ def _exit_code(seen: set) -> int:
     return next((code for code in (3, 1, 2) if code in seen), 0)
 
 
-def _numbered(stream, start, stop):
+def _numbered(stream, start, stop, lineno):
     """``(lineno, line)`` for each line of the binary file ``stream`` that
     starts in bytes ``[start, stop)``, or from ``start`` to the end when
-    ``stop`` is None; ``start`` is 0 or just after a ``\\n``.  The line ends
-    before ``start`` are counted, in blocks of ``_BLOCK`` bytes, only to
-    number the lines."""
-    lineno, left = 1, start
-    while left > 0:
-        block = stream.read(min(left, _BLOCK))
-        if not block:
-            return  # the file shrank
-        lineno += block.count(b"\n")
-        left -= len(block)
+    ``stop`` is None, numbered from ``lineno``, the number of the line at
+    ``start``; ``start`` is 0 or just after a ``\\n``.  Only those bytes
+    are read."""
+    stream.seek(start)
     if stop is None:
         yield from enumerate(stream, lineno)
         return
@@ -341,8 +338,8 @@ def _numbered(stream, start, stop):
 
 def _records(path, stdin, stderr, seen: set, share=None):
     """Yield ``(lineno, seq)`` for each non-blank record of ``path`` (``-``
-    for stdin), or, given a ``share`` ``(start, stop)`` of a file, of its
-    lines in those bytes (see :func:`_numbered`); ``seq`` is None for a
+    for stdin), or, given a ``share`` ``(start, stop, lineno)`` of a file,
+    of its lines in those bytes (see :func:`_numbered`); ``seq`` is None for a
     sum-mismatch record, which adds 1 to ``seen``.  A file and stdin are
     both read as bytes, so in either a line ends at ``\\n``.  A malformed
     record, one that is not UTF-8 among them, is reported as ``line N:
@@ -425,10 +422,12 @@ def _check_share(records, method: str, decide, write, seen: set):
 # records at n = 2000; 9.2 MB/s at uniform n = 100, 2.2 MB/s at n = 10).
 # So a share decides for at least 31 ms, over 10x what its fork costs.
 _MIN_SHARE = 1 << 19
-# The most bytes a share holds: a worker holds its share's output text,
-# at most about 6 bytes a byte of input (``1;1`` prints as ``GRAPHIC thm3
-# Ma=1 Mb=1``), so a larger file is decided in waves of shares.
-_MAX_SHARE = 1 << 21
+# The most bytes a wave of shares holds.  Each worker holds its share's
+# output text, at most about 6 bytes a byte of input (``1;1`` prints as
+# ``GRAPHIC thm3 Ma=1 Mb=1``), so the text held at once is bounded by the
+# wave, whatever the number of CPUs; and a wave of shares of at least
+# ``_MIN_SHARE`` bytes has at most 8 processes.
+_MAX_WAVE = 1 << 22
 
 
 def _cpus() -> int:
@@ -439,15 +438,30 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _line_ends(stream, start, stop) -> int:
+    """The ``\\n`` bytes in bytes ``[start, stop)`` of ``stream``, read in
+    blocks of ``_BLOCK``."""
+    stream.seek(start)
+    count = 0
+    while start < stop:
+        block = stream.read(min(stop - start, _BLOCK))
+        if not block:
+            break  # the file shrank
+        count += block.count(b"\n")
+        start += len(block)
+    return count
+
+
 def _waves(path) -> list:
-    """The byte ranges ``(start, stop)`` of a regular file ``path`` that
-    ``check`` decides one to a process, in file order and in waves of one
-    share per process: as many processes as the CPUs this process may
-    use, and at most one per ``_MIN_SHARE`` bytes; as many shares as
-    processes, or a multiple of them that holds each share to
-    ``_MAX_SHARE`` bytes.  Each share is cut at the first line start at or
-    after an equal part of the file, and the last runs to the end (``stop``
-    None).  ``[[None]]``, the whole input in this process, for stdin, a
+    """The byte ranges ``(start, stop, lineno)`` of a regular file ``path``
+    that ``check`` decides one to a process, in file order and in waves of
+    one share per process.  The file is cut into waves of at most
+    ``_MAX_WAVE`` bytes, and each wave into as many shares as the CPUs this
+    process may use, but none below ``_MIN_SHARE`` bytes.  Each share is
+    cut at the first line start at or after an equal part of the file, and
+    the last runs to the end (``stop`` None); ``lineno`` is the number of
+    its first line, from the line ends before it, which this process counts
+    once.  ``[[None]]``, the whole input in this process, for stdin, a
     file that is not regular or holds fewer than two shares, a run a
     profiler or tracer observes (it would miss the workers), and a process
     with a second thread, which a fork leaves behind holding whatever
@@ -458,30 +472,41 @@ def _waves(path) -> list:
         return [[None]]
     try:
         info = os.stat(path)
-        count = min(_cpus(), info.st_size // _MIN_SHARE)
-        if count < 2 or not stat.S_ISREG(info.st_mode):
+        size = info.st_size
+        if size < 2 * _MIN_SHARE or not stat.S_ISREG(info.st_mode):
             return [[None]]
-        parts = count * -(-info.st_size // (count * _MAX_SHARE))
-        starts = [0]
+        waves = -(-size // _MAX_WAVE)
+        count = min(_cpus(), size // (waves * _MIN_SHARE))
+        if count < 2:
+            return [[None]]
+        shares, start, lineno = [], 0, 1
         with open(path, "rb") as stream:
-            for k in range(1, parts):
+            for k in range(1, count * waves):
                 # just after the first "\n" at or after the byte before the cut
-                stream.seek(info.st_size * k // parts - 1)
+                stream.seek(size * k // (count * waves) - 1)
                 stream.readline()
-                if starts[-1] < stream.tell() < info.st_size:
-                    starts.append(stream.tell())
+                stop = stream.tell()
+                if start < stop < size:
+                    shares.append((start, stop, lineno))
+                    lineno += _line_ends(stream, start, stop)
+                    start = stop
     except OSError:
         return [[None]]  # reported by the one-process read
-    shares = list(zip(starts, [*starts[1:], None]))
+    shares.append((start, None, lineno))
     return [shares[i:i + count] for i in range(0, len(shares), count)]
 
 
 def _share_result(args, decide, share):
     """What ``check`` writes for ``share`` of its input: the stdout text,
-    each stderr message and the exit codes its records ask for.  The text
-    is held whole until the parent writes it."""
+    each stderr message with the length the text had when it was written,
+    and the exit codes its records ask for.  The text is held whole until
+    the parent writes it."""
     text, messages, seen = io.StringIO(), [], set()
-    records = _records(args.input, None, SimpleNamespace(write=messages.append),
+
+    def message(line):
+        messages.append((text.tell(), line))
+
+    records = _records(args.input, None, SimpleNamespace(write=message),
                        seen, share)
     _check_share(records, args.method, decide, text.write, seen)
     return text.getvalue(), messages, seen
@@ -564,10 +589,15 @@ def _cmd_check(args, stdin, stdout, stderr) -> int:
                 if result is None:  # decided here, as a one-process run would
                     here(share)
                     continue
+                # each message after the text written before it, as one
+                # process writes them
                 text, messages, codes = result
-                _write_text(stdout.write, text)
-                for message in messages:
+                start = 0
+                for stop, message in messages:
+                    _write_text(stdout.write, text[start:stop])
                     stderr.write(message)
+                    start = stop
+                _write_text(stdout.write, text[start:])
                 seen.update(codes)
         finally:
             for _, worker in workers:

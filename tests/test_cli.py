@@ -1713,23 +1713,66 @@ class TestForkedShares:
 
     @pytest.mark.parametrize("args", ["--method auto", "--no-loops --method exact"])
     def test_golden_corpus_in_waves(self, tmp_path, monkeypatch, forks, args):
-        """Past ``_MAX_SHARE`` bytes a share a file is cut into more shares,
-        decided in waves of one share a process; a worker then holds the
-        output of at most one share."""
-        monkeypatch.setattr(cli, "_MAX_SHARE", 1 << 14)
+        """Past ``_MAX_WAVE`` bytes a file is cut into waves of about that
+        many bytes, each cut into one share a process, so the workers hold
+        the output of at most one wave.  The line ends before the shares
+        are counted once, in this process, however many waves there are."""
+        monkeypatch.setattr(cli, "_MAX_WAVE", 1 << 14)
         path = tmp_path / "golden.txt"
         path.write_text(golden_corpus())
+        longest = max(map(len, golden_corpus().splitlines(True)))
         expected = self.run(monkeypatch, 1, ["check", *args.split(), "-"],
                             golden_corpus())
+        counted = []
+        line_ends = cli._line_ends
+
+        def counting(stream, start, stop):
+            counted.append(stop - start)
+            return line_ends(stream, start, stop)
+
+        monkeypatch.setattr(cli, "_line_ends", counting)
         for processes in (2, 3):
             monkeypatch.setattr(cli, "_cpus", lambda: processes)
+            del counted[:]
             waves = cli._waves(str(path))
+            assert sum(counted) < path.stat().st_size
             assert len(waves) > 2
             assert all(len(wave) == processes for wave in waves)
+            for wave, after in zip(waves, waves[1:]):
+                assert after[0][0] - wave[0][0] <= cli._MAX_WAVE + longest
             del forks[:]
             assert self.run(monkeypatch, processes,
                             ["check", *args.split(), str(path)]) == expected
             assert len(forks) == len(waves) * (processes - 1)
+
+    def test_messages_interleave_as_in_one_process(self, tmp_path,
+                                                  monkeypatch, forks):
+        """Each ``line N:`` message, numbered across waves, is written after
+        the stdout lines of the records before it and before those after
+        it, as one process writes them."""
+        monkeypatch.setattr(cli, "_MAX_WAVE", 1 << 12)
+        path = tmp_path / "records.txt"
+        path.write_bytes(record_bytes(20000))
+
+        def merged(processes):
+            monkeypatch.setattr(cli, "_cpus", lambda: processes)
+            writes = []
+            out, err = (SimpleNamespace(write=lambda text, name=name:
+                                        writes.append((name, text)))
+                        for name in ("out", "err"))
+            code = main(["check", str(path)], stdin=io.StringIO(), stdout=out,
+                        stderr=err)
+            # stdout's lines go out one a write or in blocks: join each run
+            return code, [(name, "".join(text for _, text in run))
+                          for name, run in itertools.groupby(
+                              writes, lambda write: write[0])]
+
+        expected = merged(1)
+        assert expected[0] == 3 and len(expected[1]) > 100
+        for processes in (2, 3):
+            del forks[:]
+            assert merged(processes) == expected
+            assert len(forks) > 2 * (processes - 1)
 
     @pytest.mark.parametrize("name", CUT_LINES)
     def test_cut_swept_across_a_line(self, tmp_path, monkeypatch, forks, name):
@@ -1743,7 +1786,8 @@ class TestForkedShares:
             path.write_bytes(head + line
                              + record_bytes(2 * half - len(head) - len(line)))
             monkeypatch.setattr(cli, "_cpus", lambda: 2)
-            [[(_, cut), _]] = cli._waves(str(path))
+            [[(_, cut, _), (_, _, lineno)]] = cli._waves(str(path))
+            assert lineno == 1 + path.read_bytes()[:cut].count(b"\n")
             cuts.add(cut)
             (code, _, err), made = self.split_alike(monkeypatch, forks,
                                                     ["check", str(path)])
